@@ -120,6 +120,14 @@ impl Cache {
         outcome
     }
 
+    /// Counts one hit without a lookup. Only valid when the caller knows the
+    /// line is already its set's most-recently-used: [`Self::access`] would
+    /// then find it at the front and change nothing but these two counters.
+    pub fn record_mru_hit(&mut self) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+    }
+
     /// Returns `true` if the line containing `addr` is present (no LRU
     /// update, no stats).
     pub fn contains(&self, addr: u64) -> bool {
@@ -164,6 +172,17 @@ mod tests {
         assert_eq!(c.access(0x41), Lookup::Hit); // same line
         let s = c.stats();
         assert_eq!((s.accesses, s.hits, s.misses), (3, 2, 1));
+    }
+
+    #[test]
+    fn recorded_mru_hit_equals_a_front_of_set_access() {
+        let mut looked_up = Cache::new(CacheConfig::tiny());
+        looked_up.access(0);
+        looked_up.access(256); // same set, now MRU
+        let mut recorded = looked_up.clone();
+        assert_eq!(looked_up.access(256), Lookup::Hit);
+        recorded.record_mru_hit();
+        assert_eq!(recorded, looked_up);
     }
 
     #[test]

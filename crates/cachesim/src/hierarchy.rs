@@ -110,6 +110,13 @@ impl CacheHierarchy {
         }
     }
 
+    /// Counts one L1 hit on a line the caller knows is its L1 set's
+    /// most-recently-used — the counter-only equivalent of an
+    /// [`Self::access`] that returns [`ServedBy::L1`] at the front of the set.
+    pub fn record_l1_mru_hit(&mut self) {
+        self.l1.record_mru_hit();
+    }
+
     /// Flushes the line containing `addr` from every level (`clflush`).
     /// Returns `true` if it was present anywhere.
     pub fn clflush(&mut self, addr: u64) -> bool {

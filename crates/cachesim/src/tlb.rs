@@ -162,6 +162,14 @@ impl Tlb {
         }
     }
 
+    /// Counts one hit without a lookup. Only valid when the caller knows the
+    /// entry is already its set's most-recently-used: [`Self::lookup`]
+    /// would then find it at the front and change nothing but the counters.
+    pub fn record_mru_hit(&mut self) {
+        self.stats.lookups += 1;
+        self.stats.hits += 1;
+    }
+
     /// Installs (or refreshes) a translation, returning the entry evicted
     /// by capacity pressure, if any.
     pub fn insert(&mut self, pid: u64, vpn: u64, phys_base: u64) -> Option<TlbEntry> {
@@ -288,6 +296,17 @@ mod tests {
         assert_eq!(t.lookup(1, 2), None);
         assert_eq!(t.lookup(1, 0), Some(0x1000));
         assert_eq!(t.lookup(1, 4), Some(0x3000));
+    }
+
+    #[test]
+    fn recorded_mru_hit_equals_a_front_of_set_lookup() {
+        let mut looked_up = Tlb::new(TlbConfig::tiny());
+        looked_up.insert(1, 0, 0x1000);
+        looked_up.insert(1, 2, 0x2000); // same set, now MRU
+        let mut recorded = looked_up.clone();
+        assert_eq!(looked_up.lookup(1, 2), Some(0x2000));
+        recorded.record_mru_hit();
+        assert_eq!(recorded, looked_up);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A [`TableSource`] backed by simulated machine memory.
 
 use ciphers::TableSource;
-use machine::{MachineError, Pid, SimMachine, VirtAddr};
+use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 
 /// Reads cipher table bytes through a process's virtual memory on a
 /// [`SimMachine`] — the glue that makes a Rowhammer flip in the victim's
@@ -18,6 +18,14 @@ use machine::{MachineError, Pid, SimMachine, VirtAddr};
 /// exclusive borrow guarantees nothing else can mutate machine state
 /// between the lookups of one encryption — which is exactly the atomicity
 /// a real in-process table read has.
+///
+/// The borrow also scopes the source's [`ReadRun`] memo: each lookup goes
+/// through [`SimMachine::read_byte_in`], which serves repeat reads of a
+/// known most-recently-used line without replaying the TLB and cache
+/// lookups. That memo is only sound while nothing else touches the
+/// machine, which the borrow guarantees; it dies with the source. Every
+/// byte, error, counter and clock tick equals a plain
+/// [`SimMachine::read`] per lookup.
 ///
 /// Consequences for callers:
 ///
@@ -44,7 +52,7 @@ use machine::{MachineError, Pid, SimMachine, VirtAddr};
 #[derive(Debug)]
 pub struct MachineTableSource<'m> {
     machine: &'m mut SimMachine,
-    pid: Pid,
+    run: ReadRun,
     base: VirtAddr,
     len: usize,
     fault: Option<MachineError>,
@@ -56,7 +64,7 @@ impl<'m> MachineTableSource<'m> {
     pub fn new(machine: &'m mut SimMachine, pid: Pid, base: VirtAddr, len: usize) -> Self {
         MachineTableSource {
             machine,
-            pid,
+            run: ReadRun::new(pid, base, len),
             base,
             len,
             fault: None,
@@ -86,12 +94,11 @@ impl TableSource for MachineTableSource<'_> {
         if self.fault.is_some() {
             return 0;
         }
-        let mut byte = [0u8];
         match self
             .machine
-            .read(self.pid, self.base + offset as u64, &mut byte)
+            .read_byte_in(&mut self.run, self.base + offset as u64)
         {
-            Ok(()) => byte[0],
+            Ok(byte) => byte,
             Err(e) => {
                 self.fault = Some(e);
                 0

@@ -255,12 +255,14 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         pre: &MachineSnapshot,
         memo: &mut TemplateMemo,
     ) -> Result<TemplatePool, AttackError> {
-        let _timer = perf::scope("phase.template");
         debug_assert!(
             self.machine.snapshot() == *pre,
             "caller snapshot must match the machine state at template time"
         );
         if let Some((post, pool)) = memo.lookup(&self.config, self.strategy, pre) {
+            // Only the hit is timed here: a miss runs `template()`, whose
+            // phase choke point opens the `phase.template` scope itself.
+            let _timer = perf::scope("phase.template");
             perf::count("phase.template.memo_hits", 1);
             let pool = pool.clone();
             self.machine.restore(post);

@@ -450,6 +450,31 @@ impl DramDevice {
         buf[0]
     }
 
+    /// `true` while [`Self::read`] and [`Self::read_byte`] return the stored
+    /// bytes unchanged: no SECDED tracker, or one with no latent fault to
+    /// correct. Only a flip (from an activation) or a write changes it.
+    pub fn reads_are_raw(&self) -> bool {
+        self.ecc.as_ref().map_or(true, EccTracker::is_clean)
+    }
+
+    /// The accounting half of [`Self::read_byte`]: counts one read without
+    /// probing the array, for a caller that serves the byte from a
+    /// [`Self::copy_raw`] copy taken while [`Self::reads_are_raw`] held.
+    pub fn count_read(&mut self) {
+        self.stats.reads += 1;
+    }
+
+    /// Copies the stored bytes at `addr` into `buf` — no read counted, no
+    /// SECDED filtering. Equal to what [`Self::read`] returns while
+    /// [`Self::reads_are_raw`] holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds capacity.
+    pub fn copy_raw(&self, addr: PhysAddr, buf: &mut [u8]) {
+        self.mem.read(addr, buf);
+    }
+
     /// Writes one byte at `addr`.
     ///
     /// # Panics
@@ -472,7 +497,7 @@ impl DramDevice {
     /// Applies SECDED on the read path: corrects single-bit errors inside
     /// `buf`, counts detections. No-op without ECC or latent faults.
     fn ecc_filter(&mut self, addr: PhysAddr, buf: &mut [u8]) {
-        if buf.is_empty() || !matches!(&self.ecc, Some(t) if !t.is_clean()) {
+        if buf.is_empty() || self.reads_are_raw() {
             return;
         }
         let start = addr.as_u64();
@@ -1771,6 +1796,25 @@ mod tests {
     }
 
     #[test]
+    fn raw_copy_plus_counted_read_equals_read_byte() {
+        let mut dev = small_dev(5);
+        let base = PhysAddr::new(0x3000);
+        dev.write(base, b"table bytes");
+        assert!(dev.reads_are_raw(), "no ECC tracker: every read is raw");
+        let mut copy = [0u8; 11];
+        dev.copy_raw(base, &mut copy);
+        let mut counted = small_dev(5);
+        counted.write(base, b"table bytes");
+        let reads_before = dev.stats().reads;
+        for (i, &b) in copy.iter().enumerate() {
+            assert_eq!(counted.read_byte(base + i as u64), b);
+            dev.count_read();
+        }
+        assert_eq!(dev.stats(), counted.stats());
+        assert_eq!(dev.stats().reads, reads_before + 11);
+    }
+
+    #[test]
     fn secded_corrects_single_flips_on_read() {
         let seed = 3;
         let (row, cell) = find_weak_row(&mut small_dev(seed));
@@ -1779,6 +1823,7 @@ mod tests {
                 .with_seed(seed)
                 .with_ecc(EccMode::Secded),
         );
+        assert!(dev.reads_are_raw(), "a clean tracker corrects nothing");
         assert!(hammer_known_cell(
             &mut dev,
             row,
@@ -1786,6 +1831,7 @@ mod tests {
             cell.threshold_acts() + 16
         ));
         assert!(dev.stats().flips > 0, "the physical flip still happens");
+        assert!(!dev.reads_are_raw(), "a latent fault must be filtered");
         // Reading the whole row back shows the *written* pattern: ECC
         // corrected every single-bit fault on the bus.
         let victim = dev.mapping().coord_to_phys(coord(0, row, 0));

@@ -62,6 +62,7 @@ mod error;
 mod machine;
 mod pagetable;
 mod process;
+mod readrun;
 mod snapshot;
 mod stats;
 
@@ -69,5 +70,6 @@ pub use config::{IdleDrainPolicy, MachineConfig};
 pub use error::MachineError;
 pub use machine::{warm_boot, warmup, warmup_on, SimMachine, WARMUP_PAGES, WARMUP_PAGES_STEERING};
 pub use process::{Pid, ProcState, Process, VirtAddr, Vma};
+pub use readrun::ReadRun;
 pub use snapshot::MachineSnapshot;
 pub use stats::MachineStats;

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use cachesim::{CacheHierarchy, Tlb};
+use cachesim::{CacheHierarchy, ServedBy, Tlb};
 use dram::{DramDevice, HammerOutcome, Nanos, PhysAddr};
 use memsim::{CpuId, FrameKind, Order, Pfn, ZonedAllocator, PAGE_SIZE};
 
@@ -18,6 +18,16 @@ const FAULT_NS: Nanos = 1_200;
 const CLFLUSH_NS: Nanos = 5;
 /// Buddy order of a 2 MiB huge chunk (`2^9` pages = [`HUGE_PAGES`]).
 const HUGE_ORDER: u8 = 9;
+
+/// What one [`SimMachine::read_byte_scalar`] did besides returning the
+/// byte — enough for a [`crate::ReadRun`] to tell which memos still hold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScalarRead {
+    pub(crate) byte: u8,
+    pub(crate) phys: PhysAddr,
+    pub(crate) cpu: CpuId,
+    pub(crate) served: ServedBy,
+}
 
 /// The simulated system: DRAM + per-CPU caches + the Linux allocator +
 /// processes with demand paging.
@@ -631,21 +641,41 @@ impl SimMachine {
         Ok((phys, cpu))
     }
 
-    /// One cache-modelled access at `addr`'s physical line, returning the
-    /// simulated latency it cost: hits charge the hierarchy's flat hit
-    /// latency ([`cachesim::ServedBy::hit_nanos`]); a full miss reaches
-    /// DRAM, where the device's command timing decides (a row-buffer hit
-    /// is cheaper than a row conflict once the timing engine is on — the
-    /// signal the mapping probe measures).
-    fn cached_access(&mut self, cpu: CpuId, phys: PhysAddr) -> Nanos {
+    /// One cache-modelled access at `addr`'s physical line, returning where
+    /// it was served: hits charge the hierarchy's flat hit latency
+    /// ([`ServedBy::hit_nanos`]); a full miss reaches DRAM, where the
+    /// device's command timing decides (a row-buffer hit is cheaper than a
+    /// row conflict once the timing engine is on — the signal the mapping
+    /// probe measures).
+    fn cached_access(&mut self, cpu: CpuId, phys: PhysAddr) -> ServedBy {
         let served = self.caches[cpu.0 as usize].access(phys.as_u64());
         match served.hit_nanos() {
-            Some(ns) => {
-                self.advance(ns);
-                ns
+            Some(ns) => self.advance(ns),
+            None => {
+                self.dram.access(phys);
             }
-            None => self.dram.access(phys),
         }
+        served
+    }
+
+    /// The one scalar single-byte read: translate through the TLB, one
+    /// cache-modelled access, then the byte from DRAM (SECDED-filtered).
+    /// [`Self::read`] serves 1-byte buffers with it and
+    /// [`Self::read_byte_in`]'s slow path calls it too, so the memoized
+    /// path has exactly one oracle. Does not count `stats.reads`.
+    pub(crate) fn read_byte_scalar(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+    ) -> Result<ScalarRead, MachineError> {
+        let (phys, cpu) = self.touch_cached(pid, addr)?;
+        let served = self.cached_access(cpu, phys);
+        Ok(ScalarRead {
+            byte: self.dram.read_byte(phys),
+            phys,
+            cpu,
+            served,
+        })
     }
 
     /// Reads `buf.len()` bytes at `addr`, faulting pages in as needed.
@@ -655,13 +685,10 @@ impl SimMachine {
     /// Same as [`Self::touch`].
     pub fn read(&mut self, pid: Pid, addr: VirtAddr, buf: &mut [u8]) -> Result<(), MachineError> {
         self.stats.reads += 1;
-        // Single-byte fast path: cipher table lookups stream through here
-        // (one simulated access per table byte), so skip the page-split
-        // loop. `DramDevice::read_byte` is byte-for-byte the 1-byte `read`.
+        // Single-byte path: skip the page-split loop. `DramDevice::read_byte`
+        // is byte-for-byte the 1-byte `read`.
         if let [byte] = buf {
-            let (phys, cpu) = self.touch_cached(pid, addr)?;
-            self.cached_access(cpu, phys);
-            *byte = self.dram.read_byte(phys);
+            *byte = self.read_byte_scalar(pid, addr)?.byte;
             return Ok(());
         }
         if buf.is_empty() {
