@@ -119,6 +119,36 @@ impl BankState {
         self.disturbance.remove(&row);
     }
 
+    /// Credits a run of equally spaced hammer rounds to `row` in one step:
+    /// rounds start every `round_time` from `first` through `last`, each
+    /// adding `units` to the refresh window containing its *start* — the
+    /// invariant of the chunked bulk walk, whose chunks never cross a
+    /// boundary except a one-round straddle stamped at its start. Only the
+    /// rounds in `last`'s window survive (earlier windows were refreshed
+    /// away); they add to the current entry when it already belongs to
+    /// that window, exactly as the per-chunk [`Self::add_disturbance`]
+    /// calls would.
+    pub(crate) fn credit_rounds(
+        &mut self,
+        row: u32,
+        units: u64,
+        (first, last): (Nanos, Nanos),
+        round_time: Nanos,
+        timing: &DramTiming,
+    ) {
+        let w = timing.refresh_window();
+        let window = window_index(row, last, timing);
+        let window_start = (refresh_phase(row, timing) + window * w).saturating_sub(w);
+        let before_window = window_start.saturating_sub(first).div_ceil(round_time);
+        let rounds = (last - first) / round_time + 1 - before_window;
+        let entry = self.disturbance.entry(row).or_default();
+        if entry.window != window {
+            entry.units = 0;
+            entry.window = window;
+        }
+        entry.units = entry.units.saturating_add(units * rounds);
+    }
+
     /// Shifts the window index of `row`'s tracked disturbance by `delta`
     /// windows. The bookkeeping half of the bulk-hammer fast-forward: when
     /// the clock jumps by an exact multiple of the refresh window, a fresh

@@ -246,6 +246,12 @@ impl RowEval {
         self.cells.is_empty()
     }
 
+    /// The smallest threshold in the row (`u64::MAX` when empty): no cell
+    /// can flip while accumulated units stay below it.
+    pub(crate) fn min_threshold(&self) -> u64 {
+        self.min_threshold
+    }
+
     /// Cheap reject: can *any* cell cross when units move from `old` to
     /// `new`? (A cell crosses when `old < threshold <= new`.)
     #[inline]

@@ -128,12 +128,14 @@ struct BankCmd {
     activated: bool,
 }
 
-/// Per-rank ring of the last four ACT start times, for tFAW enforcement.
+/// Per-rank window of the last four ACT start times, oldest first, for
+/// tFAW enforcement. The layout depends only on the ACTs pushed, never on
+/// how a train was split into pushes, so one bulk train and the same train
+/// in chunks leave equal rings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct FawRing {
     starts: [Nanos; 4],
     len: u8,
-    head: u8,
 }
 
 impl FawRing {
@@ -142,18 +144,16 @@ impl FawRing {
         if self.len < 4 {
             return 0;
         }
-        // With four entries, the oldest is at `head`.
-        self.starts[self.head as usize] + t_faw
+        self.starts[0] + t_faw
     }
 
     fn push(&mut self, start: Nanos) {
         if self.len < 4 {
-            let idx = (self.head + self.len) % 4;
-            self.starts[idx as usize] = start;
+            self.starts[self.len as usize] = start;
             self.len += 1;
         } else {
-            self.starts[self.head as usize] = start;
-            self.head = (self.head + 1) % 4;
+            self.starts.copy_within(1.., 0);
+            self.starts[3] = start;
         }
     }
 
@@ -753,6 +753,23 @@ mod tests {
         let mut bulk = CommandClock::new(t, 1, 8);
         bulk.bulk_acts(0, 5, 0, 16);
         assert_eq!(bulk, singles, "bulk train diverged from singleton misses");
+    }
+
+    #[test]
+    fn chunked_train_equals_one_train() {
+        // The closed-form hammer path issues a burst as one train where the
+        // literal walk issues it in chunks of any size — including 2- and
+        // 3-ACT chunks that only partly refill the tFAW ring.
+        let t = DramTiming::ddr3_1600();
+        let mut whole = CommandClock::new(t, 1, 8);
+        whole.bulk_acts(0, 3, 0, 41);
+        let mut chunked = CommandClock::new(t, 1, 8);
+        let mut start = 0;
+        for acts in [2, 3, 10, 2, 2, 5, 3, 14] {
+            chunked.bulk_acts(0, 3, start, acts);
+            start += acts * t.t_rc;
+        }
+        assert_eq!(chunked, whole, "chunking changed the command state");
     }
 
     #[test]

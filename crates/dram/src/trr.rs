@@ -277,6 +277,55 @@ impl TrrEngine {
         fired
     }
 
+    /// Activations a tracked row needs to fire, from a reset counter. A
+    /// threshold of 0 fires on every activation, exactly like 1.
+    pub(crate) fn period(&self) -> u64 {
+        self.params.threshold_acts.max(1)
+    }
+
+    /// The activation count of `row` in `bank`'s table, if tracked.
+    pub(crate) fn tracked_acts(&self, bank: usize, row: u32) -> Option<u64> {
+        self.banks[bank].tracked(row).map(|e| e.acts)
+    }
+
+    /// Advances a fully tracked burst by `rounds` rounds at once — the sum
+    /// of any sequence of [`Self::advance_tracked`] calls that each stop at
+    /// or before the next trigger. Each row's count moves to
+    /// `(count + rounds) mod period`, every trigger is counted, and each
+    /// row that fired is returned (in `rows` order) with the 0-based index
+    /// of the round of its last trigger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some row is untracked — callers must check
+    /// [`Self::all_tracked`] first.
+    pub(crate) fn jump_tracked(
+        &mut self,
+        bank: usize,
+        rows: &[u32],
+        rounds: u64,
+    ) -> Vec<(u32, u64)> {
+        let period = self.period();
+        let table = &mut self.banks[bank];
+        let mut fired = Vec::new();
+        for &row in rows {
+            let e = table
+                .entries
+                .iter_mut()
+                .find(|e| e.row == row)
+                .expect("jump_tracked requires every row tracked");
+            let start = e.acts;
+            let fires = (start + rounds) / period;
+            e.acts = (start + rounds) % period;
+            if fires > 0 {
+                // Trigger `m` lands on round `m * period - start - 1`.
+                self.triggers += fires;
+                fired.push((row, fires * period - start - 1));
+            }
+        }
+        fired
+    }
+
     /// Replays one literal round (one `ACT` of each row, in order),
     /// returning the rows that fired.
     pub fn step_round(&mut self, bank: usize, rows: &[u32]) -> Vec<u32> {
@@ -471,6 +520,37 @@ mod tests {
         assert_eq!(analytic.banks[0], literal.banks[0]);
         assert_eq!(analytic.triggers(), literal.triggers());
         assert!(!literal_fired.is_empty(), "test must exercise triggers");
+    }
+
+    #[test]
+    fn jump_matches_trigger_bounded_advances() {
+        let rows = [100u32, 102, 104];
+        for (threshold, rounds) in [(37, 400), (1, 9), (0, 5), (50, 12), (7, 70)] {
+            let mut chunked = engine(4, threshold);
+            // Stagger the counts so the rows trigger on different rounds.
+            chunked.step_round(0, &rows);
+            chunked.step_round(0, &rows[..1]);
+            let mut jumped = chunked.clone();
+
+            let mut last = Vec::new();
+            let mut round = 0;
+            while round < rounds {
+                let chunk = match chunked.plan_burst(0, &rows) {
+                    Burst::Never => rounds - round,
+                    Burst::After(n) => n.min(rounds - round),
+                };
+                round += chunk;
+                for row in chunked.advance_tracked(0, &rows, chunk) {
+                    last.retain(|&(r, _)| r != row);
+                    last.push((row, round - 1));
+                }
+            }
+            let mut fired = jumped.jump_tracked(0, &rows, rounds);
+            fired.sort_unstable();
+            last.sort_unstable();
+            assert_eq!(fired, last, "threshold {threshold}");
+            assert_eq!(jumped, chunked, "threshold {threshold}");
+        }
     }
 
     #[test]

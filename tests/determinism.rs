@@ -10,7 +10,7 @@
 use explframe::attack::{
     template_scan, AttackReport, ExplFrame, ExplFrameConfig, VictimCipherKind,
 };
-use explframe::dram::{EccMode, TrrParams};
+use explframe::dram::{DramConfig, EccMode, ParaParams, RfmParams, TrrParams};
 use explframe::machine::SimMachine;
 use explframe::memsim::CpuId;
 
@@ -482,4 +482,73 @@ fn walk_mode_templating_writes_off_remapped_pages_as_casualties() {
         walk.hammer_pairs_spent < 2 * shadow.hammer_pairs_spent,
         "walk sweep burned its budget scoring translation artifacts"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Flip-free hammer closed form on the hardened-walk benchmark shape.
+// ---------------------------------------------------------------------------
+
+/// The `hardened-walk` benchmark workload: DDR4-like TRR, command clock,
+/// DRAM-resident page tables, adaptive driver escalating to 8-row
+/// many-sided hammering, 1024 template pages.
+fn hardened_walk_config(seed: u64) -> ExplFrameConfig {
+    let mut cfg = walk_config(seed).with_many_sided_rows(8);
+    cfg.machine.dram = cfg
+        .machine
+        .dram
+        .with_trr(Some(TrrParams::ddr4_like()))
+        .with_timing_engine(true);
+    cfg
+}
+
+#[test]
+fn hardened_walk_closed_form_matches_reference_kernels() {
+    // The double-sided sweep on a TRR module never flips a cell (TRR clears
+    // every victim long before its weakest threshold), so its bursts are
+    // served in closed form. The report must not move by a byte against
+    // the literal chunked walk.
+    let cfg = hardened_walk_config(1);
+    let mut oracle_cfg = cfg.clone();
+    oracle_cfg.machine.dram = oracle_cfg.machine.dram.with_reference_kernels(true);
+    let fast = ExplFrame::new(cfg.clone())
+        .run_adaptive()
+        .expect("fast-kernel run");
+    let oracle = ExplFrame::new(oracle_cfg)
+        .run_adaptive()
+        .expect("reference-kernel run");
+    assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+    assert_eq!(fast.strategy_escalations, 1, "must sweep, then escalate");
+
+    // The opening double-sided sweep alone: the closed form engages on the
+    // fast device, never on the reference one, and stays off under PARA
+    // and under RFM.
+    let sweep = |dram: DramConfig, pages: u64| {
+        let mut machine_cfg = cfg.machine.clone();
+        machine_cfg.dram = dram;
+        let mut machine = SimMachine::new(machine_cfg);
+        let pid = machine.spawn(CpuId(0));
+        let base = machine.mmap(pid, pages).expect("mmap template buffer");
+        let scan = template_scan(
+            &mut machine,
+            pid,
+            base,
+            pages,
+            cfg.hammer_pairs,
+            cfg.reproducibility_rounds,
+        )
+        .expect("template scan completes");
+        (scan, machine.dram().analytic_rounds())
+    };
+    let dram = cfg.machine.dram;
+    let (scan, jumped) = sweep(dram, 64);
+    let (oracle_scan, literal) = sweep(dram.with_reference_kernels(true), 64);
+    assert_eq!(scan, oracle_scan, "sweep diverged from the literal walk");
+    assert!(jumped > 0, "closed form never engaged on the sweep");
+    assert_eq!(literal, 0, "reference kernels must stay literal");
+    for (name, dram) in [
+        ("PARA", dram.with_para(Some(ParaParams::para_2014()))),
+        ("RFM", dram.with_rfm(Some(RfmParams::ddr5_like()))),
+    ] {
+        assert_eq!(sweep(dram, 16).1, 0, "closed form engaged under {name}");
+    }
 }
