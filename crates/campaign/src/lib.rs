@@ -9,21 +9,15 @@
 //! * [`Scenario`] — a named parameter cell with a pure `run_trial(seed)`;
 //!   [`scenario()`] wraps a closure, [`cartesian2`]/[`cartesian3`] build
 //!   condition matrices like `{same_cpu} × {sleeps} × {noisy}`.
-//! * [`warm_scenario`] / [`warm_scenario_in`] — scenarios whose trials fork
-//!   from a shared, lazily booted warm artifact (e.g. a `MachineSnapshot`)
-//!   instead of re-booting per trial; [`WarmCache`] is the underlying
-//!   fingerprint-keyed LRU pool, shared with the `campaignd` server so
-//!   equal machine configs boot once per process, not once per campaign.
-//! * [`Campaign`] — the multi-threaded runner. Per-trial seeds derive from
-//!   the campaign seed via the SplitMix64 bijection ([`trial_seed`]), and
-//!   results are reduced in **trial-index order**, never completion order —
-//!   so aggregates, CSVs, and summary records are byte-identical whether the
-//!   grid ran on 1 thread or 64.
-//! * [`sched`] — the [`TrialScheduler`] abstraction behind the runner:
-//!   [`StaticPartition`], the default Chase–Lev-style [`WorkStealing`], and
-//!   the deliberately worst-case [`AdversarialSteal`] used by the
-//!   scheduler-equivalence suite. Schedulers change wall-clock, never
-//!   bytes.
+//! * [`warm_scenario`] — a scenario whose trials fork from one shared,
+//!   once-booted warm artifact (e.g. a `MachineSnapshot`) instead of
+//!   re-booting per trial.
+//! * [`Campaign`] — the multi-threaded runner. Workers claim grid indices
+//!   one at a time, so a slow trial never serializes its neighbours.
+//!   Per-trial seeds derive from the campaign seed via the SplitMix64
+//!   bijection ([`trial_seed`]), and results are reduced in **trial-index
+//!   order**, never completion order — so aggregates, CSVs, and summary
+//!   records are byte-identical whether the grid ran on 1 thread or 64.
 //! * [`Stream`] / [`Counter`] / [`wilson_ci`] — streaming count / mean /
 //!   stddev / Wilson-interval aggregation for reducers.
 //! * [`Table`] / [`banner`] / [`results_dir`] — aligned-table and CSV
@@ -70,7 +64,6 @@ mod lock;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod sched;
 pub mod seed;
 pub mod stats;
 pub mod summary;
@@ -82,9 +75,8 @@ pub use json::{Json, JsonError};
 pub use report::{banner, fnv1a, persist, results_dir, Table};
 pub use runner::{Campaign, CampaignResult, CellResult};
 pub use scenario::{cartesian2, cartesian3, scenario, FnScenario, Scenario};
-pub use sched::{AdversarialSteal, StaticPartition, StealDeque, TrialScheduler, WorkStealing};
 pub use seed::{mix64, trial_seed};
 pub use stats::{mean_std, percentile, wilson_ci, Counter, Stream, Wilson};
 pub use summary::{bench_path, summary_path, Summary};
 pub use trace::{trace_path, TraceSink};
-pub use warmpool::{warm_scenario, warm_scenario_in, CacheStats, WarmCache, WarmScenario};
+pub use warmpool::{warm_scenario, WarmScenario};

@@ -1,21 +1,21 @@
 //! The multi-threaded campaign runner.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::scenario::Scenario;
-use crate::sched::{TrialScheduler, WorkStealing};
 use crate::seed::trial_seed;
 
 /// A campaign: `trials` independent trials of every scenario cell, seeded
 /// from `seed`, executed on `threads` worker threads.
 ///
-/// Trials are scheduled over workers by a [`TrialScheduler`] —
-/// work-stealing by default, so slow cells do not serialize the grid — but
-/// results are **reduced in trial-index order**: the output of
-/// [`Campaign::run`] is byte-for-byte identical for every thread count and
-/// every scheduler, including 1 thread. See
-/// `crates/campaign/tests/determinism.rs` and the scheduler-equivalence
+/// Workers claim grid indices one at a time from a shared counter, so a
+/// slow trial never serializes its neighbours, but results are **reduced
+/// in trial-index order**: the output of [`Campaign::run`] is byte-for-byte
+/// identical for every thread count, including 1. See
+/// `crates/campaign/tests/determinism.rs` and the campaign-equivalence
 /// suite in the workspace `tests/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Campaign {
@@ -49,44 +49,38 @@ impl Campaign {
     /// Runs `trials` trials of every cell and returns the per-cell results
     /// in declaration order, each cell's trials in trial-index order.
     ///
-    /// Equivalent to [`Campaign::run_with`] under the default
-    /// [`WorkStealing`] scheduler.
+    /// The trial at cell `c`, index `t` always receives the seed
+    /// `trial_seed(self.seed, c * trials + t)`, whichever worker claims it,
+    /// so any reduction over the returned vectors is deterministic: the
+    /// thread count affects wall-clock only, never results.
     ///
     /// # Panics
     ///
     /// Panics if any trial panics (the panic is propagated).
     pub fn run<S: Scenario>(&self, cells: &[S]) -> CampaignResult<S::Trial> {
-        self.run_with(cells, &WorkStealing)
-    }
-
-    /// Runs the campaign grid under an explicit [`TrialScheduler`].
-    ///
-    /// The trial at cell `c`, index `t` always receives the seed
-    /// `trial_seed(self.seed, c * trials + t)` regardless of scheduling, so
-    /// any reduction over the returned vectors is deterministic: the
-    /// scheduler affects wall-clock only, never results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trial panics (the panic is propagated).
-    pub fn run_with<S: Scenario>(
-        &self,
-        cells: &[S],
-        scheduler: &dyn TrialScheduler,
-    ) -> CampaignResult<S::Trial> {
         let trials = self.trials as usize;
         let total = cells.len() * trials;
         let threads = self.threads.clamp(1, total.max(1));
         let start = Instant::now();
 
-        // One slot per (cell, trial) grid point; whichever worker the
-        // scheduler assigns an index fills that index's slot. Slots — not a
-        // shared push-vector — are what make the reduction order independent
-        // of completion order, and therefore of the scheduler.
+        // One slot per (cell, trial) grid point; whichever worker claims an
+        // index fills that index's slot. Slots — not a shared push-vector —
+        // are what make the reduction order independent of completion order.
         let slots: Vec<Mutex<Option<S::Trial>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        scheduler.execute(total, threads, &|index| {
-            let out = cells[index / trials].run_trial(trial_seed(self.seed, index as u64));
-            *slots[index].lock().expect("slot poisoned") = Some(out);
+        // The claim counter only hands out indices (`Relaxed` suffices: slot
+        // contents are published by the slot mutexes and the scope's join).
+        let next = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= total {
+                        break;
+                    }
+                    let out = cells[index / trials].run_trial(trial_seed(self.seed, index as u64));
+                    *slots[index].lock().expect("slot poisoned") = Some(out);
+                });
+            }
         });
         let wall_clock = start.elapsed();
 
@@ -155,7 +149,7 @@ impl<T> CampaignResult<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::scenario;
+    use crate::scenario::{scenario, FnScenario};
 
     #[test]
     fn results_arrive_in_trial_index_order() {
@@ -184,26 +178,77 @@ mod tests {
         assert_eq!(serial.cells, parallel.cells);
     }
 
+    /// Three cells of `trials` trials each. With `done` set, the trial at
+    /// grid index 0 spins until every other trial of the grid has counted
+    /// itself finished, failing after a 10 s deadline.
+    fn waiting_cells(
+        done: Option<&AtomicUsize>,
+        trials: u32,
+        seed: u64,
+    ) -> Vec<FnScenario<impl Fn(u64) -> u64 + Sync + '_>> {
+        let first = trial_seed(seed, 0);
+        let others = 3 * trials as usize - 1;
+        (0..3u32)
+            .map(|c| {
+                scenario(format!("c{c}"), move |seed: u64| {
+                    if let Some(done) = done {
+                        if seed == first {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while done.load(Ordering::SeqCst) < others {
+                                assert!(
+                                    Instant::now() < deadline,
+                                    "the grid stalled behind trial 0"
+                                );
+                                thread::yield_now();
+                            }
+                        } else {
+                            done.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    seed.rotate_left(c)
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn schedulers_are_unobservable_in_results() {
-        use crate::sched::{AdversarialSteal, StaticPartition};
-        let cells: Vec<_> = (0..3u64)
-            .map(|c| scenario(format!("c{c}"), move |seed| seed.rotate_left(c as u32)))
-            .collect();
-        let campaign = Campaign::new(8, 31).with_threads(4);
-        let reference = campaign.run_with(&cells, &StaticPartition);
-        for scheduler in [
-            &WorkStealing as &dyn TrialScheduler,
-            &AdversarialSteal::new(9),
-            &AdversarialSteal::new(0xDEAD),
-        ] {
-            assert_eq!(campaign.run_with(&cells, scheduler).cells, reference.cells);
+    fn trial_zero_can_wait_for_the_rest_of_the_grid() {
+        // A static partition would hang here: trial 0's own chunk queues
+        // behind it. Claiming indices one at a time lets the other workers
+        // finish the grid, and the result still reduces in slot order.
+        let reference = Campaign::new(8, 31)
+            .with_threads(1)
+            .run(&waiting_cells(None, 8, 31));
+        for threads in [2, 8] {
+            let done = AtomicUsize::new(0);
+            let run = Campaign::new(8, 31)
+                .with_threads(threads)
+                .run(&waiting_cells(Some(&done), 8, 31));
+            assert_eq!(run.cells, reference.cells, "threads = {threads}");
         }
     }
 
     #[test]
+    fn a_panicking_trial_panics_the_run_after_the_grid_drains() {
+        let bad = trial_seed(5, 7);
+        let finished = AtomicUsize::new(0);
+        let cells = vec![scenario("boom", |seed: u64| {
+            assert_ne!(seed, bad, "trial 7 panics");
+            finished.fetch_add(1, Ordering::SeqCst);
+            seed
+        })];
+        let outcome = std::panic::catch_unwind(|| Campaign::new(16, 5).with_threads(4).run(&cells));
+        assert!(outcome.is_err(), "the trial panic must reach the caller");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            15,
+            "the other workers ran every other trial"
+        );
+    }
+
+    #[test]
     fn zero_trials_and_zero_cells_are_fine() {
-        type ByteCell = crate::scenario::FnScenario<fn(u64) -> u8>;
+        type ByteCell = FnScenario<fn(u64) -> u8>;
         let none: Vec<ByteCell> = Vec::new();
         let result = Campaign::new(4, 1).with_threads(2).run(&none);
         assert!(result.cells.is_empty());

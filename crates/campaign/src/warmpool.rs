@@ -1,182 +1,30 @@
-//! Warm-pool scenarios and the fingerprint-keyed warm cache.
+//! Warm-pool scenarios: trials that fork from one once-booted artifact.
 //!
 //! Most trials of a campaign start from the same warm substrate state (a
 //! booted machine after the allocator warm-up ritual) and only then diverge
 //! by seed. Re-deriving that state inside every `run_trial` makes trial
-//! throughput boot-bound instead of attack-bound. Two layers fix that:
-//!
-//! * [`WarmCache`] — an LRU cache of warm artifacts keyed by a `u64`
-//!   fingerprint (for machines: `machine::MachineConfig::fingerprint`).
-//!   `get_or_boot` returns a shared `Arc`, booting at most once per key
-//!   while cached. This is the **one** warm-pool implementation: the
-//!   `campaignd` server and the `exp_*` binaries both use it, so "two jobs
-//!   with the same machine config boot once" holds across the whole system,
-//!   not per campaign.
-//! * [`WarmScenario`] — a [`Scenario`] whose trials receive a shared warm
-//!   artifact out of a `WarmCache` instead of re-booting per trial.
-//!   [`warm_scenario`] gives each scenario a private single-slot cache (one
-//!   boot per campaign, the PR-5 behaviour); [`warm_scenario_in`] plugs a
-//!   scenario into a shared cache so many cells — or many campaigns in one
-//!   process — share one boot per distinct fingerprint.
+//! throughput boot-bound instead of attack-bound. A [`WarmScenario`] boots
+//! its artifact (typically a `MachineSnapshot`) at most once, on whichever
+//! worker claims the first trial; concurrent first trials block on that one
+//! boot, and every trial then receives a shared reference to the artifact.
 //!
 //! Determinism is unaffected: the warm artifact is a pure function of the
 //! scenario's configuration (not of any trial seed), every trial sees the
-//! identical artifact regardless of which thread booted it or whether it
-//! was a cache hit, and forking is the caller's (byte-identical) snapshot
-//! fork. Campaign results therefore stay byte-for-byte identical across
-//! `--threads` values and cache states, exactly as for plain
-//! [`scenario`](crate::scenario())s.
+//! identical artifact regardless of which thread booted it, and forking is
+//! the caller's (byte-identical) snapshot fork. Campaign results therefore
+//! stay byte-for-byte identical across `--threads` values, exactly as for
+//! plain [`scenario`](crate::scenario())s.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::OnceLock;
 
 use crate::scenario::Scenario;
 
-/// An LRU cache of warm artifacts (typically machine snapshots), keyed by a
-/// `u64` fingerprint of the configuration that boots them.
-///
-/// Values are handed out as `Arc<T>`: eviction drops only the cache's own
-/// reference, so artifacts still in use by in-flight trials stay alive and
-/// untouched — eviction can never corrupt a fork in progress.
-///
-/// Booting happens under the cache lock, which is what makes the boot-once
-/// guarantee hold: a second requester for the same key always blocks until
-/// the first boot finishes, then hits. A `capacity` of `0` disables
-/// caching — every request boots (useful as a cold-path reference in
-/// benchmarks).
-///
-/// # Examples
-///
-/// ```
-/// use campaign::WarmCache;
-///
-/// let cache: WarmCache<Vec<u32>> = WarmCache::new(2);
-/// let a = cache.get_or_boot(1, || vec![1, 2, 3]);
-/// let b = cache.get_or_boot(1, || unreachable!("second request hits"));
-/// assert_eq!(a, b);
-/// assert_eq!(cache.stats().misses, 1);
-/// assert_eq!(cache.stats().hits, 1);
-/// ```
-#[derive(Debug)]
-pub struct WarmCache<T> {
-    capacity: usize,
-    inner: Mutex<CacheInner<T>>,
-}
-
-#[derive(Debug)]
-struct CacheInner<T> {
-    /// Entries in LRU order: front = coldest, back = most recently used.
-    entries: Vec<(u64, Arc<T>)>,
-    stats: CacheStats,
-}
-
-/// Counters describing a [`WarmCache`]'s behaviour so far. Every miss is
-/// exactly one boot, so `misses` doubles as the boot count the warm-pool
-/// regression tests observe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served from the cache.
-    pub hits: u64,
-    /// Requests that booted (including all requests when capacity is 0).
-    pub misses: u64,
-    /// Entries dropped to make room (never affects handed-out `Arc`s).
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all requests (0 when nothing was requested).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl<T> WarmCache<T> {
-    /// An empty cache holding at most `capacity` artifacts.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        WarmCache {
-            capacity,
-            inner: Mutex::new(CacheInner {
-                entries: Vec::new(),
-                stats: CacheStats::default(),
-            }),
-        }
-    }
-
-    /// Locks the cache, recovering from poisoning: a `boot` closure that
-    /// panics does so *before* any cache mutation (the insert only happens
-    /// after `boot` returns), so a poisoned guard always protects
-    /// consistent state and the cache must keep serving other keys — a
-    /// panicking job's boot must not take the whole warm pool down with it.
-    fn locked(&self) -> MutexGuard<'_, CacheInner<T>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns the artifact for `key`, booting it with `boot` on a miss.
-    ///
-    /// On a hit the entry is refreshed to most-recently-used. On a miss the
-    /// boot runs under the cache lock (so concurrent requesters of the same
-    /// key wait and then hit), the result is cached, and the coldest entry
-    /// is evicted if the cache is over capacity.
-    pub fn get_or_boot(&self, key: u64, boot: impl FnOnce() -> T) -> Arc<T> {
-        let mut inner = self.locked();
-        if let Some(position) = inner.entries.iter().position(|(k, _)| *k == key) {
-            inner.stats.hits += 1;
-            let entry = inner.entries.remove(position);
-            let value = Arc::clone(&entry.1);
-            inner.entries.push(entry);
-            return value;
-        }
-        inner.stats.misses += 1;
-        let value = Arc::new(boot());
-        if self.capacity > 0 {
-            inner.entries.push((key, Arc::clone(&value)));
-            if inner.entries.len() > self.capacity {
-                inner.entries.remove(0);
-                inner.stats.evictions += 1;
-            }
-        }
-        value
-    }
-
-    /// Number of artifacts currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.locked().entries.len()
-    }
-
-    /// `true` if nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Hit/miss/eviction counters so far.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.locked().stats
-    }
-}
-
-/// A [`Scenario`] whose trials share warm artifacts out of a [`WarmCache`].
-/// Produced by [`warm_scenario`] (private single-slot cache) or
-/// [`warm_scenario_in`] (shared cache).
+/// A [`Scenario`] whose trials share one lazily booted warm artifact.
+/// Produced by [`warm_scenario`].
 #[derive(Debug)]
 pub struct WarmScenario<T, B, F> {
     name: String,
-    cache: Arc<WarmCache<T>>,
-    key: u64,
+    warm: OnceLock<T>,
     boot: B,
     trial: F,
 }
@@ -195,18 +43,14 @@ where
     }
 
     fn run_trial(&self, seed: u64) -> R {
-        let warm = self.cache.get_or_boot(self.key, &self.boot);
-        (self.trial)(&warm, seed)
+        (self.trial)(self.warm.get_or_init(&self.boot), seed)
     }
 }
 
 /// Wraps a boot closure and a per-trial closure as a warm-pool
-/// [`Scenario`] with a private single-artifact cache: `boot` runs at most
-/// once per campaign (on whichever worker thread claims the first trial),
-/// and every trial calls `trial(&warm, seed)` against the shared artifact.
-///
-/// To share boots *across* scenarios or campaigns, use
-/// [`warm_scenario_in`] with an explicit [`WarmCache`].
+/// [`Scenario`]: `boot` runs at most once per scenario (on whichever worker
+/// thread claims the first trial), and every trial calls
+/// `trial(&warm, seed)` against the shared artifact.
 ///
 /// `boot` must be a pure function of the scenario's parameters — never of a
 /// trial seed — and `trial` must not mutate the artifact through interior
@@ -237,58 +81,9 @@ where
     B: Fn() -> T + Sync,
     F: Fn(&T, u64) -> R + Sync,
 {
-    warm_scenario_in(name, &Arc::new(WarmCache::new(1)), 0, boot, trial)
-}
-
-/// A warm-pool [`Scenario`] backed by a shared [`WarmCache`]: the artifact
-/// for `key` is booted by whichever scenario (or `campaignd` job — the
-/// server uses the same cache type) first needs it, and every later
-/// scenario with the same key hits.
-///
-/// `key` must fingerprint everything `boot` depends on — for machine
-/// snapshots, `machine::MachineConfig::fingerprint` (mixed with the warm-up
-/// depth if it varies). Two scenarios sharing a key **must** boot
-/// equivalent artifacts, or the second would silently run against the
-/// first's state.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use campaign::{warm_scenario_in, Campaign, WarmCache};
-///
-/// let cache = Arc::new(WarmCache::new(4));
-/// let cells: Vec<_> = (0..3u64)
-///     .map(|shift| {
-///         warm_scenario_in(
-///             format!("shift{shift}"),
-///             &cache,
-///             42, // same fingerprint ⇒ one boot for all three cells
-///             || 1u64 << 20,
-///             move |warm, seed| (warm + seed) >> shift,
-///         )
-///     })
-///     .collect();
-/// Campaign::new(4, 7).run(&cells);
-/// assert_eq!(cache.stats().misses, 1);
-/// ```
-pub fn warm_scenario_in<T, R, B, F>(
-    name: impl Into<String>,
-    cache: &Arc<WarmCache<T>>,
-    key: u64,
-    boot: B,
-    trial: F,
-) -> WarmScenario<T, B, F>
-where
-    T: Send + Sync,
-    R: Send,
-    B: Fn() -> T + Sync,
-    F: Fn(&T, u64) -> R + Sync,
-{
     WarmScenario {
         name: name.into(),
-        cache: Arc::clone(cache),
-        key,
+        warm: OnceLock::new(),
         boot,
         trial,
     }
@@ -333,66 +128,5 @@ mod tests {
         });
         let reference = Campaign::new(16, 9).with_threads(1).run(&[plain]);
         assert_eq!(serial.cells, reference.cells);
-    }
-
-    #[test]
-    fn shared_cache_boots_once_per_key_across_cells() {
-        let cache = Arc::new(WarmCache::new(4));
-        let boots = AtomicU32::new(0);
-        let cells: Vec<_> = (0..4u64)
-            .map(|c| {
-                warm_scenario_in(
-                    format!("cell{c}"),
-                    &cache,
-                    c % 2, // two distinct fingerprints across four cells
-                    || {
-                        boots.fetch_add(1, Ordering::SeqCst);
-                        123u64
-                    },
-                    move |warm, seed| warm + seed + c,
-                )
-            })
-            .collect();
-        Campaign::new(8, 11).with_threads(4).run(&cells);
-        assert_eq!(boots.load(Ordering::SeqCst), 2, "one boot per fingerprint");
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().hits, 30);
-    }
-
-    #[test]
-    fn lru_evicts_coldest_and_never_touches_held_values() {
-        let cache: WarmCache<u64> = WarmCache::new(2);
-        let a = cache.get_or_boot(1, || 100);
-        let _b = cache.get_or_boot(2, || 200);
-        // Refresh key 1, then insert key 3: key 2 is now coldest and gets
-        // evicted.
-        cache.get_or_boot(1, || unreachable!("hit"));
-        cache.get_or_boot(3, || 300);
-        assert_eq!(cache.len(), 2);
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        // Key 2 re-boots (evicting key 1, now coldest); the Arc still held
-        // for key 1 is unchanged by its eviction.
-        assert_eq!(*cache.get_or_boot(2, || 222), 222);
-        assert_eq!(*a, 100);
-        assert_eq!(cache.stats().evictions, 2);
-        assert_eq!(*cache.get_or_boot(3, || unreachable!("3 is hot")), 300);
-        assert_eq!(*cache.get_or_boot(1, || 111), 111);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache: WarmCache<u64> = WarmCache::new(0);
-        let mut boots = 0;
-        for _ in 0..3 {
-            cache.get_or_boot(7, || {
-                boots += 1;
-                boots
-            });
-        }
-        assert_eq!(boots, 3);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().hit_rate(), 0.0);
     }
 }

@@ -327,14 +327,10 @@ impl ExplFrame {
         let pool = match (adaptive, memo) {
             // The probe mutates the machine, so the fork-source snapshot no
             // longer matches — key the memo on a fresh capture instead.
-            (true, Some((pre, memo))) if cfg.probe_mapping => {
-                let _ = pre;
+            (true, Some((_, memo))) if cfg.probe_mapping => {
                 pipe.template_adaptive_memo(escalate_to, memo)?
             }
-            (false, Some((pre, memo))) if cfg.probe_mapping => {
-                let _ = pre;
-                pipe.template_memo(memo)?
-            }
+            (false, Some((_, memo))) if cfg.probe_mapping => pipe.template_memo(memo)?,
             (true, Some((pre, memo))) => pipe.template_adaptive_memo_at(pre, escalate_to, memo)?,
             (true, None) => pipe.template_adaptive(escalate_to)?,
             (false, Some((pre, memo))) => pipe.template_memo_at(pre, memo)?,

@@ -331,45 +331,6 @@ impl Observer for TraceCollector {
     }
 }
 
-/// An [`Observer`] that feeds phase events into the process-global [`perf`]
-/// registry: every event bumps its own named counter, and the events that
-/// carry work magnitudes (rows hammered, hammer pairs, ciphertexts) add
-/// them under `event.*` keys. Combined with the wall-clock scopes the
-/// [`Pipeline`](crate::Pipeline) opens around each phase, a single
-/// [`perf::snapshot`] then answers "where did the time go, and how much
-/// work was done there" per phase.
-///
-/// Like every observer it is a pure listener — with the registry disabled
-/// (the default) it does nothing at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfObserver;
-
-impl Observer for PerfObserver {
-    fn on_event(&mut self, event: &PhaseEvent) {
-        if !perf::is_enabled() {
-            return;
-        }
-        perf::count(event.name(), 1);
-        match *event {
-            PhaseEvent::TemplateFinished {
-                found,
-                rows_hammered,
-                ..
-            } => {
-                perf::count("event.templates_found", found as u64);
-                perf::count("event.rows_hammered", rows_hammered);
-            }
-            PhaseEvent::HammerFinished { pairs, .. } => {
-                perf::count("event.hammer_pairs", pairs);
-            }
-            PhaseEvent::CiphertextsCollected { collected, .. } => {
-                perf::count("event.ciphertexts", collected);
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

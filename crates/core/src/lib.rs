@@ -72,7 +72,7 @@ pub use attack::{AttackOutcome, AttackReport, ExplFrame};
 pub use baseline::{run_spray_baseline, SprayReport};
 pub use config::{ExplFrameConfig, HammerStrategy, VictimCipherKind};
 pub use error::AttackError;
-pub use events::{NullObserver, Observer, PerfObserver, PhaseEvent, TraceCollector};
+pub use events::{NullObserver, Observer, PhaseEvent, TraceCollector};
 pub use memsource::MachineTableSource;
 pub use noise::NoiseProcess;
 pub use phase::{

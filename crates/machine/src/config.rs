@@ -115,25 +115,6 @@ impl MachineConfig {
     pub fn is_consistent(&self) -> bool {
         self.dram.geometry.capacity_bytes() == self.mem.total_bytes
     }
-
-    /// A 64-bit fingerprint of the whole configuration, for keying warm
-    /// snapshot pools: two machines boot into identical state **iff** their
-    /// configs are equal, and equal configs always fingerprint equally.
-    ///
-    /// The fingerprint is FNV-1a over the config's canonical rendering (the
-    /// derived `Debug` output, which covers every field of every nested
-    /// config). It is a *process-lifetime cache key*, not a persisted
-    /// format: comparing fingerprints across builds of this crate is not
-    /// supported.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -151,32 +132,5 @@ mod tests {
     fn policy_override() {
         let c = MachineConfig::small(1).with_idle_drain(IdleDrainPolicy::Keep);
         assert_eq!(c.idle_drain, IdleDrainPolicy::Keep);
-    }
-
-    #[test]
-    fn fingerprint_tracks_config_equality() {
-        // Equal configs fingerprint equally (pure function of the fields).
-        assert_eq!(
-            MachineConfig::small(7).fingerprint(),
-            MachineConfig::small(7).fingerprint()
-        );
-        // Any field difference — seed, preset, or a nested policy — must
-        // separate the keys, or the warm cache would hand one config's
-        // snapshot to another config's jobs.
-        let base = MachineConfig::small(7).fingerprint();
-        assert_ne!(base, MachineConfig::small(8).fingerprint());
-        assert_ne!(base, MachineConfig::medium(7).fingerprint());
-        assert_ne!(
-            base,
-            MachineConfig::small(7)
-                .with_idle_drain(IdleDrainPolicy::Keep)
-                .fingerprint()
-        );
-        assert_ne!(
-            base,
-            MachineConfig::small(7)
-                .with_dram_page_tables(true)
-                .fingerprint()
-        );
     }
 }

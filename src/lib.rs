@@ -19,9 +19,6 @@
 //! * [`campaign`] — the deterministic parallel campaign engine driving the
 //!   `exp_*` experiment binaries (scenario matrices, SplitMix64 per-trial
 //!   seeding, thread-count-independent reduction, `results/summary.json`).
-//! * [`campaignd`] — campaign-as-a-service: a resident `CampaignServer`
-//!   multiplexing concurrent jobs over a work-stealing pool with a
-//!   fingerprint-keyed warm snapshot cache, plus the file-queue daemon.
 //!
 //! See the repository `README.md` for a tour and `examples/quickstart.rs`
 //! for an end-to-end run.
@@ -30,7 +27,6 @@
 
 pub use cachesim;
 pub use campaign;
-pub use campaignd;
 pub use ciphers;
 pub use dram;
 pub use explframe_core as attack;
