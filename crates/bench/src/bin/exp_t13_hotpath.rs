@@ -47,16 +47,20 @@ fn fingerprint(report: &AttackReport) -> u64 {
     fnv1a(format!("{report:?}").as_bytes())
 }
 
-/// Folds the `phase.*` / `dram.*` perf registry snapshot into
-/// timing metrics under a cell prefix and returns the rows printed to the
-/// stdout breakdown table.
+/// Folds the `phase.*` perf registry snapshot into timing metrics under a
+/// cell prefix: a phase scope records its wall-clock (`.wall_s`), a counter
+/// (`phase.<name>.reads`, `.writes`, `.hammer_pairs`, `.sim_ns`,
+/// `phase.template.memo_hits`) its count (`.ops`).
 fn record_phases(prefix: &str, stats: &[(&'static str, perf::PhaseStats)], summary: &mut Summary) {
     for (key, stat) in stats {
-        if !(key.starts_with("phase.") || key.starts_with("dram.")) {
+        if !key.starts_with("phase.") {
             continue;
         }
-        summary.timing_metric(&format!("{prefix}.{key}.wall_s"), stat.wall_secs());
-        summary.timing_metric(&format!("{prefix}.{key}.ops"), stat.ops as f64);
+        if stat.calls > 0 {
+            summary.timing_metric(&format!("{prefix}.{key}.wall_s"), stat.wall_secs());
+        } else {
+            summary.timing_metric(&format!("{prefix}.{key}.ops"), stat.ops as f64);
+        }
     }
 }
 
@@ -149,12 +153,20 @@ fn main() {
          pre-PR baseline: {PRE_PR_BASELINE_TPS:.1} trials/s   speedup vs pre-PR: {speedup_vs_pre_pr:.1}x"
     );
     println!("\nper-phase breakdown (memoized cell):");
+    let count = |key: String| {
+        memo_stats
+            .iter()
+            .find(|(k, _)| **k == key)
+            .map_or(0, |(_, s)| s.ops)
+    };
     for (key, stat) in &memo_stats {
-        if key.starts_with("phase.") || key.starts_with("dram.") {
+        if key.starts_with("phase.") && stat.calls > 0 {
             println!(
-                "  {key:<28} {:>9.3}s  {:>14} ops  {:>5} calls",
+                "  {key:<22} {:>9.3}s  {:>12} reads  {:>8} writes  {:>10} hammer pairs  {:>5} calls",
                 stat.wall_secs(),
-                stat.ops,
+                count(format!("{key}.reads")),
+                count(format!("{key}.writes")),
+                count(format!("{key}.hammer_pairs")),
                 stat.calls
             );
         }

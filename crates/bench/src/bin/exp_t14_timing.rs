@@ -366,9 +366,15 @@ fn main() {
         "mean_timed_headroom",
         mean(timed.iter().filter_map(|r| r.hammer_rate_headroom)),
     );
+    // Phase scopes record wall-clock, counters (per-phase reads, writes,
+    // hammer pairs, simulated ns) their count.
     for (key, stat) in &stats {
-        if key.starts_with("phase.") || key.starts_with("dram.") {
+        if !key.starts_with("phase.") {
+            continue;
+        }
+        if stat.calls > 0 {
             summary.timing_metric(&format!("{key}.wall_s"), stat.wall_secs());
+        } else {
             summary.timing_metric(&format!("{key}.ops"), stat.ops as f64);
         }
     }

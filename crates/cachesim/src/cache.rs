@@ -120,12 +120,13 @@ impl Cache {
         outcome
     }
 
-    /// Counts one hit without a lookup. Only valid when the caller knows the
-    /// line is already its set's most-recently-used: [`Self::access`] would
-    /// then find it at the front and change nothing but these two counters.
-    pub fn record_mru_hit(&mut self) {
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
+    /// Counts `n` hits without a lookup. Only valid when the caller knows
+    /// the line is already its set's most-recently-used: each of `n`
+    /// [`Self::access`] calls would then find it at the front and change
+    /// nothing but these two counters.
+    pub fn record_mru_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
     }
 
     /// Returns `true` if the line containing `addr` is present (no LRU
@@ -180,8 +181,10 @@ mod tests {
         looked_up.access(0);
         looked_up.access(256); // same set, now MRU
         let mut recorded = looked_up.clone();
-        assert_eq!(looked_up.access(256), Lookup::Hit);
-        recorded.record_mru_hit();
+        for _ in 0..3 {
+            assert_eq!(looked_up.access(256), Lookup::Hit);
+        }
+        recorded.record_mru_hits(3);
         assert_eq!(recorded, looked_up);
     }
 

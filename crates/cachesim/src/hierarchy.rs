@@ -110,11 +110,12 @@ impl CacheHierarchy {
         }
     }
 
-    /// Counts one L1 hit on a line the caller knows is its L1 set's
-    /// most-recently-used — the counter-only equivalent of an
-    /// [`Self::access`] that returns [`ServedBy::L1`] at the front of the set.
-    pub fn record_l1_mru_hit(&mut self) {
-        self.l1.record_mru_hit();
+    /// Counts `n` L1 hits on lines the caller knows are their L1 sets'
+    /// most-recently-used — the counter-only equivalent of `n`
+    /// [`Self::access`] calls that return [`ServedBy::L1`] at the front of
+    /// their sets.
+    pub fn record_l1_mru_hits(&mut self, n: u64) {
+        self.l1.record_mru_hits(n);
     }
 
     /// Flushes the line containing `addr` from every level (`clflush`).

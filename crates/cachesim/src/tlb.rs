@@ -162,12 +162,13 @@ impl Tlb {
         }
     }
 
-    /// Counts one hit without a lookup. Only valid when the caller knows the
-    /// entry is already its set's most-recently-used: [`Self::lookup`]
-    /// would then find it at the front and change nothing but the counters.
-    pub fn record_mru_hit(&mut self) {
-        self.stats.lookups += 1;
-        self.stats.hits += 1;
+    /// Counts `n` hits without a lookup. Only valid when the caller knows
+    /// the entry is already its set's most-recently-used: each of `n`
+    /// [`Self::lookup`] calls would then find it at the front and change
+    /// nothing but the counters.
+    pub fn record_mru_hits(&mut self, n: u64) {
+        self.stats.lookups += n;
+        self.stats.hits += n;
     }
 
     /// Installs (or refreshes) a translation, returning the entry evicted
@@ -304,8 +305,10 @@ mod tests {
         looked_up.insert(1, 0, 0x1000);
         looked_up.insert(1, 2, 0x2000); // same set, now MRU
         let mut recorded = looked_up.clone();
-        assert_eq!(looked_up.lookup(1, 2), Some(0x2000));
-        recorded.record_mru_hit();
+        for _ in 0..3 {
+            assert_eq!(looked_up.lookup(1, 2), Some(0x2000));
+        }
+        recorded.record_mru_hits(3);
         assert_eq!(recorded, looked_up);
     }
 

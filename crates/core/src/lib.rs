@@ -84,4 +84,4 @@ pub use phase::{
 pub use pipeline::Pipeline;
 pub use ptflip::{pte_flip_escalation, PtFlipConfig, PtFlipOutcome};
 pub use template::{template_scan, template_scan_with, FlipTemplate, TemplateMemo, TemplateScan};
-pub use victim::{VictimCipherService, VictimKeys};
+pub use victim::{VictimCipherService, VictimKeys, VictimSession};

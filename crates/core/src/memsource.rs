@@ -1,7 +1,7 @@
 //! A [`TableSource`] backed by simulated machine memory.
 
 use ciphers::TableSource;
-use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
+use machine::{MachineError, ReadRun, SimMachine, VirtAddr};
 
 /// Reads cipher table bytes through a process's virtual memory on a
 /// [`SimMachine`] — the glue that makes a Rowhammer flip in the victim's
@@ -19,21 +19,22 @@ use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 /// between the lookups of one encryption — which is exactly the atomicity
 /// a real in-process table read has.
 ///
-/// The borrow also scopes the source's [`ReadRun`] memo: each lookup goes
-/// through [`SimMachine::read_byte_in`], which serves repeat reads of a
-/// known most-recently-used line without replaying the TLB and cache
-/// lookups. That memo is only sound while nothing else touches the
-/// machine, which the borrow guarantees; it dies with the source. Every
-/// byte, error, counter and clock tick equals a plain
-/// [`SimMachine::read`] per lookup.
+/// Each lookup goes through [`SimMachine::read_byte_in`] on a borrowed
+/// [`ReadRun`] memo, which serves repeat reads of a known
+/// most-recently-used line without replaying the TLB and cache lookups.
+/// That memo is only sound while nothing else touches the machine between
+/// its reads; the run's owner guarantees that across encryptions, and this
+/// source's borrow guarantees it within one. Every byte, error, counter and
+/// clock tick equals a plain [`SimMachine::read`] per lookup.
 ///
 /// Consequences for callers:
 ///
-/// * construct one source per encryption call and let it drop immediately
-///   after (see [`VictimCipherService::encrypt`](crate::VictimCipherService::encrypt));
-/// * do not cache a source across machine operations — the borrow checker
-///   will stop you, and that is the contract working as intended;
-/// * reads outside the declared `len` are a bug in the cipher, not a
+/// * hold one run per collect and build one source per encryption over it
+///   (see [`VictimSession`](crate::VictimSession), which owns the run and
+///   the machine borrow for all of a collect's encryptions);
+/// * do not keep a run across other machine operations — a
+///   [`VictimSession`](crate::VictimSession) makes that a borrow error;
+/// * reads outside the run's span are a bug in the cipher, not a
 ///   recoverable condition, and panic.
 ///
 /// # Fault capture (DRAM-resident page tables)
@@ -52,19 +53,20 @@ use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 #[derive(Debug)]
 pub struct MachineTableSource<'m> {
     machine: &'m mut SimMachine,
-    run: ReadRun,
+    run: &'m mut ReadRun,
     base: VirtAddr,
     len: usize,
     fault: Option<MachineError>,
 }
 
 impl<'m> MachineTableSource<'m> {
-    /// Creates a source reading `len` bytes starting at `base` in `pid`'s
-    /// address space.
-    pub fn new(machine: &'m mut SimMachine, pid: Pid, base: VirtAddr, len: usize) -> Self {
+    /// Creates a source reading the table image that is `run`'s span, as
+    /// `run`'s process.
+    pub fn new(machine: &'m mut SimMachine, run: &'m mut ReadRun) -> Self {
+        let (base, len) = run.span();
         MachineTableSource {
             machine,
-            run: ReadRun::new(pid, base, len),
+            run,
             base,
             len,
             fault: None,
@@ -96,7 +98,7 @@ impl TableSource for MachineTableSource<'_> {
         }
         match self
             .machine
-            .read_byte_in(&mut self.run, self.base + offset as u64)
+            .read_byte_in(self.run, self.base + offset as u64)
         {
             Ok(byte) => byte,
             Err(e) => {
@@ -108,6 +110,43 @@ impl TableSource for MachineTableSource<'_> {
 
     fn len(&mut self) -> usize {
         self.len
+    }
+}
+
+/// A [`TableSource`] over a warm run's raw span that counts its byte
+/// reads, for [`SimMachine::read_warm`] to charge in one step. A
+/// `read_u32` is four byte reads, as through [`MachineTableSource`].
+#[derive(Debug)]
+pub(crate) struct CountingSource<'t> {
+    bytes: &'t [u8],
+    reads: u64,
+}
+
+impl<'t> CountingSource<'t> {
+    pub(crate) fn new(bytes: &'t [u8]) -> Self {
+        CountingSource { bytes, reads: 0 }
+    }
+
+    /// Byte reads so far.
+    pub(crate) fn reads(&self) -> u64 {
+        self.reads
+    }
+}
+
+impl TableSource for CountingSource<'_> {
+    fn read_u8(&mut self, offset: usize) -> u8 {
+        self.reads += 1;
+        self.bytes[offset]
+    }
+
+    fn read_u32(&mut self, offset: usize) -> u32 {
+        self.reads += 4;
+        let word = &self.bytes[offset..offset + 4];
+        u32::from_le_bytes([word[0], word[1], word[2], word[3]])
+    }
+
+    fn len(&mut self) -> usize {
+        self.bytes.len()
     }
 }
 
@@ -123,7 +162,8 @@ mod tests {
         let pid = m.spawn(CpuId(0));
         let va = m.mmap(pid, 1).unwrap();
         m.write(pid, va, &[10, 20, 30]).unwrap();
-        let mut src = MachineTableSource::new(&mut m, pid, va, 3);
+        let mut run = ReadRun::new(pid, va, 3);
+        let mut src = MachineTableSource::new(&mut m, &mut run);
         assert_eq!(src.read_u8(0), 10);
         assert_eq!(src.read_u8(2), 30);
         assert_eq!(src.len(), 3);
@@ -135,7 +175,8 @@ mod tests {
         let pid = m.spawn(CpuId(0));
         // No mapping at this address: every read is the segfault analog.
         let va = VirtAddr(0x40_0000);
-        let mut src = MachineTableSource::new(&mut m, pid, va, 4);
+        let mut run = ReadRun::new(pid, va, 4);
+        let mut src = MachineTableSource::new(&mut m, &mut run);
         assert_eq!(src.read_u8(0), 0);
         assert!(matches!(src.fault(), Some(MachineError::Unmapped { .. })));
         // Later reads short-circuit on the sticky fault.
@@ -154,7 +195,8 @@ mod tests {
         let pid = m.spawn(CpuId(0));
         let va = m.mmap(pid, 1).unwrap();
         m.write(pid, va, &[0]).unwrap();
-        let mut src = MachineTableSource::new(&mut m, pid, va, 1);
+        let mut run = ReadRun::new(pid, va, 1);
+        let mut src = MachineTableSource::new(&mut m, &mut run);
         src.read_u8(1);
     }
 }

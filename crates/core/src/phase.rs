@@ -760,10 +760,11 @@ impl Phase for CollectPhase {
             }
             VictimCipherKind::Present => {
                 let mut collector = PresentPfa::new();
+                let mut session = steered.victim.session(ctx.machine);
                 let outcome = loop {
                     let mut block = [0u8; 8];
                     ctx.rng.fill(&mut block[..]);
-                    match steered.victim.encrypt(ctx.machine, &mut block) {
+                    match session.encrypt(&mut block) {
                         Ok(()) => {}
                         Err(e) if walk_casualty(&e) => break CollectOutcome::VictimCrashed,
                         Err(e) => return Err(e.into()),
@@ -811,17 +812,18 @@ fn ecc_probe(
     ctx: &mut PhaseCtx<'_>,
     steered: &SteeredVictim,
 ) -> Result<Option<CollectOutcome>, AttackError> {
-    let baseline = ctx.machine.dram().ecc_stats();
+    let mut session = steered.victim.session(ctx.machine);
+    let baseline = session.machine().dram().ecc_stats();
     for _ in 0..ECC_PROBE_CIPHERTEXTS {
         let mut block = vec![0u8; steered.victim.block_bytes()];
         ctx.rng.fill(&mut block[..]);
-        match steered.victim.encrypt(ctx.machine, &mut block) {
+        match session.encrypt(&mut block) {
             Ok(()) => {}
             Err(e) if walk_casualty(&e) => return Ok(Some(CollectOutcome::VictimCrashed)),
             Err(e) => return Err(e.into()),
         }
         ctx.counters.ciphertexts_collected += 1;
-        let now = ctx.machine.dram().ecc_stats();
+        let now = session.machine().dram().ecc_stats();
         if now.detected > baseline.detected {
             // Uncorrectable (multi-bit) fault live in the table: the
             // statistics are worth collecting.
@@ -842,10 +844,11 @@ fn collect_aes(
     collector: &mut PfaCollector,
     needed: &[usize],
 ) -> Result<CollectOutcome, AttackError> {
+    let mut session = steered.victim.session(ctx.machine);
     loop {
         let mut block = [0u8; 16];
         ctx.rng.fill(&mut block[..]);
-        match steered.victim.encrypt(ctx.machine, &mut block) {
+        match session.encrypt(&mut block) {
             Ok(()) => {}
             Err(e) if walk_casualty(&e) => return Ok(CollectOutcome::VictimCrashed),
             Err(e) => return Err(e.into()),

@@ -134,14 +134,13 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     /// Runs one phase against this pipeline's context.
     ///
     /// This is the single choke point every phase passes through, so it is
-    /// also where the run attributes host wall-clock and machine ops to the
-    /// phase's `perf` key. With the registry disabled (the default) both
-    /// hooks reduce to one relaxed atomic load; perf can never feed back
-    /// into the simulation.
+    /// also where the run attributes host wall-clock, machine reads, writes
+    /// and hammer pairs, and simulated time to the phase's `perf` keys. With
+    /// the registry disabled (the default) both hooks reduce to one relaxed
+    /// atomic load; perf can never feed back into the simulation.
     fn phase<P: Phase>(&mut self, phase: &mut P, input: P::In) -> Result<P::Out, AttackError> {
-        let name = phase.name();
-        let key = phase_perf_key(name);
-        let _timer = perf::scope(key);
+        let perf_keys = phase_keys(phase.name());
+        let _timer = perf::scope(perf_keys.scope);
         let Pipeline {
             config,
             machine,
@@ -152,8 +151,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             counters,
             ..
         } = self;
-        let ops_before = perf::is_enabled().then(|| machine_ops(machine));
-        let sim_before = perf::is_enabled().then(|| machine.now());
+        let before = perf::is_enabled().then(|| (machine.stats(), machine.now()));
         let observer: &mut dyn Observer = match observer {
             Some(o) => &mut **o,
             None => null,
@@ -167,17 +165,18 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             keys: *keys,
         };
         let out = phase.run(&mut ctx, input);
-        if let Some(before) = ops_before {
-            perf::count(key, machine_ops(ctx.machine).saturating_sub(before));
-        }
-        if let Some(before) = sim_before {
+        if let Some((stats, sim)) = before {
+            let now = ctx.machine.stats();
+            perf::count(perf_keys.reads, now.reads.saturating_sub(stats.reads));
+            perf::count(perf_keys.writes, now.writes.saturating_sub(stats.writes));
+            perf::count(
+                perf_keys.hammer_pairs,
+                now.hammer_pairs.saturating_sub(stats.hammer_pairs),
+            );
             // Simulated nanoseconds attributed to the phase — with the
             // timing engine on, this is command-clock time, the per-phase
             // trajectory the timing campaign records.
-            perf::count(
-                phase_sim_key(name),
-                ctx.machine.now().saturating_sub(before),
-            );
+            perf::count(perf_keys.sim_ns, ctx.machine.now().saturating_sub(sim));
         }
         out
     }
@@ -632,42 +631,45 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 }
 
-/// Maps a phase's dynamic name onto its static `perf` registry key — the
-/// registry keys by `&'static str`, so the `"phase."` namespace prefix has
-/// to be baked in at compile time.
-fn phase_perf_key(name: &str) -> &'static str {
-    match name {
-        "mapping-probe" => "phase.mapping_probe",
-        "template" => "phase.template",
-        "release" => "phase.release",
-        "steer" => "phase.steer",
-        "hammer" => "phase.hammer",
-        "collect" => "phase.collect",
-        "analyze" => "phase.analyze",
-        _ => "phase.other",
-    }
+/// A phase's static `perf` registry keys — the registry keys by
+/// `&'static str`, so the `"phase."` namespace prefix has to be baked in at
+/// compile time.
+struct PhaseKeys {
+    /// The wall-clock scope, e.g. `phase.collect`.
+    scope: &'static str,
+    /// Machine reads (`MachineStats::reads`) during the phase.
+    reads: &'static str,
+    /// Machine writes during the phase.
+    writes: &'static str,
+    /// Hammer pairs during the phase.
+    hammer_pairs: &'static str,
+    /// Simulated nanoseconds the phase consumed.
+    sim_ns: &'static str,
 }
 
-/// The simulated-time counterpart of [`phase_perf_key`]: the key under
-/// which a phase's simulated-nanosecond consumption is counted.
-fn phase_sim_key(name: &str) -> &'static str {
-    match name {
-        "mapping-probe" => "phase.mapping_probe.sim_ns",
-        "template" => "phase.template.sim_ns",
-        "release" => "phase.release.sim_ns",
-        "steer" => "phase.steer.sim_ns",
-        "hammer" => "phase.hammer.sim_ns",
-        "collect" => "phase.collect.sim_ns",
-        "analyze" => "phase.analyze.sim_ns",
-        _ => "phase.other.sim_ns",
+/// Maps a phase's dynamic name onto its [`PhaseKeys`].
+fn phase_keys(name: &str) -> PhaseKeys {
+    macro_rules! keys {
+        ($scope:literal) => {
+            PhaseKeys {
+                scope: $scope,
+                reads: concat!($scope, ".reads"),
+                writes: concat!($scope, ".writes"),
+                hammer_pairs: concat!($scope, ".hammer_pairs"),
+                sim_ns: concat!($scope, ".sim_ns"),
+            }
+        };
     }
-}
-
-/// Machine operations attributed to a phase: reads + writes + hammer pairs
-/// (the three op families the hot path is made of).
-fn machine_ops(machine: &SimMachine) -> u64 {
-    let s = machine.stats();
-    s.reads + s.writes + s.hammer_pairs
+    match name {
+        "mapping-probe" => keys!("phase.mapping_probe"),
+        "template" => keys!("phase.template"),
+        "release" => keys!("phase.release"),
+        "steer" => keys!("phase.steer"),
+        "hammer" => keys!("phase.hammer"),
+        "collect" => keys!("phase.collect"),
+        "analyze" => keys!("phase.analyze"),
+        _ => keys!("phase.other"),
+    }
 }
 
 impl std::fmt::Debug for Pipeline<'_, '_> {
@@ -769,9 +771,20 @@ mod tests {
             let s = stats.get(key).unwrap_or_else(|| panic!("{key} missing"));
             assert!(s.calls > 0, "{key} recorded no scope entries");
         }
-        // The collect phase reads ciphertexts through the machine, so its
-        // op counter (machine reads+writes+hammer_pairs delta) is nonzero.
-        assert!(stats["phase.collect"].ops > 0, "collect counted no ops");
+        // Each machine op family has its own counter: collect reads the
+        // victim's tables through the machine, hammer only hammers.
+        assert!(
+            stats["phase.collect.reads"].ops > 0,
+            "collect counted no reads"
+        );
+        assert!(
+            stats["phase.hammer.hammer_pairs"].ops > 0,
+            "hammer counted no pairs"
+        );
+        assert_eq!(
+            stats["phase.collect"].ops, 0,
+            "the scope key carries no op count"
+        );
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The victim: a cipher service whose lookup tables live in one page of
 //! (steered) memory.
 
-use ciphers::{present_sbox_image, BlockCipher, Present80, SboxAes, TTableAes, TableImage};
-use machine::{MachineError, Pid, SimMachine, VirtAddr};
+use ciphers::{
+    present_sbox_image, BlockCipher, Present80, SboxAes, TTableAes, TableImage, TableSource,
+};
+use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 use memsim::{CpuId, Pfn, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::VictimCipherKind;
-use crate::memsource::MachineTableSource;
+use crate::memsource::{CountingSource, MachineTableSource};
 
 /// Secret keys of a victim service (ground truth held by the experiment
 /// harness, never read by the attack code).
@@ -103,39 +105,43 @@ impl VictimCipherService {
         }
     }
 
-    /// Encrypts one block, reading tables through simulated memory.
+    /// Encrypts one block, reading tables through simulated memory — a
+    /// one-encryption [`Self::session`].
     ///
     /// # Errors
     ///
-    /// On a shadow-translation machine this cannot fail: the table page
-    /// stays mapped for the service lifetime. On a machine with
-    /// DRAM-resident page tables the victim's *walk* is hammerable, so a
-    /// collateral PTE flip surfaces here as the first fault any table read
-    /// hit — [`MachineError::Unmapped`] (segfault analog) or a DRAM decode
-    /// error. The block contents are garbage in that case and must be
-    /// discarded.
+    /// See [`VictimSession::encrypt`].
     ///
     /// # Panics
     ///
     /// Panics if `block.len()` differs from [`Self::block_bytes`].
     pub fn encrypt(&self, machine: &mut SimMachine, block: &mut [u8]) -> Result<(), MachineError> {
-        assert_eq!(block.len(), self.block_bytes(), "block size mismatch");
-        let len = self.kind.image_len();
-        let mut src = MachineTableSource::new(machine, self.pid, self.base, len);
+        self.session(machine).encrypt(block)
+    }
+
+    /// Opens a session of encryptions on `machine`: it holds the machine's
+    /// exclusive borrow and one [`ReadRun`] memo over the table page until
+    /// it drops, so no other machine operation can run between its
+    /// encryptions and the memo stays valid across all of them.
+    pub fn session<'m>(&self, machine: &'m mut SimMachine) -> VictimSession<'m> {
+        VictimSession {
+            service: *self,
+            machine,
+            run: ReadRun::new(self.pid, self.base, self.kind.image_len()),
+            warm_encryptions: 0,
+        }
+    }
+
+    /// One encryption of `block` with tables read from `src`.
+    fn encrypt_with(&self, src: impl TableSource, block: &mut [u8]) {
         match self.kind {
-            VictimCipherKind::AesSbox => {
-                SboxAes::new_128(&self.keys.aes, &mut src).encrypt_block(block);
-            }
+            VictimCipherKind::AesSbox => SboxAes::new_128(&self.keys.aes, src).encrypt_block(block),
             VictimCipherKind::AesTtable => {
-                TTableAes::new_128(&self.keys.aes, &mut src).encrypt_block(block);
+                TTableAes::new_128(&self.keys.aes, src).encrypt_block(block);
             }
             VictimCipherKind::Present => {
-                Present80::new(&self.keys.present, &mut src).encrypt_block(block);
+                Present80::new(&self.keys.present, src).encrypt_block(block)
             }
-        }
-        match src.take_fault() {
-            None => Ok(()),
-            Some(e) => Err(e),
         }
     }
 
@@ -158,6 +164,77 @@ impl VictimCipherService {
     /// Propagates machine errors.
     pub fn stop(self, machine: &mut SimMachine) -> Result<(), MachineError> {
         machine.exit(self.pid)
+    }
+}
+
+/// A run of encryptions by one victim on one machine — a collect's worth.
+///
+/// The session holds the machine's exclusive borrow and one [`ReadRun`]
+/// for its whole life; [`Self::machine`] is read-only. Each encryption
+/// takes one of two paths, both exact against a plain [`SimMachine::read`]
+/// per table lookup:
+///
+/// * **per byte** — every lookup through [`MachineTableSource`] and
+///   [`SimMachine::read_byte_in`]. This is also the warm-up: it teaches the
+///   run which table lines are most-recently-used in their L1 sets.
+/// * **closed form** — once the run is warm (the whole table is
+///   most-recently-used in L1 and its bytes are raw), the cipher runs on
+///   the run's raw table copy through a read-counting source and
+///   [`SimMachine::read_warm`] charges the counted reads in one step.
+#[derive(Debug)]
+pub struct VictimSession<'m> {
+    service: VictimCipherService,
+    machine: &'m mut SimMachine,
+    run: ReadRun,
+    warm_encryptions: u64,
+}
+
+impl VictimSession<'_> {
+    /// Encrypts one block, reading tables through simulated memory.
+    ///
+    /// # Errors
+    ///
+    /// On a shadow-translation machine this cannot fail: the table page
+    /// stays mapped for the service lifetime. On a machine with
+    /// DRAM-resident page tables the victim's *walk* is hammerable, so a
+    /// collateral PTE flip surfaces here as the first fault any table read
+    /// hit — [`MachineError::Unmapped`] (segfault analog) or a DRAM decode
+    /// error. The block contents are garbage in that case and must be
+    /// discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len()` differs from the service's block size.
+    pub fn encrypt(&mut self, block: &mut [u8]) -> Result<(), MachineError> {
+        let service = self.service;
+        assert_eq!(block.len(), service.block_bytes(), "block size mismatch");
+        let warm = self.machine.read_warm(&mut self.run, |table| {
+            let mut src = CountingSource::new(table);
+            service.encrypt_with(&mut src, block);
+            ((), src.reads())
+        });
+        if warm.is_some() {
+            // The whole encryption was memo hits: no read can have faulted.
+            self.warm_encryptions += 1;
+            return Ok(());
+        }
+        let mut src = MachineTableSource::new(self.machine, &mut self.run);
+        service.encrypt_with(&mut src, block);
+        src.take_fault().map_or(Ok(()), Err)
+    }
+
+    /// The machine, read-only (e.g. for ECC telemetry between encryptions).
+    #[must_use]
+    pub fn machine(&self) -> &SimMachine {
+        self.machine
+    }
+
+    /// Encryptions served in closed form so far (for tests that must see
+    /// the closed form engage).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn warm_encryptions(&self) -> u64 {
+        self.warm_encryptions
     }
 }
 

@@ -1,11 +1,13 @@
-//! Victim-level equivalence of the per-encryption read memo.
+//! Victim-level equivalence of the read memo and its closed form.
 //!
-//! `VictimCipherService::encrypt` reads its tables through
-//! `MachineTableSource`, which serves lookups from a `ReadRun` memo. The
-//! oracle here is a test-local table source that reads every byte with
-//! plain `SimMachine::read`. For every cipher, the same encryptions on two
-//! forks of one machine must yield identical ciphertexts, identical errors
-//! and identical machine snapshots.
+//! `VictimCipherService::encrypt` and `VictimSession::encrypt` read their
+//! tables through `MachineTableSource`, which serves lookups from a
+//! `ReadRun` memo, or — once a session's run is warm — run the cipher on
+//! the run's raw table copy and charge the reads in one step. The oracle
+//! here is a test-local table source that reads every byte with plain
+//! `SimMachine::read`. For every cipher, the same encryptions on two forks
+//! of one machine must yield identical ciphertexts, identical errors and
+//! identical machine snapshots.
 
 use ciphers::{BlockCipher, Present80, SboxAes, TTableAes, TableSource};
 use explframe_core::{VictimCipherKind, VictimCipherService, VictimKeys};
@@ -100,6 +102,41 @@ fn assert_equivalent(config: MachineConfig, kind: VictimCipherKind, blocks: u8) 
     );
 }
 
+/// Encrypts `blocks` plaintexts through one `VictimSession` on one fork —
+/// back to back, nothing else touching the machine, as in collect — and
+/// through the scalar oracle on another, checking every output and the
+/// final snapshot. Returns how many encryptions the closed form served.
+fn assert_session_equivalent(config: MachineConfig, kind: VictimCipherKind, blocks: u8) -> u64 {
+    let mut warm = warm_boot(config, CpuId(0), WARMUP_PAGES);
+    let svc = VictimCipherService::start(&mut warm, CpuId(0), kind, VictimKeys::from_seed(8))
+        .expect("victim start");
+    let snapshot = warm.snapshot();
+    let (mut fast_machine, mut oracle) = (snapshot.fork(), snapshot.fork());
+    let mut session = svc.session(&mut fast_machine);
+    for i in 0..blocks {
+        let plain: Vec<u8> = (0..svc.block_bytes() as u8)
+            .map(|j| i.wrapping_mul(29) ^ j.wrapping_mul(7))
+            .collect();
+        let (mut fast, mut slow) = (plain.clone(), plain);
+        let fast_result = session.encrypt(&mut fast);
+        let slow_result = encrypt_scalar(&svc, &mut oracle, &mut slow);
+        assert_eq!(fast_result, slow_result, "{kind:?} block {i}");
+        assert_eq!(fast, slow, "{kind:?} block {i}");
+    }
+    let warm_encryptions = session.warm_encryptions();
+    assert!(
+        fast_machine.snapshot() == oracle.snapshot(),
+        "{kind:?}: machine state diverged"
+    );
+    warm_encryptions
+}
+
+fn timed(seed: u64) -> MachineConfig {
+    let mut config = MachineConfig::small(seed);
+    config.dram = config.dram.with_timing_engine(true);
+    config
+}
+
 const KINDS: [VictimCipherKind; 3] = [
     VictimCipherKind::AesSbox,
     VictimCipherKind::AesTtable,
@@ -121,6 +158,24 @@ fn memoized_encryptions_match_scalar_reads_in_walk_mode() {
             kind,
             12,
         );
+    }
+}
+
+#[test]
+fn session_encryptions_match_scalar_reads_and_go_closed_form() {
+    let configs = [
+        ("shadow", MachineConfig::small(14)),
+        ("walk", MachineConfig::small(15).with_dram_page_tables(true)),
+        ("timed", timed(16)),
+    ];
+    for (name, config) in configs {
+        for kind in KINDS {
+            let warm = assert_session_equivalent(config.clone(), kind, 24);
+            assert!(
+                warm > 0,
+                "{name}/{kind:?}: the closed form never engaged in 24 encryptions"
+            );
+        }
     }
 }
 

@@ -471,11 +471,11 @@ impl DramDevice {
         self.ecc.as_ref().map_or(true, EccTracker::is_clean)
     }
 
-    /// The accounting half of [`Self::read_byte`]: counts one read without
-    /// probing the array, for a caller that serves the byte from a
+    /// The accounting half of [`Self::read_byte`]: counts `n` reads without
+    /// probing the array, for a caller that serves the bytes from a
     /// [`Self::copy_raw`] copy taken while [`Self::reads_are_raw`] held.
-    pub fn count_read(&mut self) {
-        self.stats.reads += 1;
+    pub fn count_reads(&mut self, n: u64) {
+        self.stats.reads += n;
     }
 
     /// Copies the stored bytes at `addr` into `buf` — no read counted, no
@@ -1973,8 +1973,8 @@ mod tests {
         let reads_before = dev.stats().reads;
         for (i, &b) in copy.iter().enumerate() {
             assert_eq!(counted.read_byte(base + i as u64), b);
-            dev.count_read();
         }
+        dev.count_reads(copy.len() as u64);
         assert_eq!(dev.stats(), counted.stats());
         assert_eq!(dev.stats().reads, reads_before + 11);
     }

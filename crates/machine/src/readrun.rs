@@ -1,5 +1,5 @@
-//! A per-run read memo: one victim encryption's table lookups without
-//! replaying the whole hierarchy for every byte.
+//! A read memo for a run of single-byte reads by one process — a victim's
+//! table lookups without replaying the whole hierarchy for every byte.
 //!
 //! A cipher table walk is thousands of single-byte reads of one page by one
 //! process, with nothing else touching the machine in between. After the
@@ -11,11 +11,17 @@
 //! exactly those effects and skips the lookups; every other read takes the
 //! scalar path [`SimMachine::read`] uses, and the memo is rebuilt from its
 //! outcome.
+//!
+//! Once every line of the run's span is known to be most-recently-used in
+//! its L1 set and the span's bytes are raw, *every* read of the span would
+//! be such a memo hit, and a memo hit changes no LRU state. A whole batch
+//! of reads then has a closed form: [`SimMachine::read_warm`] hands the
+//! batch the raw span and charges its reads in one step.
 
 use std::ops::Range;
 
 use cachesim::{CacheConfig, ServedBy};
-use dram::{Nanos, PhysAddr};
+use dram::{DramDevice, Nanos, PhysAddr};
 use memsim::{CpuId, PAGE_SIZE};
 
 use crate::error::MachineError;
@@ -33,16 +39,17 @@ const L1_HIT_NS: Nanos = match ServedBy::L1.hit_nanos() {
 };
 
 /// The memo of one run of single-byte reads by one process — for a victim,
-/// one encryption. Build one per run with [`ReadRun::new`] and pass it to
-/// [`SimMachine::read_byte_in`] for each byte.
+/// every encryption of one collect. Build one per run with
+/// [`ReadRun::new`] and pass it to [`SimMachine::read_byte_in`] for each
+/// byte, or to [`SimMachine::read_warm`] for a whole batch.
 ///
 /// # Contract
 ///
 /// Between the reads of one run, nothing else may touch the machine: the
 /// memo assumes the TLB, the caches and the DRAM cells are exactly as its
 /// last read left them. Start a new run after any other machine operation.
-/// `explframe_core::MachineTableSource` guarantees this by holding the
-/// machine's exclusive borrow for the run's whole life.
+/// `explframe_core::VictimSession` guarantees this by holding the
+/// machine's exclusive borrow and its run for the session's whole life.
 ///
 /// # Examples
 ///
@@ -105,6 +112,15 @@ impl ReadRun {
         }
     }
 
+    /// The span whose bytes the run may copy: its first byte and length.
+    #[must_use]
+    pub fn span(&self) -> (VirtAddr, usize) {
+        (
+            VirtAddr(self.span.start),
+            (self.span.end - self.span.start) as usize,
+        )
+    }
+
     /// Rebuilds the memo from a scalar read of `addr`. Only an L1 hit on the
     /// memo's own page keeps the rest of the memo: an L1 miss may evict any
     /// line from the LLC (which back-invalidates the L1) or activate a row
@@ -141,6 +157,34 @@ impl ReadRun {
         let page_va = page.vpn * PAGE_SIZE;
         self.span.start.max(page_va)..self.span.end.min(page_va + PAGE_SIZE)
     }
+
+    /// The raw copy of the whole span, if every read of it would be a memo
+    /// hit served from that copy: the span lies inside the memo page, each
+    /// of its lines is the recorded most-recently-used line of its L1 set
+    /// (never true when two span lines share a set), and `dram` reads are
+    /// raw. Takes the copy if the run has not yet.
+    fn warm_span(&mut self, dram: &DramDevice) -> Option<(CpuId, &[u8])> {
+        let page = self.page?;
+        if self.window(page) != self.span || !dram.reads_are_raw() {
+            return None;
+        }
+        if !self.span.is_empty() {
+            let phys = |va: u64| page.phys_base + (va - page.vpn * PAGE_SIZE);
+            let first = phys(self.span.start) >> page.line_shift;
+            let last = phys(self.span.end - 1) >> page.line_shift;
+            if !(first..=last).all(|line| self.l1_mru[(line & page.set_mask) as usize] == line) {
+                return None;
+            }
+        }
+        if self.copied_from != Some(self.span.start) {
+            self.bytes
+                .resize((self.span.end - self.span.start) as usize, 0);
+            let from = page.phys_base + (self.span.start - page.vpn * PAGE_SIZE);
+            dram.copy_raw(PhysAddr::new(from), &mut self.bytes);
+            self.copied_from = Some(self.span.start);
+        }
+        Some((page.cpu, &self.bytes))
+    }
 }
 
 impl SimMachine {
@@ -166,9 +210,7 @@ impl SimMachine {
             let phys = page.phys_base + addr.page_offset();
             let line = phys >> page.line_shift;
             if run.l1_mru[(line & page.set_mask) as usize] == line {
-                self.tlb.record_mru_hit();
-                self.caches[page.cpu.0 as usize].record_l1_mru_hit();
-                self.advance(L1_HIT_NS);
+                self.charge_mru_hits(page.cpu, 1);
                 return Ok(self.memo_byte(run, page, addr, PhysAddr::new(phys)));
             }
         }
@@ -182,6 +224,63 @@ impl SimMachine {
                 Err(e)
             }
         }
+    }
+
+    /// Serves a batch of reads of `run`'s span in closed form, if the run is
+    /// warm; otherwise returns `None` without calling `batch`.
+    ///
+    /// The run is warm when every read of its span would be a memo hit of
+    /// [`Self::read_byte_in`] served from the raw copy (see the module
+    /// docs). `batch` gets that copy — the span's bytes, `span[0]` at the
+    /// run's `base` — and returns its result and the number of single-byte
+    /// reads it made, `n`. Since a memo hit changes no LRU state, `n` of them
+    /// in any order charge exactly what this charges in one step: `n` machine
+    /// reads, TLB hits, L1 hits and DRAM reads, and `n` L1 latencies on the
+    /// clock (refresh draining is closed form in the clock).
+    ///
+    /// See [`ReadRun`] for the contract between reads of one run.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use machine::{MachineConfig, ReadRun, SimMachine};
+    /// use memsim::CpuId;
+    ///
+    /// # fn main() -> Result<(), machine::MachineError> {
+    /// let mut m = SimMachine::new(MachineConfig::small(1));
+    /// let pid = m.spawn(CpuId(0));
+    /// let table = m.mmap(pid, 1)?;
+    /// m.write(pid, table, &[7, 8, 9])?;
+    /// let mut run = ReadRun::new(pid, table, 3);
+    /// // Cold: the batch does not run.
+    /// assert_eq!(m.read_warm(&mut run, |span| (span[2], 1)), None);
+    /// m.read_byte_in(&mut run, table)?; // the span's only line is now MRU
+    /// assert_eq!(m.read_warm(&mut run, |span| (span[1] + span[2], 2)), Some(17));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn read_warm<R>(
+        &mut self,
+        run: &mut ReadRun,
+        batch: impl FnOnce(&[u8]) -> (R, u64),
+    ) -> Option<R> {
+        let (cpu, span) = run.warm_span(&self.dram)?;
+        let (out, reads) = batch(span);
+        self.stats.reads += reads;
+        self.charge_mru_hits(cpu, reads);
+        self.dram.count_reads(reads);
+        Some(out)
+    }
+
+    /// The TLB, L1 and clock effects of `n` reads that hit the
+    /// most-recently-used TLB entry and L1 line on `cpu`. `n` single
+    /// advances of the clock equal one advance by their sum: the command
+    /// clock retires refreshes in closed form (`refs = max(refs, now /
+    /// tREFI)`).
+    fn charge_mru_hits(&mut self, cpu: CpuId, n: u64) {
+        self.tlb.record_mru_hits(n);
+        self.caches[cpu.0 as usize].record_l1_mru_hits(n);
+        self.advance(n * L1_HIT_NS);
     }
 
     /// The byte of a memo-served read: from the run's raw copy when `addr`
@@ -212,7 +311,7 @@ impl SimMachine {
         };
         match run.bytes.get(addr.0.wrapping_sub(start) as usize) {
             Some(&byte) => {
-                self.dram.count_read();
+                self.dram.count_reads(1);
                 byte
             }
             None => self.dram.read_byte(phys),

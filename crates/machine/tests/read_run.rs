@@ -1,13 +1,16 @@
-//! Equivalence battery for the per-run read memo.
+//! Equivalence battery for the per-run read memo and its closed form.
 //!
 //! Random single-byte read sequences are split into runs, with other
-//! machine operations between the runs. One fork of a snapshot reads each
-//! run through a fresh [`ReadRun`] and [`SimMachine::read_byte_in`]; a
-//! second fork of the same snapshot reads every byte with plain
-//! [`SimMachine::read`], the oracle. Bytes and errors must match read for
-//! read, and the whole [`MachineSnapshot`] (machine stats, TLB, both cache
-//! levels of every CPU, DRAM contents, clock, command clock and ECC
-//! counters) must match after every run.
+//! machine operations between the runs — or nothing, in which case the
+//! next run keeps the same [`ReadRun`], as a victim session's encryptions
+//! do. One fork of a snapshot reads each run in batches: a batch inside the
+//! table span goes through [`SimMachine::read_warm`] when the run is warm,
+//! every other read through [`SimMachine::read_byte_in`]. A second fork of
+//! the same snapshot reads every byte with plain [`SimMachine::read`], the
+//! oracle. Bytes and errors must match read for read, and the whole
+//! [`MachineSnapshot`] (machine stats, TLB, both cache levels of every CPU,
+//! DRAM contents, clock, command clock and ECC counters) must match after
+//! every run.
 
 use std::ops::Range;
 
@@ -52,6 +55,15 @@ impl Scene {
             self.hot.start + r % (self.hot.end - self.hot.start)
         };
         self.base + offset
+    }
+
+    /// Every line of the span, twice: an L1 miss in the first pass makes
+    /// the memo forget the lines before it; the second pass only hits.
+    fn sweep(&self) -> Vec<VirtAddr> {
+        (0..2 * self.len)
+            .step_by(64)
+            .map(|o| self.base + o % self.len)
+            .collect()
     }
 }
 
@@ -162,6 +174,11 @@ enum Between {
     FlushTlb,
     /// Simulated time passes (refreshes with the command clock on).
     Advance(u64),
+    /// Nothing: the next run continues the same `ReadRun`.
+    SameRun,
+    /// The victim reads every line of the span twice, continuing the same
+    /// `ReadRun` (a warm-up encryption), so the next run can go closed form.
+    Sweep,
 }
 
 fn between() -> impl Strategy<Value = Between> {
@@ -171,6 +188,8 @@ fn between() -> impl Strategy<Value = Between> {
         any::<u64>().prop_map(Between::Noise),
         Just(Between::FlushTlb),
         (0u64..20_000_000).prop_map(Between::Advance),
+        Just(Between::SameRun),
+        Just(Between::Sweep),
     ]
 }
 
@@ -200,24 +219,69 @@ fn apply(m: &mut SimMachine, scene: &Scene, op: Between) {
             m.advance(ns);
             Ok(())
         }
+        Between::SameRun | Between::Sweep => Ok(()),
     }
     .expect("between-run op");
+}
+
+/// Reads of one batch: consecutive reads served together by the closed
+/// form when all of them lie inside the span and the run is warm.
+const BATCH: usize = 8;
+
+/// Reads `addrs` on `memo` through `run` — a batch through
+/// [`SimMachine::read_warm`] if it engages, else byte by byte — and on
+/// `oracle` with plain reads, comparing read for read. Returns how many
+/// batches the closed form served.
+fn read_batches(
+    scene: &Scene,
+    memo: &mut SimMachine,
+    oracle: &mut SimMachine,
+    run: &mut ReadRun,
+    addrs: &[VirtAddr],
+) -> Result<u64, TestCaseError> {
+    let mut warm = 0;
+    for batch in addrs.chunks(BATCH) {
+        let slow: Vec<Result<u8, MachineError>> = batch
+            .iter()
+            .map(|&addr| {
+                let mut byte = [0u8];
+                oracle.read(scene.victim, addr, &mut byte).map(|()| byte[0])
+            })
+            .collect();
+        let in_span = batch
+            .iter()
+            .all(|a| (scene.base.0..scene.base.0 + scene.len).contains(&a.0));
+        let served = in_span
+            .then(|| {
+                memo.read_warm(run, |span| {
+                    let bytes: Vec<Result<u8, MachineError>> = batch
+                        .iter()
+                        .map(|a| Ok(span[(a.0 - scene.base.0) as usize]))
+                        .collect();
+                    (bytes, batch.len() as u64)
+                })
+            })
+            .flatten();
+        let fast = match served {
+            Some(bytes) => {
+                warm += 1;
+                bytes
+            }
+            None => batch.iter().map(|&a| memo.read_byte_in(run, a)).collect(),
+        };
+        prop_assert_eq!(fast, slow, "batch at {:?}", batch);
+    }
+    Ok(warm)
 }
 
 /// Replays `plan` on two forks of the scene and checks them read for read.
 fn check(scene: &Scene, plan: &[(Vec<u16>, Between)]) -> Result<(), TestCaseError> {
     let mut memo = scene.snapshot.fork();
     let mut oracle = scene.snapshot.fork();
+    let mut run = ReadRun::new(scene.victim, scene.base, scene.len as usize);
     for (reads, op) in plan {
         let addrs: Vec<VirtAddr> = reads.iter().map(|&r| scene.addr(r)).collect();
-        let mut run = ReadRun::new(scene.victim, scene.base, scene.len as usize);
-        for &addr in &addrs {
-            let fast = memo.read_byte_in(&mut run, addr);
-            let mut byte = [0u8];
-            let slow: Result<u8, MachineError> =
-                oracle.read(scene.victim, addr, &mut byte).map(|()| byte[0]);
-            prop_assert_eq!(fast, slow, "read at {}", addr);
-        }
+        read_batches(scene, &mut memo, &mut oracle, &mut run, &addrs)?;
         prop_assert!(
             memo.snapshot() == oracle.snapshot(),
             "machine state diverged after a run of {} reads",
@@ -225,6 +289,13 @@ fn check(scene: &Scene, plan: &[(Vec<u16>, Between)]) -> Result<(), TestCaseErro
         );
         apply(&mut memo, scene, *op);
         apply(&mut oracle, scene, *op);
+        match op {
+            Between::SameRun => {}
+            Between::Sweep => {
+                read_batches(scene, &mut memo, &mut oracle, &mut run, &scene.sweep())?;
+            }
+            _ => run = ReadRun::new(scene.victim, scene.base, scene.len as usize),
+        }
     }
     Ok(())
 }
@@ -324,4 +395,106 @@ fn a_read_past_the_mapping_is_unmapped_and_the_run_recovers() {
     ));
     // The run keeps working after the fault.
     assert_eq!(m.read_byte_in(&mut run, scene.base + 3), Ok(image(64)[3]));
+}
+
+/// Reads [`Scene::sweep`] on both forks (through the memo on `memo`), then
+/// `reads` more reads of the span in batches; returns how many batches the
+/// closed form served. The forks must agree read for read and end in equal
+/// snapshots.
+fn warm_then_batch(scene: &Scene, reads: u64) -> u64 {
+    let mut memo = scene.snapshot.fork();
+    let mut oracle = scene.snapshot.fork();
+    let mut run = ReadRun::new(scene.victim, scene.base, scene.len as usize);
+    let batches: Vec<VirtAddr> = (0..reads)
+        .map(|i| scene.base + (i * 97 + 5) % scene.len)
+        .collect();
+    let mut warm = 0;
+    for addrs in [scene.sweep(), batches] {
+        warm = read_batches(scene, &mut memo, &mut oracle, &mut run, &addrs).expect("equivalent");
+    }
+    assert!(
+        memo.snapshot() == oracle.snapshot(),
+        "machine state diverged"
+    );
+    warm
+}
+
+/// Once every span line is most-recently-used, the closed form serves
+/// every batch, on shadow translation, DRAM-resident page tables, the
+/// command clock and a span that ends at its page's end.
+#[test]
+fn the_closed_form_engages_once_the_span_is_warm() {
+    let scenes = [
+        build(MachineConfig::small(41), 1, 0, 256, 256),
+        build(
+            MachineConfig::small(42).with_dram_page_tables(true),
+            1,
+            0,
+            PAGE_SIZE,
+            PAGE_SIZE,
+        ),
+        build(timed(43), 1, 0, 1024, 1024),
+        build(MachineConfig::small(44), 1, PAGE_SIZE - 512, 512, 512),
+    ];
+    for scene in &scenes {
+        assert_eq!(warm_then_batch(scene, 800), 100);
+    }
+}
+
+/// The closed form never engages where a memo hit could not serve every
+/// read of the span: colliding L1 lines, a span across two pages, or a
+/// latent ECC fault (reads are not raw).
+#[test]
+fn the_closed_form_never_engages_on_collisions_page_crossings_or_latent_faults() {
+    let scenes = [
+        build(tiny_caches(45), 1, 0, PAGE_SIZE, PAGE_SIZE),
+        build(MachineConfig::small(46), 2, PAGE_SIZE - 128, 256, 256),
+        ecc_scene(),
+    ];
+    for scene in &scenes {
+        assert_eq!(warm_then_batch(scene, 800), 0);
+    }
+}
+
+/// One bulk charge of many reads across several tREFI boundaries retires
+/// the same refreshes and ends on the same clock as the reads one by one.
+#[test]
+fn a_bulk_charge_across_trefi_boundaries_equals_reads_one_by_one() {
+    let scene = build(timed(47), 1, 0, 256, 256);
+    let mut memo = scene.snapshot.fork();
+    let mut oracle = scene.snapshot.fork();
+    let t_refi = memo.config().dram.timing.t_refi;
+    // Start just short of a boundary.
+    let to_edge = t_refi - memo.now() % t_refi - 1;
+    for m in [&mut memo, &mut oracle] {
+        m.advance(to_edge);
+    }
+    let mut run = ReadRun::new(scene.victim, scene.base, 256);
+    for addr in scene.sweep() {
+        let mut byte = [0u8];
+        oracle.read(scene.victim, addr, &mut byte).expect("read");
+        assert_eq!(memo.read_byte_in(&mut run, addr), Ok(byte[0]));
+    }
+    let refs_before = memo.dram().stats().refs;
+    let n = 4 * t_refi;
+    let sum = memo
+        .read_warm(&mut run, |span| {
+            let sum: u64 = (0..n).map(|i| u64::from(span[(i % 256) as usize])).sum();
+            (sum, n)
+        })
+        .expect("the span is warm");
+    let mut oracle_sum = 0;
+    for i in 0..n {
+        let mut byte = [0u8];
+        oracle
+            .read(scene.victim, scene.base + i % 256, &mut byte)
+            .expect("read");
+        oracle_sum += u64::from(byte[0]);
+    }
+    assert_eq!(sum, oracle_sum);
+    assert!(
+        memo.dram().stats().refs >= refs_before + 4,
+        "the charge crossed tREFI boundaries"
+    );
+    assert!(memo.snapshot() == oracle.snapshot());
 }

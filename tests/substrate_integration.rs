@@ -3,7 +3,7 @@
 use explframe::attack::{MachineTableSource, VictimCipherKind, VictimCipherService, VictimKeys};
 use explframe::ciphers::{BlockCipher, RamTableSource, SboxAes, TableImage, TableSource};
 use explframe::fault::PfaCollector;
-use explframe::machine::{MachineConfig, SimMachine};
+use explframe::machine::{MachineConfig, ReadRun, SimMachine};
 use explframe::memsim::{CpuId, EventKind, Order, ServedFrom, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,8 +60,8 @@ fn machine_table_source_equals_ram_table_source() {
 
     let key = [0x42u8; 16];
     let mut via_ram = SboxAes::new_128(&key, RamTableSource::new(image));
-    let src = MachineTableSource::new(&mut m, pid, va, 256);
-    let mut via_machine = SboxAes::new_128(&key, src);
+    let mut run = ReadRun::new(pid, va, 256);
+    let mut via_machine = SboxAes::new_128(&key, MachineTableSource::new(&mut m, &mut run));
 
     let mut a = *b"integration test";
     let mut b = a;
@@ -77,7 +77,8 @@ fn table_reads_generate_dram_traffic() {
     let va = m.mmap(pid, 1).unwrap();
     m.write(pid, va, &TableImage::sbox()).unwrap();
     let reads_before = m.dram().stats().reads;
-    let mut src = MachineTableSource::new(&mut m, pid, va, 256);
+    let mut run = ReadRun::new(pid, va, 256);
+    let mut src = MachineTableSource::new(&mut m, &mut run);
     for i in 0..64 {
         src.read_u8(i);
     }
