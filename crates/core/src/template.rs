@@ -8,9 +8,10 @@
 //! geometry (recoverable on real hardware with DRAMA-style timing analysis;
 //! here taken from the machine configuration).
 
-use dram::{DramGeometry, Nanos};
+use dram::{DramGeometry, Nanos, PageDiff};
 use machine::{MachineError, MachineSnapshot, Pid, SimMachine, VirtAddr};
 use memsim::{CpuId, PAGE_SIZE};
+use perf::FastSet;
 
 use crate::config::{ExplFrameConfig, HammerStrategy};
 use crate::phase::TemplatePool;
@@ -514,6 +515,12 @@ const REMAP_FLIP_THRESHOLD: u32 = 64;
 
 /// Reads one page, records any flips against `pattern`, and restores it.
 ///
+/// The read-back is [`SimMachine::read_diff`]: same accounting as a 4 KiB
+/// [`SimMachine::read`], but a clean page costs O(1) and a dirty one only
+/// its differing bytes (the bytes are skipped only while DRAM reads are
+/// raw; under a latent SECDED fault they are filtered first). Templates
+/// come out in offset, then bit order — the order of a byte-wise scan.
+///
 /// In walk mode the templating sweep is self-hazardous: a collateral flip
 /// can land in the leaf table that maps the template buffer itself, silently
 /// remapping a page to a foreign frame. The read-back then diverges on
@@ -526,6 +533,56 @@ const REMAP_FLIP_THRESHOLD: u32 = 64;
 /// [`TemplateScan::translation_casualties`].
 #[allow(clippy::too_many_arguments)]
 fn harvest_page(
+    machine: &mut SimMachine,
+    pid: Pid,
+    base: VirtAddr,
+    page: u64,
+    pattern: u8,
+    above: VirtAddr,
+    below: VirtAddr,
+    scan: &mut TemplateScan,
+) -> Result<(), MachineError> {
+    let va = base + page * PAGE_SIZE;
+    let mut diffs = Vec::new();
+    let diff = machine.read_diff(pid, va, pattern, &mut diffs)?;
+    if machine.config().dram_page_tables {
+        let flipped_bits: u32 = match diff {
+            PageDiff::Uniform(xor) => xor.count_ones() * PAGE_SIZE as u32,
+            PageDiff::Listed => diffs.iter().map(|&(_, xor)| xor.count_ones()).sum(),
+        };
+        if flipped_bits > REMAP_FLIP_THRESHOLD {
+            scan.translation_casualties += 1;
+            return Ok(());
+        }
+    }
+    if let PageDiff::Uniform(xor @ 1..) = diff {
+        diffs.extend((0..PAGE_SIZE as u16).map(|off| (off, xor)));
+    }
+    if diffs.is_empty() {
+        return Ok(());
+    }
+    for &(off, xor) in &diffs {
+        for bit in (0..8u8).filter(|&bit| xor & (1 << bit) != 0) {
+            scan.templates.push(FlipTemplate {
+                page_index: page,
+                page_va: va,
+                page_offset: off,
+                bit,
+                one_to_zero: pattern & (1 << bit) != 0,
+                aggressor_above: above,
+                aggressor_below: below,
+                reproducibility: 0.0,
+            });
+        }
+    }
+    machine.fill(pid, va, PAGE_SIZE, pattern)
+}
+
+/// The byte-wise oracle for [`harvest_page`]: a full 4 KiB read, a
+/// popcount pass, then a per-byte, per-bit scan.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn harvest_page_reference(
     machine: &mut SimMachine,
     pid: Pid,
     base: VirtAddr,
@@ -572,7 +629,7 @@ fn harvest_page(
 }
 
 fn dedupe(templates: &mut Vec<FlipTemplate>) {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FastSet::default();
     templates.retain(|t| seen.insert((t.page_index, t.page_offset, t.bit)));
 }
 
@@ -936,5 +993,301 @@ mod tests {
     fn insufficient_hammering_finds_nothing() {
         let (_, _, _, scan) = scan_small(5, 1024, 500);
         assert!(scan.templates.is_empty());
+    }
+
+    /// [`harvest_page`] against its byte-wise oracle
+    /// [`harvest_page_reference`]: two forks of one machine harvest every
+    /// page of a buffer carrying random flips, one through each path, and
+    /// must end with equal scans (template order included), casualty
+    /// counts, machine/DRAM/ECC counters, clocks and full snapshots.
+    mod harvest_equivalence {
+        use std::sync::OnceLock;
+
+        use super::*;
+        use dram::{DramCoord, EccMode, PhysAddr};
+        use proptest::prelude::*;
+
+        /// Buffer pages harvested per case.
+        const PAGES: u64 = 8;
+
+        /// Aggressor addresses the harvested templates record.
+        const ABOVE: VirtAddr = VirtAddr(0x1000);
+        const BELOW: VirtAddr = VirtAddr(0x3000);
+
+        /// A machine whose attacker buffer holds the fill `pattern`.
+        struct Scene {
+            snapshot: MachineSnapshot,
+            pid: Pid,
+            base: VirtAddr,
+            pattern: u8,
+        }
+
+        fn filled(config: MachineConfig, pattern: u8) -> (SimMachine, Pid, VirtAddr) {
+            let mut m = SimMachine::new(config);
+            let pid = m.spawn(CpuId(0));
+            let base = m.mmap(pid, PAGES).unwrap();
+            m.fill(pid, base, PAGES * PAGE_SIZE, pattern).unwrap();
+            (m, pid, base)
+        }
+
+        fn scene((m, pid, base): (SimMachine, Pid, VirtAddr), pattern: u8) -> Scene {
+            Scene {
+                snapshot: m.snapshot(),
+                pid,
+                base,
+                pattern,
+            }
+        }
+
+        /// Shadow translation, no ECC: every read is raw.
+        fn plain(pattern: u8) -> Scene {
+            scene(filled(MachineConfig::small(41), pattern), pattern)
+        }
+
+        /// SECDED with a latent single-bit fault in a buffer page: a weak
+        /// cell the pattern charges, hammered once past its threshold, so
+        /// reads of the page go through correction.
+        fn latent_ecc(pattern: u8) -> Scene {
+            for seed in 0..200u64 {
+                let mut config = MachineConfig::small(seed);
+                config.dram = config.dram.with_ecc(EccMode::Secded);
+                let rows = config.dram.geometry.rows;
+                let (mut m, pid, base) = filled(config, pattern);
+                let frames: Vec<PhysAddr> = (0..PAGES)
+                    .map(|p| m.translate(pid, base + p * PAGE_SIZE).unwrap())
+                    .collect();
+                for &frame in &frames {
+                    let coord = m.dram().mapping().phys_to_coord(frame);
+                    if coord.row < 1 || coord.row + 1 >= rows {
+                        continue;
+                    }
+                    let cols = coord.col..coord.col + PAGE_SIZE as u32;
+                    let charged = |bit: u32| pattern & (1 << (bit % 8)) != 0;
+                    let Some(cell) = m
+                        .dram_mut()
+                        .weak_cells_at(frame)
+                        .iter()
+                        .find(|c| {
+                            cols.contains(&(c.bit_in_row / 8))
+                                && charged(c.bit_in_row) == c.polarity.charged_value()
+                        })
+                        .copied()
+                    else {
+                        continue;
+                    };
+                    let aggressor = |row| {
+                        m.dram().mapping().coord_to_phys(DramCoord {
+                            row,
+                            col: 0,
+                            ..coord
+                        })
+                    };
+                    let (above, below) = (aggressor(coord.row - 1), aggressor(coord.row + 1));
+                    let flips = m
+                        .dram_mut()
+                        .hammer_pair(above, below, cell.threshold_acts() + 16)
+                        .unwrap()
+                        .flips;
+                    let in_buffer = flips
+                        .iter()
+                        .any(|f| frames.contains(&f.addr.align_down(PAGE_SIZE)));
+                    if in_buffer && !m.dram().reads_are_raw() {
+                        return scene((m, pid, base), pattern);
+                    }
+                }
+            }
+            panic!("no seed in 0..200 put a latent fault in the buffer");
+        }
+
+        /// DRAM-resident page tables with three buffer pages remapped by a
+        /// corrupted leaf PTE: page 1 onto a foreign frame of structured
+        /// bytes, page 2 onto a foreign uniform frame, page 3 outside DRAM.
+        fn walk_remapped(pattern: u8) -> Scene {
+            let config = MachineConfig::small(43).with_dram_page_tables(true);
+            let (mut m, pid, base) = filled(config, pattern);
+            let other = m.spawn(CpuId(0));
+            let foreign = m.mmap(other, 2).unwrap();
+            let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 37 + 11) as u8).collect();
+            m.write(other, foreign, &bytes).unwrap();
+            m.fill(other, foreign + PAGE_SIZE, PAGE_SIZE, 0x5A).unwrap();
+            let structured = m.translate(other, foreign).unwrap().as_u64();
+            let uniform = m.translate(other, foreign + PAGE_SIZE).unwrap().as_u64();
+            let mut remap = |page: u64, to: u64| {
+                let va = base + page * PAGE_SIZE;
+                let from = m.translate(pid, va).unwrap().as_u64();
+                let slot = m.pte_phys(pid, va).unwrap();
+                let mut pte = [0u8; 8];
+                m.dram().copy_raw(slot, &mut pte);
+                let pte = u64::from_le_bytes(pte) ^ (from ^ to);
+                m.dram_mut().write(slot, &pte.to_le_bytes());
+            };
+            remap(1, structured);
+            remap(2, uniform);
+            remap(3, 1 << 40);
+            m.flush_tlb();
+            scene((m, pid, base), pattern)
+        }
+
+        /// A corruption of one buffer page, written straight into DRAM.
+        #[derive(Debug, Clone, Copy)]
+        enum Corrupt {
+            /// Flip one bit of one byte.
+            Bit { page: u64, offset: u64, bit: u8 },
+            /// Refill the whole page with another byte (a uniform chunk).
+            Page { page: u64, byte: u8 },
+        }
+
+        fn corrupt() -> impl Strategy<Value = Corrupt> {
+            prop_oneof![
+                (0..PAGES, 0..PAGE_SIZE, 0u8..8).prop_map(|(page, offset, bit)| Corrupt::Bit {
+                    page,
+                    offset,
+                    bit
+                }),
+                (0..PAGES, any::<u8>()).prop_map(|(page, byte)| Corrupt::Page { page, byte }),
+            ]
+        }
+
+        /// Mostly single-bit flips, clustered on one or two pages by the
+        /// small page range, with the occasional whole-page refill.
+        fn corruptions() -> impl Strategy<Value = Vec<Corrupt>> {
+            prop::collection::vec(corrupt(), 0..24)
+        }
+
+        fn apply(m: &mut SimMachine, scene: &Scene, op: Corrupt) {
+            let frame = |m: &SimMachine, page: u64| {
+                m.translate(scene.pid, scene.base + page * PAGE_SIZE)
+                    .unwrap()
+            };
+            match op {
+                Corrupt::Bit { page, offset, bit } => {
+                    let at = frame(m, page) + offset;
+                    let mut byte = [0u8];
+                    m.dram().copy_raw(at, &mut byte);
+                    m.dram_mut().write_byte(at, byte[0] ^ (1 << bit));
+                }
+                Corrupt::Page { page, byte } => {
+                    let at = frame(m, page);
+                    m.dram_mut().fill(at, PAGE_SIZE, byte);
+                }
+            }
+        }
+
+        /// Corrupts two forks of `scene` alike, harvests every page on one
+        /// through [`harvest_page`] and on the other through the oracle.
+        fn check(scene: &Scene, ops: &[Corrupt]) -> Result<(), TestCaseError> {
+            let mut fast = scene.snapshot.fork();
+            let mut slow = scene.snapshot.fork();
+            for &op in ops {
+                apply(&mut fast, scene, op);
+                apply(&mut slow, scene, op);
+            }
+            let (mut fast_scan, mut slow_scan) = (TemplateScan::default(), TemplateScan::default());
+            for page in 0..PAGES {
+                let (pid, base, pattern) = (scene.pid, scene.base, scene.pattern);
+                let f = harvest_page(
+                    &mut fast,
+                    pid,
+                    base,
+                    page,
+                    pattern,
+                    ABOVE,
+                    BELOW,
+                    &mut fast_scan,
+                );
+                let s = harvest_page_reference(
+                    &mut slow,
+                    pid,
+                    base,
+                    page,
+                    pattern,
+                    ABOVE,
+                    BELOW,
+                    &mut slow_scan,
+                );
+                prop_assert_eq!(f, s, "page {}", page);
+            }
+            prop_assert_eq!(&fast_scan, &slow_scan);
+            prop_assert_eq!(
+                fast_scan.translation_casualties,
+                slow_scan.translation_casualties
+            );
+            prop_assert_eq!(fast.stats(), slow.stats());
+            prop_assert_eq!(fast.dram().stats(), slow.dram().stats());
+            prop_assert_eq!(fast.dram().ecc_stats(), slow.dram().ecc_stats());
+            prop_assert_eq!(fast.now(), slow.now());
+            prop_assert!(fast.snapshot() == slow.snapshot(), "snapshots diverged");
+            Ok(())
+        }
+
+        /// One scene per fill pattern, built once per test binary.
+        fn pick(
+            scenes: &'static OnceLock<[Scene; 2]>,
+            build: fn(u8) -> Scene,
+            ones: bool,
+        ) -> &'static Scene {
+            let [ff, zero] = scenes.get_or_init(|| [build(0xFF), build(0x00)]);
+            if ones {
+                ff
+            } else {
+                zero
+            }
+        }
+
+        /// The scenes reach the paths the properties are about: a latent
+        /// fault keeps reads filtered, and the remapped walk pages are two
+        /// casualties (one answered from a uniform chunk) and one fault.
+        #[test]
+        fn scenes_reach_filtered_reads_casualties_and_faults() {
+            for ones in [true, false] {
+                static ECC: OnceLock<[Scene; 2]> = OnceLock::new();
+                let ecc = pick(&ECC, latent_ecc, ones);
+                assert!(!ecc.snapshot.fork().dram().reads_are_raw());
+
+                static WALK: OnceLock<[Scene; 2]> = OnceLock::new();
+                let walk = pick(&WALK, walk_remapped, ones);
+                let mut m = walk.snapshot.fork();
+                let mut scan = TemplateScan::default();
+                let outcomes: Vec<bool> = (0..PAGES)
+                    .map(|page| {
+                        harvest_page(
+                            &mut m,
+                            walk.pid,
+                            walk.base,
+                            page,
+                            walk.pattern,
+                            ABOVE,
+                            BELOW,
+                            &mut scan,
+                        )
+                        .is_ok()
+                    })
+                    .collect();
+                assert_eq!(scan.translation_casualties, 2);
+                assert!(scan.templates.is_empty());
+                assert_eq!(outcomes.iter().filter(|ok| !**ok).count(), 1);
+                assert!(!outcomes[3], "page 3 decodes outside DRAM");
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn harvest_matches_the_byte_loop_on_raw_reads(ones in any::<bool>(), ops in corruptions()) {
+                static SCENES: OnceLock<[Scene; 2]> = OnceLock::new();
+                check(pick(&SCENES, plain, ones), &ops)?;
+            }
+
+            #[test]
+            fn harvest_matches_the_byte_loop_over_a_latent_ecc_fault(ones in any::<bool>(), ops in corruptions()) {
+                static SCENES: OnceLock<[Scene; 2]> = OnceLock::new();
+                check(pick(&SCENES, latent_ecc, ones), &ops)?;
+            }
+
+            #[test]
+            fn harvest_matches_the_byte_loop_on_remapped_walk_pages(ones in any::<bool>(), ops in corruptions()) {
+                static SCENES: OnceLock<[Scene; 2]> = OnceLock::new();
+                check(pick(&SCENES, walk_remapped, ones), &ops)?;
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use crate::ecc::{decode_secded, EccMode, EccStats, EccTracker, SecdedDecode};
 use crate::error::DramError;
 use crate::geometry::{DramCoord, DramGeometry, PhysAddr};
 use crate::mapping::{AddressMapping, MappingKind};
-use crate::sparse::SparseMemory;
+use crate::sparse::{ChunkView, SparseMemory, CHUNK};
 use crate::stats::DramStats;
 use crate::timing::{
     CommandClock, DramTiming, Nanos, ParaEngine, ParaParams, RfmEngine, RfmParams,
@@ -220,6 +220,32 @@ impl FlipEvent {
     /// The value the bit holds after the flip.
     pub const fn after(&self) -> bool {
         self.polarity.discharged_value()
+    }
+}
+
+/// How one 4 KiB page read back differs from the byte pattern it was
+/// filled with ([`DramDevice::read_diff`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageDiff {
+    /// Every byte differs from the pattern by this xor (`0`: the page is
+    /// clean). Nothing was appended to the caller's list.
+    Uniform(u8),
+    /// Each differing byte was appended to the caller's list as
+    /// `(offset, xor)`, in offset order (possibly none).
+    Listed,
+}
+
+/// Appends `(offset, xor)` for every byte of `page` that differs from
+/// `pattern`, in offset order, comparing a 64-bit word at a time.
+fn diff_words(page: &[u8; CHUNK], pattern: u8, out: &mut Vec<(u16, u8)>) {
+    let splat = u64::from_le_bytes([pattern; 8]);
+    for (w, word) in page.chunks_exact(8).enumerate() {
+        let mut xor = u64::from_le_bytes(word.try_into().expect("8-byte word")) ^ splat;
+        while xor != 0 {
+            let byte = xor.trailing_zeros() / 8;
+            out.push(((w * 8) as u16 + byte as u16, (xor >> (byte * 8)) as u8));
+            xor &= !(0xFF << (byte * 8));
+        }
     }
 }
 
@@ -487,6 +513,40 @@ impl DramDevice {
     /// Panics if the range exceeds capacity.
     pub fn copy_raw(&self, addr: PhysAddr, buf: &mut [u8]) {
         self.mem.read(addr, buf);
+    }
+
+    /// [`Self::read`] of the 4 KiB page at `addr`, returned as its
+    /// difference from `pattern` (listed into `out` unless the whole page
+    /// differs uniformly). Counts one read, as `read` does. While
+    /// [`Self::reads_are_raw`] holds it inspects the stored chunk in place:
+    /// a uniform chunk answers in O(1), a materialised one is compared
+    /// word by word without a copy. Otherwise the page is read through the
+    /// SECDED filter (same corrections and counters as `read`) and the
+    /// filtered bytes are diffed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 4 KiB-aligned or the page exceeds capacity.
+    pub fn read_diff(&mut self, addr: PhysAddr, pattern: u8, out: &mut Vec<(u16, u8)>) -> PageDiff {
+        assert_eq!(
+            addr.as_u64() % CHUNK as u64,
+            0,
+            "read_diff needs a 4 KiB-aligned address"
+        );
+        if self.reads_are_raw() {
+            self.count_reads(1);
+            return match self.mem.chunk_view(addr) {
+                ChunkView::Uniform(byte) => PageDiff::Uniform(byte ^ pattern),
+                ChunkView::Bytes(page) => {
+                    diff_words(page, pattern, out);
+                    PageDiff::Listed
+                }
+            };
+        }
+        let mut page = [0u8; CHUNK];
+        self.read(addr, &mut page);
+        diff_words(&page, pattern, out);
+        PageDiff::Listed
     }
 
     /// Writes one byte at `addr`.
@@ -1977,6 +2037,82 @@ mod tests {
         dev.count_reads(copy.len() as u64);
         assert_eq!(dev.stats(), counted.stats());
         assert_eq!(dev.stats().reads, reads_before + 11);
+    }
+
+    /// The byte-wise diff `read_diff` must equal.
+    fn byte_diff(page: &[u8], pattern: u8) -> Vec<(u16, u8)> {
+        (0u16..)
+            .zip(page)
+            .filter(|&(_, &b)| b != pattern)
+            .map(|(off, &b)| (off, b ^ pattern))
+            .collect()
+    }
+
+    #[test]
+    fn read_diff_on_raw_pages_answers_uniform_chunks_and_lists_the_rest() {
+        let mut dev = small_dev(5);
+        let page = PhysAddr::new(0x4000);
+        let mut out = Vec::new();
+        dev.fill(page, 4096, 0xFF);
+        assert!(dev.reads_are_raw());
+        let reads = dev.stats().reads;
+        assert_eq!(dev.read_diff(page, 0xFF, &mut out), PageDiff::Uniform(0));
+        assert_eq!(dev.read_diff(page, 0x0F, &mut out), PageDiff::Uniform(0xF0));
+        assert_eq!(
+            dev.read_diff(PhysAddr::new(0x9000), 0x00, &mut out),
+            PageDiff::Uniform(0)
+        );
+        assert!(out.is_empty(), "uniform answers list nothing");
+        // Bytes in the first and last word, and two in one word.
+        dev.write_byte(page, 0x7F);
+        dev.write(page + 0x803, &[0xFE, 0x00]);
+        dev.write_byte(page + 0xFFF, 0xEF);
+        assert_eq!(dev.read_diff(page, 0xFF, &mut out), PageDiff::Listed);
+        let mut bytes = [0u8; 4096];
+        dev.copy_raw(page, &mut bytes);
+        assert_eq!(out, byte_diff(&bytes, 0xFF));
+        assert_eq!(
+            out,
+            [(0, 0x80), (0x803, 0x01), (0x804, 0xFF), (0xFFF, 0x10)]
+        );
+        assert_eq!(dev.stats().reads, reads + 4, "one read per call");
+    }
+
+    #[test]
+    fn read_diff_under_a_latent_fault_filters_like_read() {
+        let seed = 3;
+        let (row, cell) = find_weak_row(&mut small_dev(seed));
+        let latent = || {
+            let config = DramConfig::small()
+                .with_seed(seed)
+                .with_ecc(EccMode::Secded);
+            let mut dev = DramDevice::new(config);
+            assert!(hammer_known_cell(
+                &mut dev,
+                row,
+                cell,
+                cell.threshold_acts() + 16
+            ));
+            assert!(!dev.reads_are_raw());
+            dev
+        };
+        let (mut fast, mut slow) = (latent(), latent());
+        let fill = if cell.polarity.charged_value() {
+            0xFF
+        } else {
+            0x00
+        };
+        let flip = fast.flips()[0].addr.align_down(4096);
+        for pattern in [fill, !fill] {
+            let mut out = Vec::new();
+            assert_eq!(fast.read_diff(flip, pattern, &mut out), PageDiff::Listed);
+            let mut page = [0u8; 4096];
+            slow.read(flip, &mut page);
+            assert_eq!(out, byte_diff(&page, pattern));
+        }
+        assert!(fast.ecc_stats().corrected > 0, "the flip was corrected");
+        assert_eq!(fast.ecc_stats(), slow.ecc_stats());
+        assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]

@@ -17,10 +17,22 @@ use perf::{FastMap, FastSet};
 
 use crate::geometry::PhysAddr;
 
-const CHUNK: usize = 4096;
+/// Chunk size in bytes: one 4 KiB page.
+pub(crate) const CHUNK: usize = 4096;
 
 /// One materialised 4 KiB chunk.
 type ChunkBytes = [u8; CHUNK];
+
+/// One 4 KiB chunk as the store holds it, borrowed without a copy
+/// ([`SparseMemory::chunk_view`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkView<'a> {
+    /// Every byte holds this value: a filled chunk, or an absent one
+    /// reading as the store's default byte.
+    Uniform(u8),
+    /// A materialised chunk's bytes, in place.
+    Bytes(&'a [u8; CHUNK]),
+}
 
 #[derive(Debug, Clone)]
 enum ChunkData {
@@ -196,6 +208,28 @@ impl SparseMemory {
         }
         self.owned.remove(&chunk);
         false
+    }
+
+    /// The chunk starting at `addr` as stored: uniform chunks answer in
+    /// O(1), materialised ones lend their bytes. A query only — it never
+    /// materialises or unshares a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 4 KiB-aligned or the chunk is beyond
+    /// capacity.
+    pub(crate) fn chunk_view(&self, addr: PhysAddr) -> ChunkView<'_> {
+        assert_eq!(
+            addr.as_u64() % CHUNK as u64,
+            0,
+            "chunk_view needs a 4 KiB-aligned address"
+        );
+        self.check(addr, CHUNK as u64);
+        match self.chunks.get(&(addr.as_u64() / CHUNK as u64)) {
+            None => ChunkView::Uniform(self.default_byte),
+            Some(ChunkData::Uniform(b)) => ChunkView::Uniform(*b),
+            Some(ChunkData::Bytes(bytes)) => ChunkView::Bytes(bytes),
+        }
     }
 
     /// Reads a single byte.
@@ -489,6 +523,69 @@ mod tests {
         assert_eq!(SparseMemory::new(1 << 16), zeroed);
         materialised.write_byte(PhysAddr::new(7), 0x11);
         assert_ne!(uniform, materialised);
+    }
+
+    #[test]
+    fn chunk_view_of_an_absent_chunk_is_the_default_byte() {
+        let m = SparseMemory::new(1 << 16);
+        assert_eq!(m.chunk_view(PhysAddr::new(0x3000)), ChunkView::Uniform(0));
+        assert!(m.chunks.is_empty(), "a query must not insert the chunk");
+    }
+
+    #[test]
+    fn chunk_view_of_a_filled_chunk_is_uniform() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.fill(PhysAddr::new(0x1000), 4096, 0xFF);
+        assert_eq!(
+            m.chunk_view(PhysAddr::new(0x1000)),
+            ChunkView::Uniform(0xFF)
+        );
+        assert_eq!(m.materialized_chunks(), 0);
+    }
+
+    #[test]
+    fn chunk_view_lends_materialised_bytes_in_place() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.fill(PhysAddr::new(0x2000), 4096, 0xAA);
+        m.write(PhysAddr::new(0x2005), b"xy");
+        let ChunkView::Bytes(bytes) = m.chunk_view(PhysAddr::new(0x2000)) else {
+            panic!("a written chunk is materialised");
+        };
+        let ChunkData::Bytes(stored) = m.chunks.get(&2).unwrap() else {
+            panic!("chunk 2 should be materialised");
+        };
+        assert!(std::ptr::eq(bytes, &**stored), "the view must not copy");
+        assert_eq!(&bytes[5..7], b"xy");
+        assert!(bytes[..5].iter().chain(&bytes[7..]).all(|&b| b == 0xAA));
+        assert_eq!(m.materialized_chunks(), 1);
+    }
+
+    #[test]
+    fn chunk_view_of_a_shared_chunk_leaves_it_shared() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.write(PhysAddr::new(0), b"structured");
+        let fork = m.clone();
+        let (ChunkView::Bytes(a), ChunkView::Bytes(b)) = (
+            m.chunk_view(PhysAddr::new(0)),
+            fork.chunk_view(PhysAddr::new(0)),
+        ) else {
+            panic!("chunk 0 should be materialised in both stores");
+        };
+        assert!(std::ptr::eq(a, b), "both views borrow the shared chunk");
+        let ChunkData::Bytes(shared) = m.chunks.get(&0).unwrap() else {
+            panic!("chunk 0 should stay materialised");
+        };
+        assert_eq!(Arc::strong_count(shared), 2, "a query must not unshare");
+        assert_eq!(
+            (m.materialized_chunks(), fork.materialized_chunks()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "4 KiB-aligned")]
+    fn chunk_view_of_an_unaligned_address_panics() {
+        SparseMemory::new(1 << 16).chunk_view(PhysAddr::new(0x1008));
     }
 
     #[test]

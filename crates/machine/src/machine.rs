@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use cachesim::{CacheHierarchy, ServedBy, Tlb};
-use dram::{DramDevice, HammerOutcome, Nanos, PhysAddr};
+use dram::{DramDevice, HammerOutcome, Nanos, PageDiff, PhysAddr};
 use memsim::{CpuId, FrameKind, Order, Pfn, ZonedAllocator, PAGE_SIZE};
 
 use crate::config::{IdleDrainPolicy, MachineConfig};
@@ -708,6 +708,37 @@ impl SimMachine {
             off += n;
         }
         Ok(())
+    }
+
+    /// [`Self::read`] of the aligned 4 KiB page at `addr`, returned as its
+    /// difference from `pattern` — the templating read-back, whose cost
+    /// scales with the flipped bytes rather than the page size. Accounting
+    /// is exactly `read`'s: `stats.reads += 1`, one TLB-cached translation,
+    /// one cache-modelled access and one DRAM read counted. The bytes
+    /// themselves are skipped only while [`DramDevice::reads_are_raw`]
+    /// holds; otherwise they go through the SECDED filter first. See
+    /// [`DramDevice::read_diff`] for how `out` and the [`PageDiff`] are
+    /// filled.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::touch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not page-aligned.
+    pub fn read_diff(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        pattern: u8,
+        out: &mut Vec<(u16, u8)>,
+    ) -> Result<PageDiff, MachineError> {
+        assert_eq!(addr.page_offset(), 0, "read_diff reads one aligned page");
+        self.stats.reads += 1;
+        let (phys, cpu) = self.touch_cached(pid, addr)?;
+        self.cached_access(cpu, phys);
+        Ok(self.dram.read_diff(phys, pattern, out))
     }
 
     /// Writes `data` at `addr`, faulting pages in as needed.
