@@ -1,18 +1,19 @@
-//! Criterion: bulk-hammer burst planning — the TRR-aware round scheduler,
-//! many-sided at 50k rounds, plus one call of the `hardened-walk`
-//! templating sweep.
+//! Criterion: bulk-hammer bursts — the TRR-aware round scheduler,
+//! many-sided at 50k rounds, one call of the `hardened-walk` templating
+//! sweep, and a double-sided burst that flips, with its
+//! `reference_kernels` twin.
 //!
-//! None of these bursts reaches the periodic fast-forward: it needs three
-//! periods of lcm(round time, refresh window), 23 windows or ~8M rounds for
-//! 4 rows. With the sampler tracking every aggressor (`4sided_trr`, the
-//! 400k-pair sweep call) no victim can reach its weakest threshold between
-//! two TRR triggers, so the flip-free closed form serves the burst in
-//! O(victims). Without TRR, or with 8 rows thrashing the 4-entry sampler,
-//! the weak cells next to the aggressors keep it off and the literal
-//! chunked walk runs.
+//! Every burst goes to the event kernel once the TRR sampler is steady:
+//! at once without TRR or under the 8-row thrash of the 4-entry sampler,
+//! after the first round when the sampler tracks every aggressor. A victim
+//! whose weakest cell is out of reach costs one bound check; one whose
+//! cells the burst can reach has its own refresh and TRR resets walked.
+//! The flipping pair re-charges its victim row before every burst, so each
+//! burst flips; its twin runs the same burst on the literal chunk walk,
+//! the kernel's oracle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dram::{DramConfig, DramCoord, DramDevice, PhysAddr, TrrParams};
+use dram::{CellPolarity, DramConfig, DramCoord, DramDevice, PhysAddr, TrrParams};
 
 /// Rounds per burst: enough activations per aggressor to cross weak-cell
 /// thresholds and trip the TRR sampler several times over.
@@ -30,6 +31,42 @@ fn aggressors(dev: &DramDevice, rows: &[u32]) -> Vec<PhysAddr> {
             })
         })
         .collect()
+}
+
+/// The first row from 100 up holding a true cell that `ROUNDS`
+/// double-sided pairs (two near activations each) can flip.
+fn flippy_row(dev: &mut DramDevice) -> u32 {
+    (100..4000)
+        .find(|&row| {
+            let addr = aggressors(dev, &[row])[0];
+            dev.weak_cells_at(addr).iter().any(|cell| {
+                cell.polarity == CellPolarity::True && cell.threshold_acts() < 2 * ROUNDS
+            })
+        })
+        .expect("the flippy module has weak rows")
+}
+
+/// `ROUNDS` pairs around a row whose true cells are charged (all ones)
+/// and whose disturbance is refreshed away before each burst, so every
+/// burst flips.
+fn bench_flipping_pair(c: &mut Criterion, name: &str, reference: bool) {
+    let mut dev = DramDevice::new(DramConfig::small().with_reference_kernels(reference));
+    let row = flippy_row(&mut dev);
+    let pair = aggressors(&dev, &[row - 1, row + 1]);
+    let victim = aggressors(&dev, &[row])[0];
+    let row_bytes = u64::from(dev.config().geometry.row_bytes);
+    let window = dev.config().timing.refresh_window();
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            dev.fill(victim, row_bytes, 0xFF);
+            dev.advance(window);
+            let out = dev
+                .hammer_pair(pair[0], pair[1], black_box(ROUNDS))
+                .unwrap();
+            assert!(!out.flips.is_empty(), "the charged row must flip");
+            out
+        })
+    });
 }
 
 fn bench_burst_planning(c: &mut Criterion) {
@@ -67,6 +104,9 @@ fn bench_burst_planning(c: &mut Criterion) {
     });
 
     group.finish();
+
+    bench_flipping_pair(c, "burst_planning/hammer_pair_flips_no_trr", false);
+    bench_flipping_pair(c, "burst_planning/hammer_pair_flips_no_trr_reference", true);
 }
 
 criterion_group!(benches, bench_burst_planning);

@@ -8,7 +8,7 @@
 //! the sweep runs once and every later trial replays its recorded
 //! post-sweep machine state. The two cells must produce byte-identical
 //! per-trial `AttackReport` fingerprints — memoization (like the bitslice
-//! weak-cell kernels and the hammer fast-forward underneath) changes
+//! weak-cell kernels and the hammer burst kernel underneath) changes
 //! throughput, never bytes.
 //!
 //! The per-phase wall-clock/ops breakdown comes from the `perf` registry
@@ -28,7 +28,7 @@ use machine::SimMachine;
 
 /// Trials/sec of this exact forked-attack workload (64 trials, 512
 /// template pages) measured at the tip of the previous PR, before the
-/// bitslice weak-cell kernels, the analytic hammer fast-forward, and the
+/// bitslice weak-cell kernels, the analytic hammer paths, and the
 /// template-sweep memoization landed. The acceptance target is ≥3× this.
 const PRE_PR_BASELINE_TPS: f64 = 32.5;
 

@@ -180,7 +180,8 @@ Usage: <exp binary> [TRIALS] [--trials N] [--seed S] [--threads T] [--pr LABEL]
   --pr LABEL    PR ordinal recorded into BENCH_*.json run entries
                 (default: $EXPLFRAME_PR; orders trajectory plots)
 
-Output is byte-identical for every thread count.";
+Output is byte-identical for every thread count. results/ and BENCH_*.json
+are written under $EXPLFRAME_OUT when set, else at the workspace root.";
 
 fn value<I: Iterator<Item = String>>(
     inline: Option<String>,

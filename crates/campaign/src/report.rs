@@ -4,6 +4,7 @@
 //! the campaign engine's own determinism tests) shares one implementation;
 //! `explframe-bench` re-exports these names for backward compatibility.
 
+use std::ffi::OsString;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
@@ -109,14 +110,15 @@ impl Table {
     }
 }
 
-/// The `results/` directory at the workspace root (created on demand).
+/// The `results/` directory under `$EXPLFRAME_OUT`, or at the workspace
+/// root when that is unset (created on demand).
 ///
 /// # Panics
 ///
 /// Panics with a clear diagnostic if `results` exists but is not a
 /// directory (e.g. a stray file of that name), or if it cannot be created.
 pub fn results_dir() -> PathBuf {
-    let dir = workspace_root().join("results");
+    let dir = out_root().join("results");
     if let Err(e) = ensure_dir(&dir) {
         panic!("cannot use results directory {}: {e}", dir.display());
     }
@@ -158,13 +160,28 @@ pub fn persist(name: &str, table: &Table, summary: &mut crate::Summary) {
     summary.table(name, table);
 }
 
-pub(crate) fn workspace_root() -> PathBuf {
-    // This crate lives at <root>/crates/campaign.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf()
+/// Environment variable naming the directory campaign artifacts are written
+/// under: `results/` and the `BENCH_*.json` series.
+const OUT_ENV: &str = "EXPLFRAME_OUT";
+
+/// The directory campaign artifacts are written under: `$EXPLFRAME_OUT`
+/// when set, else the workspace root the crate was built in.
+pub(crate) fn out_root() -> PathBuf {
+    resolve_out_root(std::env::var_os(OUT_ENV))
+}
+
+/// [`out_root`] for a given value of [`OUT_ENV`]: the named directory when
+/// it is set and non-empty, else the workspace root the crate was built in.
+fn resolve_out_root(out: Option<OsString>) -> PathBuf {
+    match out {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+        // This crate lives at <root>/crates/campaign.
+        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(|p| p.parent())
+            .expect("workspace root")
+            .to_path_buf(),
+    }
 }
 
 /// Prints a standard experiment banner.
@@ -190,6 +207,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn out_root_honours_the_override_and_defaults_to_the_workspace() {
+        let root = resolve_out_root(None);
+        assert!(root.join("crates/campaign/Cargo.toml").is_file());
+        assert_eq!(resolve_out_root(Some(OsString::new())), root);
+        assert_eq!(
+            resolve_out_root(Some(OsString::from("copy/out"))),
+            PathBuf::from("copy/out")
+        );
+    }
 
     #[test]
     fn table_rejects_mismatched_rows() {

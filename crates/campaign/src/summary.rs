@@ -244,11 +244,11 @@ impl Summary {
 /// Most recent runs kept in a `BENCH_*.json` series.
 pub const BENCH_RUNS_CAP: usize = 32;
 
-/// Path of the committed bench series `BENCH_<stem>.json` at the workspace
-/// root.
+/// Path of the bench series `BENCH_<stem>.json`: under `$EXPLFRAME_OUT`
+/// when set, else the committed one at the workspace root.
 #[must_use]
 pub fn bench_path(stem: &str) -> PathBuf {
-    crate::report::workspace_root().join(format!("BENCH_{stem}.json"))
+    crate::report::out_root().join(format!("BENCH_{stem}.json"))
 }
 
 /// `wall(threads=1) / min(wall(threads>1))`, once both have been recorded.

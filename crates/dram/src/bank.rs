@@ -149,17 +149,6 @@ impl BankState {
         entry.units = entry.units.saturating_add(units * rounds);
     }
 
-    /// Shifts the window index of `row`'s tracked disturbance by `delta`
-    /// windows. The bookkeeping half of the bulk-hammer fast-forward: when
-    /// the clock jumps by an exact multiple of the refresh window, a fresh
-    /// entry stays fresh (and a stale one stays stale) only if its window
-    /// index advances by the same amount.
-    pub(crate) fn shift_disturbance_window(&mut self, row: u32, delta: u64) {
-        if let Some(d) = self.disturbance.get_mut(&row) {
-            d.window += delta;
-        }
-    }
-
     /// Current in-window disturbance of `row` at time `t` (0 if refreshed
     /// since the last update).
     pub(crate) fn disturbance(&self, row: u32, t: Nanos, timing: &DramTiming) -> u64 {

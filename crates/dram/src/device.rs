@@ -20,17 +20,6 @@ use crate::trr::{Burst, TrrEngine, TrrParams};
 /// Bytes per ECC code word.
 const ECC_WORD: u64 = 8;
 
-/// Greatest common divisor (Euclid). Used to size the bulk-hammer
-/// fast-forward period.
-const fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
-}
-
 /// Complete configuration of a [`DramDevice`].
 ///
 /// Countermeasures default to off, so a plain config models the
@@ -73,10 +62,12 @@ pub struct DramConfig {
     pub trr: Option<TrrParams>,
     /// ECC scheme; [`EccMode::Off`] models a non-ECC DIMM.
     pub ecc: EccMode,
-    /// Forces the scalar per-cell reference kernels instead of the
-    /// bitsliced/analytic fast paths. The two produce byte-identical
-    /// results (the fast paths `debug_assert!` against the reference);
-    /// this switch exists so equivalence tests can run both sides.
+    /// Forces the reference kernels: the scalar per-cell crossing loop
+    /// instead of the bitsliced masks, and the literal chunk walk for the
+    /// whole of every bulk-hammer burst instead of the event kernel. Both
+    /// sides produce byte-identical flips, times, stats, command clock and
+    /// state (the bitsliced masks also `debug_assert!` against the scalar
+    /// loop); this switch exists so equivalence tests can run both.
     pub reference_kernels: bool,
     /// Runs the cycle-approximate [`CommandClock`] alongside the data
     /// plane: every ACT/PRE/RD is scheduled under tRC/tRAS/tRP/tFAW and
@@ -427,11 +418,10 @@ impl DramDevice {
         self.rfm.as_ref().map_or(0, RfmEngine::commands)
     }
 
-    /// Bulk-hammer rounds this device served analytically — by the
-    /// flip-free closed form or the periodic fast-forward — rather than by
-    /// walking refresh and TRR boundaries. Counts from 0 when the device is
-    /// built or forked; [`Self::restore`] leaves it alone. Tests use it to
-    /// prove an equivalence check actually exercised a fast path.
+    /// Bulk-hammer rounds this device served by the event kernel rather
+    /// than by walking refresh and TRR boundaries. Counts from 0 when the
+    /// device is built or forked; [`Self::restore`] leaves it alone. Tests
+    /// use it to prove an equivalence check actually exercised a fast path.
     pub fn analytic_rounds(&self) -> u64 {
         self.analytic_rounds
     }
@@ -775,7 +765,7 @@ impl DramDevice {
                 while m != 0 {
                     let i = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    self.try_flip(victim, &row.cells()[i]);
+                    self.try_flip(victim, &row.cells()[i], self.now);
                 }
             }
             None => {
@@ -783,16 +773,17 @@ impl DramDevice {
                     if delta.old_units < cell.threshold_units
                         && cell.threshold_units <= delta.new_units
                     {
-                        self.try_flip(victim, cell);
+                        self.try_flip(victim, cell, self.now);
                     }
                 }
             }
         }
     }
 
-    /// Attempts to flip `cell` in the row containing `victim` — succeeds only
-    /// if the stored bit currently holds the cell's charged value.
-    fn try_flip(&mut self, victim: DramCoord, cell: &WeakCell) {
+    /// Attempts to flip `cell` in the row containing `victim` at `time` —
+    /// succeeds only if the stored bit currently holds the cell's charged
+    /// value.
+    fn try_flip(&mut self, victim: DramCoord, cell: &WeakCell, time: Nanos) {
         let byte_in_row = cell.bit_in_row / 8;
         let bit = (cell.bit_in_row % 8) as u8;
         let coord = DramCoord {
@@ -819,7 +810,7 @@ impl DramDevice {
                 bit,
                 coord,
                 polarity: cell.polarity,
-                time: self.now,
+                time,
             });
         }
     }
@@ -991,15 +982,17 @@ impl DramDevice {
         })
     }
 
-    /// The chunked disturbance loop shared by the bulk hammer paths:
-    /// `rounds` rounds of one `ACT` per aggressor row (`round_time` ns
-    /// each), racing each victim row's refresh schedule and — when enabled
-    /// — the Target-Row-Refresh tracker, whose trigger times the burst
-    /// planner turns into chunk boundaries so the loop stays
-    /// O(boundaries) instead of O(activations). Once the sampler is steady
-    /// a burst no cell can flip in is applied in closed form
-    /// ([`Self::quiet_burst`]); long bursts that can flip fall to the
-    /// periodic fast-forward ([`Self::hammer_fast_forward`]).
+    /// The disturbance loop shared by the bulk hammer paths: `rounds`
+    /// rounds of one `ACT` per aggressor row (`round_time` ns each), racing
+    /// each victim row's refresh schedule and — when enabled — the
+    /// Target-Row-Refresh tracker, whose trigger times the burst planner
+    /// turns into chunk boundaries so the walk stays O(boundaries) instead
+    /// of O(activations). The walk runs only until the TRR sampler is
+    /// steady (usually one round): from that chunk on the event kernel
+    /// ([`Self::burst_kernel`]) applies the rest of the burst, flips
+    /// included. Under PARA or RFM, or with
+    /// [`DramConfig::reference_kernels`], the walk runs to the end; it is
+    /// the kernel's oracle.
     fn bulk_rounds(
         &mut self,
         bank_idx: usize,
@@ -1010,35 +1003,9 @@ impl DramDevice {
         round_time: Nanos,
     ) {
         let timing = self.config.timing;
-
-        // Analytic fast-forward setup. Every chunk advances the clock by a
-        // multiple of `round_time` and refresh boundaries repeat every
-        // window, so the boundary walk — and with it the whole disturbance
-        // trajectory — is periodic in lcm(round_time, window) once no flip
-        // and no TRR trigger perturbs a cycle. Prime two literal cycles
-        // (the first washes out disturbance carried in from earlier
-        // hammering, the second is the periodicity witness), then jump all
-        // remaining whole periods in O(victims).
-        let w = timing.refresh_window();
-        let period = round_time / gcd(round_time, w) * w;
-        let rounds_per_period = period / round_time;
-        // PARA/RFM triggers are not periodic in the refresh window, so the
-        // quiet-period witness cannot cover them — fall back to literal
-        // chunking whenever either engine is armed.
-        let mut ff_active = !self.config.reference_kernels
-            && !victims.is_empty()
-            && self.para.is_none()
-            && self.rfm.is_none()
-            && rounds >= 3 * rounds_per_period;
-        // The flip-free closed form gets one bound check per call, at the
-        // first chunk the sampler is steady; the same countermeasure
-        // exclusions apply.
-        let mut quiet_pending =
-            !self.config.reference_kernels && self.para.is_none() && self.rfm.is_none();
+        let kernel = !self.config.reference_kernels && self.para.is_none() && self.rfm.is_none();
         let fan = agg_rows.len() as u64;
         let (clock_rank, clock_bank) = self.clock_coords(template);
-        let mut anchor: Option<Nanos> = None;
-        let mut probe: Option<(Vec<u64>, usize)> = None;
 
         let mut remaining = rounds;
         while remaining > 0 {
@@ -1048,68 +1015,16 @@ impl DramDevice {
                 .as_ref()
                 .map(|trr| trr.plan_burst(bank_idx, agg_rows));
 
-            if quiet_pending {
-                let steady = match plan {
-                    Some(Burst::After(_)) => self
-                        .trr
-                        .as_ref()
-                        .is_some_and(|trr| trr.all_tracked(bank_idx, agg_rows)),
-                    _ => true,
-                };
-                if steady {
-                    quiet_pending = false;
-                    if self
-                        .quiet_burst(bank_idx, template, agg_rows, victims, remaining, round_time)
-                    {
-                        return;
-                    }
-                }
-            }
-
-            if ff_active {
-                if matches!(plan, Some(Burst::After(_))) {
-                    // A pending TRR trigger breaks periodicity; re-arm once
-                    // the planner settles (it rarely does — `Never` is the
-                    // eligible steady state).
-                    anchor = None;
-                    probe = None;
-                } else if let Some(a) = anchor {
-                    if t == a + period && probe.is_none() {
-                        probe = Some((
-                            self.victim_disturbances(bank_idx, victims, t, &timing),
-                            self.flip_log.len(),
-                        ));
-                    } else if t == a + 2 * period {
-                        let primed = probe.take();
-                        let v2 = self.victim_disturbances(bank_idx, victims, t, &timing);
-                        let quiet = matches!(&primed, Some((v1, flips))
-                            if *v1 == v2 && self.flip_log.len() == *flips);
-                        let q = remaining / rounds_per_period;
-                        if quiet && q > 0 {
-                            remaining -= self.hammer_fast_forward(
-                                bank_idx,
-                                (clock_rank, clock_bank),
-                                victims,
-                                q,
-                                period,
-                                round_time,
-                            );
-                            // The tail is shorter than one period; nothing
-                            // left for the fast-forward to win.
-                            ff_active = false;
-                            continue;
-                        }
-                        anchor = Some(t);
-                    } else if (probe.is_none() && t > a + period) || t > a + 2 * period {
-                        // The walk slid past a probe point (an irregular
-                        // first step, or a chunk clipped by `remaining`):
-                        // restart priming from a walk-produced position.
-                        anchor = Some(t);
-                        probe = None;
-                    }
-                } else {
-                    anchor = Some(t);
-                }
+            let steady = match plan {
+                Some(Burst::After(_)) => self
+                    .trr
+                    .as_ref()
+                    .is_some_and(|trr| trr.all_tracked(bank_idx, agg_rows)),
+                _ => true,
+            };
+            if kernel && steady {
+                self.burst_kernel(bank_idx, template, agg_rows, victims, remaining, round_time);
+                return;
             }
 
             // Rounds that complete before any victim row is refreshed. The
@@ -1195,24 +1110,39 @@ impl DramDevice {
         }
     }
 
-    /// The closed form of [`Self::bulk_rounds`] for a burst in which no cell
-    /// can flip: applies all `rounds` rounds in O(victims + aggressor rows)
-    /// and returns `true`, or returns `false` without touching anything.
+    /// The event kernel of [`Self::bulk_rounds`]: applies all `rounds`
+    /// rounds of a burst, flips included, leaving the flip log and every
+    /// piece of state exactly as the chunk walk would. It costs
+    /// O(victims + aggressor rows + flips), plus O(resets) for each victim
+    /// a weak cell of which the burst can reach.
     ///
     /// Callers guarantee a steady sampler (every aggressor row tracked, so
     /// each later trigger falls on a fixed round, or a `Burst::Never`
     /// thrash) and no PARA/RFM. A victim's disturbance then resets only at
-    /// its row's refresh or at a trigger of an aggressor within the TRR
-    /// radius, so it never exceeds its carried in-window units plus
-    /// units-per-round × rounds to its first reset, nor units-per-round ×
-    /// the longest gap between later resets. With both below the row's
-    /// weakest threshold the literal walk flips nothing, and what it leaves
-    /// behind is: the clock and the command train advanced by the whole
-    /// burst, each tracked count moved on modulo the threshold, every row
-    /// within the radius of a triggered aggressor cleared, and each victim
-    /// holding the rounds since its last clear that started in its current
-    /// refresh window. The chunking of the walk never shows in that state.
-    fn quiet_burst(
+    /// its row's refresh (from the first round starting at or after the
+    /// boundary) and after the round of a trigger of an aggressor within
+    /// the TRR radius; in between each round adds the same units to the
+    /// window holding its start.
+    ///
+    /// - A victim whose weakest cell lies above both its carried in-window
+    ///   units plus units × rounds to its first reset and units × the
+    ///   longest later gap costs one bound check.
+    /// - Any other victim has its resets walked: a cell first crosses in
+    ///   the round where `base < threshold ≤ base + units × rounds so far`,
+    ///   `base` being the carried units before the first reset and 0 after.
+    /// - The walk flips that cell at the start of the chunk holding that
+    ///   round. Chunks start at the burst start, at the last round starting
+    ///   at or before each victim's refresh boundary and the straddle round
+    ///   after it, and after each TRR trigger. Flips are applied in order
+    ///   of chunk start, victim, cell: the walk's order, which keeps the
+    ///   SECDED pre-flip snapshots equal.
+    ///
+    /// What is left behind does not depend on the flips: the clock and the
+    /// command train advanced by the whole burst, each tracked count moved
+    /// on modulo the threshold, every row within the radius of a triggered
+    /// aggressor cleared, and each victim holding the rounds since its last
+    /// clear that started in its current refresh window.
+    fn burst_kernel(
         &mut self,
         bank_idx: usize,
         template: DramCoord,
@@ -1220,57 +1150,124 @@ impl DramDevice {
         victims: &[(u32, u64)],
         rounds: u64,
         round_time: Nanos,
-    ) -> bool {
+    ) {
         let timing = self.config.timing;
         let geometry = self.config.geometry;
+        let w = timing.refresh_window();
         let t = self.now;
         let radius = self.config.trr.map_or(0, |p| p.radius);
-        // With every row tracked, row `i` next triggers after
-        // `until_trigger[i]` rounds and then every `period` rounds.
+        // With every row tracked, aggressor `row` triggers after round
+        // `until - 1` and then every `period` rounds: `(row, until)`.
         let tracked = self
             .trr
             .as_ref()
-            .filter(|trr| trr.all_tracked(bank_idx, agg_rows))
-            .map(|trr| {
-                let until_trigger: Vec<u64> = agg_rows
-                    .iter()
-                    .map(|&row| {
-                        trr.period() - trr.tracked_acts(bank_idx, row).expect("all tracked")
-                    })
-                    .collect();
-                (trr.period(), until_trigger)
-            });
-        let rounds_per_window = timing.refresh_window().div_ceil(round_time);
-        for &(row, units) in victims {
+            .filter(|trr| trr.all_tracked(bank_idx, agg_rows));
+        let period = tracked.map_or(1, TrrEngine::period);
+        let triggers: Vec<(u32, u64)> = tracked.map_or_else(Vec::new, |trr| {
+            agg_rows
+                .iter()
+                .map(|&row| {
+                    let acts = trr.tracked_acts(bank_idx, row).expect("all tracked");
+                    (row, period - acts)
+                })
+                .collect()
+        });
+        // Round index at which the chunk holding round `r` starts.
+        let chunk_start = |r: u64| {
+            let mut start = 0;
+            for &(row, _) in victims {
+                let b = next_refresh_time(row, t, &timing) - t;
+                if let Some(x) = ((r + 1) * round_time).checked_sub(b + 1) {
+                    let boundary = b + x / w * w;
+                    let last = boundary / round_time;
+                    let straddle = boundary % round_time != 0 && last < r;
+                    start = start.max(last + u64::from(straddle));
+                }
+            }
+            for &(_, n) in &triggers {
+                if let Some(x) = r.checked_sub(n) {
+                    start = start.max(n + x / period * period);
+                }
+            }
+            start
+        };
+        let rounds_per_window = w.div_ceil(round_time);
+        // (chunk start, victim, cell index, cell) of every first crossing.
+        let mut flips: Vec<(u64, usize, usize, WeakCell)> = Vec::new();
+        for (v, &(row, units)) in victims.iter().enumerate() {
             let coord = DramCoord {
                 row,
                 col: 0,
                 ..template
             };
-            let min_threshold = self
-                .cells
-                .row_eval(geometry.global_row_id(coord))
-                .min_threshold();
-            if min_threshold == u64::MAX {
+            let eval = self.cells.row_eval(geometry.global_row_id(coord));
+            if eval.min_threshold() == u64::MAX {
                 continue;
             }
-            let to_refresh = (next_refresh_time(row, t, &timing) - t).div_ceil(round_time);
-            let mut first = rounds.min(to_refresh);
+            let b = next_refresh_time(row, t, &timing) - t;
+            let near = || {
+                triggers
+                    .iter()
+                    .filter(|&&(agg, _)| row.abs_diff(agg) <= radius)
+            };
+            let mut first = rounds.min(b.div_ceil(round_time));
             let mut later = rounds.min(rounds_per_window);
-            if let Some((period, until_trigger)) = &tracked {
-                for (&agg, &n) in agg_rows.iter().zip(until_trigger) {
-                    if row.abs_diff(agg) <= radius {
-                        first = first.min(n);
-                        later = later.min(*period);
-                    }
-                }
+            for &(_, n) in near() {
+                first = first.min(n);
+                later = later.min(period);
             }
             let carried = self.banks[bank_idx].disturbance(row, t, &timing);
-            if carried.saturating_add(units.saturating_mul(first)) >= min_threshold
-                || units.saturating_mul(later) >= min_threshold
-            {
-                return false;
+            let reach_first = carried.saturating_add(units.saturating_mul(first));
+            let reach_later = units.saturating_mul(later);
+            if reach_first.max(reach_later) < eval.min_threshold() {
+                continue;
             }
+            // First reset after round `s`: a refresh boundary `b + k·w`
+            // resets from the first round starting at or after it, a
+            // trigger from the round after it.
+            let next_reset = |s: u64| {
+                let k = (s * round_time).checked_sub(b).map_or(0, |x| x / w + 1);
+                near().fold((b + k * w).div_ceil(round_time), |next, &(_, n)| {
+                    next.min(if s < n {
+                        n
+                    } else {
+                        n + ((s - n) / period + 1) * period
+                    })
+                })
+            };
+            let mut pending: Vec<(usize, u64)> = eval
+                .cells()
+                .iter()
+                .map(|c| c.threshold_units)
+                .enumerate()
+                .filter(|&(_, thr)| thr <= reach_first.max(reach_later))
+                .collect();
+            let (mut start, mut base) = (0, carried);
+            while start < rounds && !pending.is_empty() {
+                let end = next_reset(start).min(rounds);
+                let top = base.saturating_add(units.saturating_mul(end - start));
+                pending.retain(|&(i, thr)| {
+                    if base < thr && thr <= top {
+                        let crossing = start + (thr - base).div_ceil(units) - 1;
+                        flips.push((chunk_start(crossing), v, i, eval.cells()[i]));
+                        false
+                    } else {
+                        // Beyond every later gap: only the first segment
+                        // could have reached it.
+                        thr <= reach_later
+                    }
+                });
+                (start, base) = (end, 0);
+            }
+        }
+        flips.sort_unstable_by_key(|&(chunk, v, i, _)| (chunk, v, i));
+        for (chunk, v, _, cell) in flips {
+            let victim = DramCoord {
+                row: victims[v].0,
+                col: 0,
+                ..template
+            };
+            self.try_flip(victim, &cell, t + chunk * round_time);
         }
 
         let (clock_rank, clock_bank) = self.clock_coords(template);
@@ -1280,8 +1277,8 @@ impl DramDevice {
             clock.drain_refreshes(self.now);
             self.stats.refs = clock.refresh_commands();
         }
-        let fired = match (&mut self.trr, &tracked) {
-            (Some(trr), Some(_)) => trr.jump_tracked(bank_idx, agg_rows, rounds),
+        let fired = match &mut self.trr {
+            Some(trr) if !triggers.is_empty() => trr.jump_tracked(bank_idx, agg_rows, rounds),
             _ => Vec::new(),
         };
         for &(row, _) in &fired {
@@ -1306,69 +1303,6 @@ impl DramDevice {
             }
         }
         self.analytic_rounds += rounds;
-        true
-    }
-
-    /// Jumps the bulk-hammer clock over `q` whole disturbance periods in
-    /// O(victims) instead of replaying O(q × boundaries) chunks.
-    ///
-    /// Sound only when [`Self::bulk_rounds`] has witnessed one full quiet
-    /// period (no flips, no TRR trigger, disturbance trajectory repeating):
-    /// every skipped cycle then replays the witnessed one exactly, so the
-    /// only state that moves is the clock and each victim's refresh-window
-    /// index. `period` is a multiple of the refresh window, so fresh
-    /// entries stay fresh and stale ones stay stale after the shift.
-    ///
-    /// Returns the number of rounds skipped.
-    fn hammer_fast_forward(
-        &mut self,
-        bank_idx: usize,
-        (clock_rank, clock_bank): (u32, u32),
-        victims: &[(u32, u64)],
-        q: u64,
-        period: Nanos,
-        round_time: Nanos,
-    ) -> u64 {
-        let windows_per_period = period / self.config.timing.refresh_window();
-        self.now += q * period;
-        for &(row, _) in victims {
-            self.banks[bank_idx].shift_disturbance_window(row, q * windows_per_period);
-        }
-        let skipped = q * (period / round_time);
-        if let Some(clock) = &mut self.clock {
-            // The skipped cycles replay the witnessed one exactly, so the
-            // hammered bank's ACT/PRE train — and the rank's tFAW ring —
-            // translate by the jump; idle banks issued nothing either way.
-            // `period` is a multiple of `round_time`, so the train's phase
-            // is preserved and the tail chunks resume at legal spacing.
-            let delta = q * period;
-            let acts = skipped * (round_time / self.config.timing.t_rc);
-            clock.shift_for_fast_forward(clock_rank, clock_bank, delta, acts);
-            clock.drain_refreshes(self.now);
-            self.stats.refs = clock.refresh_commands();
-            debug_assert_eq!(
-                clock.refresh_commands(),
-                CommandClock::refs_due_by(&self.config.timing, self.now),
-                "fast-forwarded REF count diverged from the tREFI closed form"
-            );
-        }
-        self.analytic_rounds += skipped;
-        skipped
-    }
-
-    /// Observable per-victim disturbance levels at time `t` — the
-    /// periodicity witness compared across priming cycles.
-    fn victim_disturbances(
-        &self,
-        bank_idx: usize,
-        victims: &[(u32, u64)],
-        t: Nanos,
-        timing: &DramTiming,
-    ) -> Vec<u64> {
-        victims
-            .iter()
-            .map(|&(row, _)| self.banks[bank_idx].disturbance(row, t, timing))
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -2242,8 +2176,13 @@ mod tests {
         );
     }
 
+    /// Double-sided pairs spanning about 3.6 DDR3-1600 refresh windows
+    /// (one window holds ~695k pairs), so a burst crosses several refresh
+    /// boundaries of every victim and ends mid-window.
+    const MULTI_WINDOW_PAIRS: u64 = 2_500_007;
+
     #[test]
-    fn bulk_fast_forward_matches_reference_kernels() {
+    fn bulk_kernel_matches_reference_kernels() {
         let cfg = DramConfig::small().with_seed(3);
         let mut fast = DramDevice::new(cfg);
         let mut slow = DramDevice::new(cfg.with_reference_kernels(true));
@@ -2260,27 +2199,22 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        // Enough pairs for the two priming cycles, a jumped region, and a
-        // literal tail that doesn't divide the period evenly.
-        let round_time = 2 * fast.config().timing.t_rc;
-        let w = fast.config().timing.refresh_window();
-        let period_rounds = (round_time / gcd(round_time, w) * w) / round_time;
-        let pairs = 3 * period_rounds + period_rounds / 2 + 7;
-
-        let of = fast.hammer_pair(a, b, pairs).unwrap();
-        assert!(
-            fast.analytic_rounds() > 0,
-            "fast-forward never engaged — the equivalence check would be vacuous"
+        let of = fast.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        assert_eq!(
+            fast.analytic_rounds(),
+            MULTI_WINDOW_PAIRS,
+            "the kernel must serve the whole burst — the check would be vacuous"
         );
         assert_eq!(slow.analytic_rounds(), 0, "reference kernels stay literal");
+        assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
 
-        let os = slow.hammer_pair(a, b, pairs).unwrap();
+        let os = slow.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
         assert_eq!(of.flips, os.flips);
         assert_eq!(of.elapsed, os.elapsed);
         assert_eq!(fast.now(), slow.now());
         assert_eq!(fast.stats(), slow.stats());
 
-        // The jump must leave per-victim refresh bookkeeping exact: a
+        // The kernel must leave per-victim refresh bookkeeping exact: a
         // follow-up hammer carries over in-window disturbance identically.
         let of2 = fast.hammer_pair(a, b, 50_000).unwrap();
         let os2 = slow.hammer_pair(a, b, 50_000).unwrap();
@@ -2328,10 +2262,10 @@ mod tests {
     }
 
     #[test]
-    fn timed_bulk_fast_forward_matches_reference_kernels_with_clock() {
-        // Satellite guarantee: the analytic fast-forward advances the
-        // command clock identically to the literal chunk walk — full
-        // CommandClock equality, not just the data-plane numbers.
+    fn timed_bulk_kernel_matches_reference_kernels_with_clock() {
+        // The kernel advances the command clock identically to the literal
+        // chunk walk — full CommandClock equality, not just the data-plane
+        // numbers — across a burst that flips.
         let cfg = DramConfig::small().with_seed(3).with_timing_engine(true);
         let mut fast = DramDevice::new(cfg);
         let mut slow = DramDevice::new(cfg.with_reference_kernels(true));
@@ -2348,13 +2282,10 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        let round_time = 2 * fast.config().timing.t_rc;
-        let w = fast.config().timing.refresh_window();
-        let period_rounds = (round_time / gcd(round_time, w) * w) / round_time;
-        let pairs = 3 * period_rounds + period_rounds / 2 + 7;
-
-        let of = fast.hammer_pair(a, b, pairs).unwrap();
-        let os = slow.hammer_pair(a, b, pairs).unwrap();
+        let of = fast.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        let os = slow.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        assert!(fast.analytic_rounds() > 0, "the kernel never engaged");
+        assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
         assert_eq!(of.flips, os.flips);
         assert_eq!(of.elapsed, os.elapsed);
         assert_eq!(fast.now(), slow.now());
@@ -2362,7 +2293,7 @@ mod tests {
         assert_eq!(
             fast.command_clock(),
             slow.command_clock(),
-            "fast-forward left the command clock off the literal schedule"
+            "the kernel left the command clock off the literal schedule"
         );
         assert!(fast.stats().refs > 0);
     }
@@ -2406,10 +2337,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_disengages_under_para_and_rfm() {
-        // PARA/RFM triggers are aperiodic in the refresh window, so the
-        // quiet-period witness cannot cover them: the analytic jump must
-        // stay off and the walk stays literal (chunked at trigger bounds).
+    fn bulk_kernel_stays_off_under_para_and_rfm() {
+        // PARA/RFM triggers do not follow the refresh and TRR schedule the
+        // kernel walks, so the burst must stay on the literal walk
+        // (chunked at trigger bounds).
         for cm in ["para", "rfm"] {
             let mut cfg = DramConfig::small().with_seed(3).with_timing_engine(true);
             cfg = match cm {
@@ -2420,11 +2351,8 @@ mod tests {
             let (row, _) = find_weak_row(&mut dev);
             let a = dev.mapping().coord_to_phys(coord(0, row - 1, 0));
             let b = dev.mapping().coord_to_phys(coord(0, row + 1, 0));
-            let round_time = 2 * dev.config().timing.t_rc;
-            let w = dev.config().timing.refresh_window();
-            let period_rounds = (round_time / gcd(round_time, w) * w) / round_time;
-            dev.hammer_pair(a, b, 4 * period_rounds).unwrap();
-            assert_eq!(dev.analytic_rounds(), 0, "fast-forward engaged under {cm}");
+            dev.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+            assert_eq!(dev.analytic_rounds(), 0, "the kernel engaged under {cm}");
         }
     }
 

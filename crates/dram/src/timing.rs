@@ -156,12 +156,6 @@ impl FawRing {
             self.starts[3] = start;
         }
     }
-
-    fn shift(&mut self, delta: Nanos) {
-        for s in &mut self.starts[..self.len as usize] {
-            *s += delta;
-        }
-    }
 }
 
 /// The per-bank/per-rank DRAM command state machine.
@@ -373,33 +367,9 @@ impl CommandClock {
     }
 
     /// REF commands due by `now` under the tREFI schedule — the closed form
-    /// `drain_refreshes` maintains. The analytic hammer fast-forward asserts
-    /// its jumped clock retires exactly this many.
+    /// `drain_refreshes` maintains.
     pub const fn refs_due_by(timing: &DramTiming, now: Nanos) -> u64 {
         now / timing.t_refi
-    }
-
-    /// Shifts the clock across an analytic fast-forward jump of `delta` on
-    /// the hammered `(rank, bank)`: the periodic ACT/PRE train is translated
-    /// in time, so the bank's command history and the rank's tFAW ring move
-    /// with it. Idle banks are untouched — they issued nothing during the
-    /// jump in the literal schedule either. Command counters are *not*
-    /// adjusted here; the caller accounts for the skipped train explicitly.
-    pub fn shift_for_fast_forward(
-        &mut self,
-        rank: u32,
-        bank: u32,
-        delta: Nanos,
-        skipped_acts: u64,
-    ) {
-        let i = self.idx(rank, bank);
-        let b = &mut self.banks[i];
-        b.act_at += delta;
-        b.pre_done += delta;
-        self.faw[rank as usize].shift(delta);
-        self.acts += skipped_acts;
-        self.pres += skipped_acts;
-        self.now += delta;
     }
 }
 
@@ -793,22 +763,6 @@ mod tests {
         );
         // Draining the same horizon again is a no-op.
         assert_eq!(clock.drain_refreshes(horizon), 0);
-    }
-
-    #[test]
-    fn fast_forward_shift_translates_the_train() {
-        let t = DramTiming::ddr3_1600();
-        let mut literal = CommandClock::new(t, 1, 8);
-        // 1000 ACTs literally...
-        literal.bulk_acts(0, 1, 0, 1000);
-        literal.drain_refreshes(1000 * t.t_rc);
-        // ...vs 100 literally, then a shift covering the remaining 900.
-        let mut jumped = CommandClock::new(t, 1, 8);
-        jumped.bulk_acts(0, 1, 0, 100);
-        jumped.drain_refreshes(100 * t.t_rc);
-        jumped.shift_for_fast_forward(0, 1, 900 * t.t_rc, 900);
-        jumped.drain_refreshes(1000 * t.t_rc);
-        assert_eq!(jumped, literal, "fast-forward shift diverged");
     }
 
     #[test]

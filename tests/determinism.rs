@@ -200,8 +200,8 @@ fn attack_reports_are_identical_across_campaign_thread_counts() {
 
 #[test]
 fn fast_kernels_match_reference_kernels_for_every_victim() {
-    // The raw-speed pass (bitsliced weak-cell crossing masks, the analytic
-    // hammer fast-forward, the single-byte read path) must be invisible in
+    // The raw-speed pass (bitsliced weak-cell crossing masks, the hammer
+    // burst kernel, the single-byte read path) must be invisible in
     // every reported number. Pin that differentially: the same attack with
     // the device forced onto the scalar per-cell reference kernels
     // (`DramConfig::reference_kernels`) must produce a byte-identical
@@ -231,8 +231,8 @@ fn fast_kernels_match_reference_kernels_for_every_victim() {
 fn fast_kernels_match_reference_kernels_under_trr_and_ecc() {
     // Same differential through the adaptive driver with both
     // countermeasures armed: a small-sampler TRR engine (forcing the
-    // escalation path, whose burst planning interleaves with the
-    // fast-forward) and SECDED ECC with the ECC-aware collector (whose
+    // escalation path, whose burst planning hands flipping bursts to the
+    // burst kernel) and SECDED ECC with the ECC-aware collector (whose
     // read path uses the skip-clean batching). Every fast path must agree
     // with the scalar reference under the richest interaction of features.
     let mut cfg = ExplFrameConfig::small_demo(1)
@@ -485,7 +485,7 @@ fn walk_mode_templating_writes_off_remapped_pages_as_casualties() {
 }
 
 // ---------------------------------------------------------------------------
-// Flip-free hammer closed form on the hardened-walk benchmark shape.
+// The hammer burst kernel on the hardened-walk benchmark shape.
 // ---------------------------------------------------------------------------
 
 /// The `hardened-walk` benchmark workload: DDR4-like TRR, command clock,
@@ -504,9 +504,9 @@ fn hardened_walk_config(seed: u64) -> ExplFrameConfig {
 #[test]
 fn hardened_walk_closed_form_matches_reference_kernels() {
     // The double-sided sweep on a TRR module never flips a cell (TRR clears
-    // every victim long before its weakest threshold), so its bursts are
-    // served in closed form. The report must not move by a byte against
-    // the literal chunked walk.
+    // every victim long before its weakest threshold); the many-sided
+    // sweep after escalation does. The burst kernel serves both, and the
+    // report must not move by a byte against the literal chunked walk.
     let cfg = hardened_walk_config(1);
     let mut oracle_cfg = cfg.clone();
     oracle_cfg.machine.dram = oracle_cfg.machine.dram.with_reference_kernels(true);
@@ -519,7 +519,7 @@ fn hardened_walk_closed_form_matches_reference_kernels() {
     assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
     assert_eq!(fast.strategy_escalations, 1, "must sweep, then escalate");
 
-    // The opening double-sided sweep alone: the closed form engages on the
+    // The opening double-sided sweep alone: the kernel engages on the
     // fast device, never on the reference one, and stays off under PARA
     // and under RFM.
     let sweep = |dram: DramConfig, pages: u64| {
@@ -543,12 +543,12 @@ fn hardened_walk_closed_form_matches_reference_kernels() {
     let (scan, jumped) = sweep(dram, 64);
     let (oracle_scan, literal) = sweep(dram.with_reference_kernels(true), 64);
     assert_eq!(scan, oracle_scan, "sweep diverged from the literal walk");
-    assert!(jumped > 0, "closed form never engaged on the sweep");
+    assert!(jumped > 0, "the kernel never engaged on the sweep");
     assert_eq!(literal, 0, "reference kernels must stay literal");
     for (name, dram) in [
         ("PARA", dram.with_para(Some(ParaParams::para_2014()))),
         ("RFM", dram.with_rfm(Some(RfmParams::ddr5_like()))),
     ] {
-        assert_eq!(sweep(dram, 16).1, 0, "closed form engaged under {name}");
+        assert_eq!(sweep(dram, 16).1, 0, "the kernel engaged under {name}");
     }
 }
