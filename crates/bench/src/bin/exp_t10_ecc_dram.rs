@@ -24,7 +24,7 @@
 
 use campaign::{banner, persist, scenario, CampaignCli, Json, Stream, Summary, Table};
 use dram::{DramConfig, DramCoord, DramDevice, EccMode, WeakCellParams};
-use explframe_core::{ExplFrame, ExplFrameConfig, TraceCollector};
+use explframe_core::{ExplFrame, ExplFrameConfig, RunOptions, TraceCollector};
 use machine::SimMachine;
 
 const TEMPLATE_PAGES: u64 = 256;
@@ -133,7 +133,9 @@ fn budget_trial(seed: u64, ecc: bool, aware: bool) -> BudgetTrial {
         cfg.machine.dram = cfg.machine.dram.with_ecc(EccMode::Secded);
     }
     let mut machine = SimMachine::new(cfg.machine.clone());
-    let report = ExplFrame::new(cfg).run_on(&mut machine).expect("run");
+    let report = ExplFrame::new(cfg)
+        .run_with(&mut machine, RunOptions::default())
+        .expect("run");
     let stats = machine.dram().ecc_stats();
     BudgetTrial {
         succeeded: report.succeeded(),
@@ -288,8 +290,13 @@ fn main() {
             .dram
             .with_cells(WeakCellParams::flippy().with_density(STRESS_DENSITY))
             .with_ecc(EccMode::Secded);
+        let mut machine = SimMachine::new(cfg.machine.clone());
+        let options = RunOptions {
+            observer: Some(&mut trace),
+            ..RunOptions::default()
+        };
         let traced = ExplFrame::new(cfg)
-            .run_traced(&mut trace)
+            .run_with(&mut machine, options)
             .expect("traced run");
         let corrected_rounds = trace
             .events()

@@ -11,19 +11,23 @@
 //! weak-cell kernels and the hammer burst kernel underneath) changes
 //! throughput, never bytes.
 //!
-//! The per-phase wall-clock/ops breakdown comes from the `perf` registry
-//! (enabled for the duration of the run) and lands, together with
-//! trials/sec and the speedup vs the pinned pre-PR baseline, in the
-//! committed `BENCH_hotpath.json` series. The run entry is then parsed
-//! back through `campaign::json` and shape-checked, so every CI smoke run
-//! asserts the bench file round-trips.
+//! Each cell attaches a [`PhaseLedger`] to every run. Its exact fields
+//! (calls, memo hits, simulated ns, reads, writes, hammer pairs per phase)
+//! land in the cell's deterministic `results/summary.json` record; host
+//! time per phase, as mean ms per trial, lands with trials/sec and the
+//! speedup vs the pinned pre-PR baseline in the committed
+//! `BENCH_hotpath.json` series. The run entry is then parsed back through
+//! `campaign::json` and shape-checked, so every CI smoke run asserts the
+//! bench file round-trips.
 
 use std::time::Instant;
 
 use campaign::{
     banner, bench_path, fnv1a, persist, CampaignCli, CampaignResult, Json, Summary, Table,
 };
-use explframe_core::{AttackReport, ExplFrame, ExplFrameConfig, TemplateMemo};
+use explframe_core::{
+    AttackReport, ExplFrame, ExplFrameConfig, PhaseLedger, RunOptions, TemplateMemo,
+};
 use machine::SimMachine;
 
 /// Trials/sec of this exact forked-attack workload (64 trials, 512
@@ -47,23 +51,6 @@ fn fingerprint(report: &AttackReport) -> u64 {
     fnv1a(format!("{report:?}").as_bytes())
 }
 
-/// Folds the `phase.*` perf registry snapshot into timing metrics under a
-/// cell prefix: a phase scope records its wall-clock (`.wall_s`), a counter
-/// (`phase.<name>.reads`, `.writes`, `.hammer_pairs`, `.sim_ns`,
-/// `phase.template.memo_hits`) its count (`.ops`).
-fn record_phases(prefix: &str, stats: &[(&'static str, perf::PhaseStats)], summary: &mut Summary) {
-    for (key, stat) in stats {
-        if !key.starts_with("phase.") {
-            continue;
-        }
-        if stat.calls > 0 {
-            summary.timing_metric(&format!("{prefix}.{key}.wall_s"), stat.wall_secs());
-        } else {
-            summary.timing_metric(&format!("{prefix}.{key}.ops"), stat.ops as f64);
-        }
-    }
-}
-
 fn main() {
     banner(
         "T13: attack hot-path throughput",
@@ -78,39 +65,36 @@ fn main() {
 
     let warm = SimMachine::new(attack_config(campaign.seed).machine.clone()).snapshot();
     let trials = u64::from(campaign.trials);
-    perf::enable();
+    // Runs every trial of one cell in trial order, each with the cell's
+    // ledger attached (one ledger summing serial runs is their merge).
+    let run_cell = |mut memo: Option<&mut TemplateMemo>| {
+        let mut ledger = PhaseLedger::new();
+        let start = Instant::now();
+        let fingerprints: Vec<u64> = (0..trials)
+            .map(|t| {
+                let attack = ExplFrame::new(attack_config(campaign.seed.wrapping_add(t)));
+                let options = RunOptions {
+                    memo: memo.as_deref_mut().map(|memo| (&warm, memo)),
+                    observer: Some(&mut ledger),
+                    ..RunOptions::default()
+                };
+                fingerprint(
+                    &attack
+                        .run_with(&mut warm.fork(), options)
+                        .expect("attack completes"),
+                )
+            })
+            .collect();
+        (fingerprints, ledger, start.elapsed())
+    };
 
     // Direct: every trial pays the full template sweep.
-    perf::reset();
-    let start = Instant::now();
-    let direct: Vec<u64> = (0..trials)
-        .map(|t| {
-            let attack = ExplFrame::new(attack_config(campaign.seed.wrapping_add(t)));
-            fingerprint(&attack.run_snapshot(&warm).expect("direct attack completes"))
-        })
-        .collect();
-    let direct_wall = start.elapsed();
-    let direct_stats = perf::snapshot();
-
+    let (direct, direct_ledger, direct_wall) = run_cell(None);
     // Memoized: one shared memo; the sweep runs once, later trials replay
     // its recorded post-sweep state (the seed is not part of the memo key —
     // the sweep never reads the attacker RNG).
-    perf::reset();
     let mut memo = TemplateMemo::new();
-    let start = Instant::now();
-    let memoized: Vec<u64> = (0..trials)
-        .map(|t| {
-            let attack = ExplFrame::new(attack_config(campaign.seed.wrapping_add(t)));
-            fingerprint(
-                &attack
-                    .run_snapshot_memo(&warm, &mut memo)
-                    .expect("memoized attack completes"),
-            )
-        })
-        .collect();
-    let memo_wall = start.elapsed();
-    let memo_stats = perf::snapshot();
-    perf::disable();
+    let (memoized, memo_ledger, memo_wall) = run_cell(Some(&mut memo));
 
     // The differential guarantee, asserted on every run: memoization (and
     // the fast kernels below it) changes throughput, never results.
@@ -123,6 +107,11 @@ fn main() {
         (1, trials - 1),
         "every trial after the first must replay the shared sweep"
     );
+    assert_eq!(
+        memo_ledger.get("template").map(|t| (t.calls, t.memo_hits)),
+        Some((trials, trials - 1)),
+        "the ledger must count every replay as one template call"
+    );
 
     let digest = |trials: &[u64]| fnv1a(format!("{trials:?}").as_bytes());
     let mut table = Table::new(
@@ -130,10 +119,19 @@ fn main() {
         &["mode", "trials", "fingerprint_fnv1a"],
     );
     let mut summary = Summary::new("t13_hotpath", &campaign);
-    for (name, cell) in [("direct", &direct), ("memoized", &memoized)] {
+    for (name, cell, ledger) in [
+        ("direct", &direct, &direct_ledger),
+        ("memoized", &memoized, &memo_ledger),
+    ] {
         let d = format!("{:#018x}", digest(cell));
         table.row(&[&name, &cell.len(), &d]);
-        summary.cell(name, &[("fingerprint", Json::Str(d.clone()))]);
+        summary.cell(
+            name,
+            &[
+                ("fingerprint", Json::Str(d.clone())),
+                ("phases", ledger.exact_json()),
+            ],
+        );
     }
     persist("t13_hotpath", &table, &mut summary);
 
@@ -153,23 +151,16 @@ fn main() {
          pre-PR baseline: {PRE_PR_BASELINE_TPS:.1} trials/s   speedup vs pre-PR: {speedup_vs_pre_pr:.1}x"
     );
     println!("\nper-phase breakdown (memoized cell):");
-    let count = |key: String| {
-        memo_stats
-            .iter()
-            .find(|(k, _)| **k == key)
-            .map_or(0, |(_, s)| s.ops)
-    };
-    for (key, stat) in &memo_stats {
-        if key.starts_with("phase.") && stat.calls > 0 {
-            println!(
-                "  {key:<22} {:>9.3}s  {:>12} reads  {:>8} writes  {:>10} hammer pairs  {:>5} calls",
-                stat.wall_secs(),
-                count(format!("{key}.reads")),
-                count(format!("{key}.writes")),
-                count(format!("{key}.hammer_pairs")),
-                stat.calls
-            );
-        }
+    for ((phase, t), (_, ms)) in memo_ledger
+        .phases()
+        .iter()
+        .zip(memo_ledger.host_ms_per_trial(trials))
+    {
+        println!(
+            "  {phase:<10} {ms:>8.3} ms/trial  {:>12} reads  {:>8} writes  {:>10} hammer pairs  \
+             {:>5} calls  {:>5} memo hits",
+            t.reads, t.writes, t.hammer_pairs, t.calls, t.memo_hits
+        );
     }
 
     summary.timing_metric("direct_trials_per_s", direct_tps);
@@ -184,8 +175,11 @@ fn main() {
             0.0
         },
     );
-    record_phases("direct", &direct_stats, &mut summary);
-    record_phases("memo", &memo_stats, &mut summary);
+    for (prefix, ledger) in [("direct", &direct_ledger), ("memo", &memo_ledger)] {
+        for (phase, ms) in ledger.host_ms_per_trial(trials) {
+            summary.timing_metric(&format!("{prefix}.phase.{phase}.host_ms_per_trial"), ms);
+        }
+    }
     if let Some(pr) = cli.pr_label() {
         summary.pr(&pr);
     }

@@ -25,14 +25,17 @@
 //!   construction and asserted.
 //!
 //! The binary also runs the DRAMA-style latency probe against both bank
-//! mapping functions and asserts it recovers the configured oracle. Run
-//! metrics (suppression ratios, bypass cost, per-phase simulated nanos)
-//! land in the committed `BENCH_timing.json` series, which is parsed
-//! back through `campaign::json` and shape-checked on every invocation.
+//! mapping functions and asserts it recovers the configured oracle. Every
+//! trial carries a [`PhaseLedger`]; each cell's ledgers, merged in trial
+//! order, land in its deterministic `results/summary.json` record (calls,
+//! simulated ns, reads, writes, hammer pairs per phase). Run metrics
+//! (suppression ratios, bypass cost, host ms per trial per phase) land in
+//! the committed `BENCH_timing.json` series, which is parsed back through
+//! `campaign::json` and shape-checked on every invocation.
 
 use campaign::{banner, bench_path, fnv1a, scenario, CampaignCli, Json, Summary, Table};
 use dram::{MappingKind, ParaParams, RfmParams};
-use explframe_core::{AttackReport, ExplFrame, ExplFrameConfig, Pipeline};
+use explframe_core::{AttackReport, ExplFrame, ExplFrameConfig, PhaseLedger, Pipeline, RunOptions};
 use machine::SimMachine;
 
 /// One experiment cell: a countermeasure configuration plus the driver
@@ -144,13 +147,18 @@ fn cell_config(cell: &Cell, seed: u64) -> ExplFrameConfig {
     cfg
 }
 
-fn run_cell(cell: &Cell, seed: u64) -> AttackReport {
-    let attack = ExplFrame::new(cell_config(cell, seed));
-    let report = if cell.adaptive {
-        attack.run_adaptive().expect("adaptive trial completes")
-    } else {
-        attack.run().expect("trial completes")
+fn run_cell(cell: &Cell, seed: u64) -> (AttackReport, PhaseLedger) {
+    let cfg = cell_config(cell, seed);
+    let mut machine = SimMachine::new(cfg.machine.clone());
+    let mut ledger = PhaseLedger::new();
+    let options = RunOptions {
+        adaptive: cell.adaptive,
+        observer: Some(&mut ledger),
+        ..RunOptions::default()
     };
+    let report = ExplFrame::new(cfg)
+        .run_with(&mut machine, options)
+        .expect("trial completes");
     if cell.name == "timed" {
         // The zero-stall differential, asserted at this trial's own seed
         // (campaign cells draw distinct seed streams, so the comparison
@@ -176,7 +184,7 @@ fn run_cell(cell: &Cell, seed: u64) -> AttackReport {
             .expect("timed run reports headroom");
         assert!(headroom.is_finite() && headroom > 0.0);
     }
-    report
+    (report, ledger)
 }
 
 /// Full-report fingerprint with the headroom metric masked out, so the
@@ -240,14 +248,14 @@ fn main() {
         .iter()
         .map(|cell| scenario(cell.name, move |seed| run_cell(cell, seed)))
         .collect();
-    perf::enable();
-    perf::reset();
     let result = campaign.run(&cells);
-    let stats = perf::snapshot();
-    perf::disable();
-
-    let untimed = &result.cell("untimed").expect("untimed cell").trials;
-    let timed = &result.cell("timed").expect("timed cell").trials;
+    // Each trial is its report and its ledger.
+    let reports = |name: &str| -> Vec<&AttackReport> {
+        let cell = result.cell(name).expect("cell");
+        cell.trials.iter().map(|(report, _)| report).collect()
+    };
+    let untimed = reports("untimed");
+    let timed = reports("timed");
 
     let mut table = Table::new(
         "time-domain countermeasures vs the classic and adaptive drivers",
@@ -262,22 +270,23 @@ fn main() {
     );
     let mut summary = Summary::new("t14_timing", &campaign);
     let mut successes = std::collections::HashMap::new();
+    // A cell's ledgers merge in trial order, so they are identical at every
+    // thread count; host time is reported per trial over the campaign.
+    let mut campaign_ledger = PhaseLedger::new();
     for cell in &result.cells {
-        let n = cell.trials.len() as f64;
-        let wins = cell.trials.iter().filter(|r| r.succeeded()).count();
+        let mut ledger = PhaseLedger::new();
+        for (_, trial) in &cell.trials {
+            ledger.merge(trial);
+        }
+        campaign_ledger.merge(&ledger);
+        let trials = reports(&cell.name);
+        let n = trials.len() as f64;
+        let wins = trials.iter().filter(|r| r.succeeded()).count();
         let key_rate = wins as f64 / n;
-        let templates = mean(cell.trials.iter().map(|r| r.templates_found as f64));
-        let mpairs = mean(
-            cell.trials
-                .iter()
-                .map(|r| r.hammer_pairs_spent as f64 / 1e6),
-        );
-        let escalations = mean(
-            cell.trials
-                .iter()
-                .map(|r| f64::from(r.strategy_escalations)),
-        );
-        let headroom = mean(cell.trials.iter().filter_map(|r| r.hammer_rate_headroom));
+        let templates = mean(trials.iter().map(|r| r.templates_found as f64));
+        let mpairs = mean(trials.iter().map(|r| r.hammer_pairs_spent as f64 / 1e6));
+        let escalations = mean(trials.iter().map(|r| f64::from(r.strategy_escalations)));
+        let headroom = mean(trials.iter().filter_map(|r| r.hammer_rate_headroom));
         successes.insert(cell.name.clone(), wins);
         table.row(&[
             &cell.name,
@@ -295,6 +304,7 @@ fn main() {
                 ("mean_hammer_mpairs", Json::Float(mpairs)),
                 ("mean_escalations", Json::Float(escalations)),
                 ("mean_headroom", Json::Float(headroom)),
+                ("phases", ledger.exact_json()),
             ],
         );
     }
@@ -320,24 +330,18 @@ fn main() {
     );
     let untimed_templates = mean(untimed.iter().map(|r| r.templates_found as f64));
     let scaled_templates = mean(
-        result
-            .cell("refresh-x8")
-            .expect("refresh cell")
-            .trials
+        reports("refresh-x8")
             .iter()
             .map(|r| r.templates_found as f64),
     );
-    let x64 = &result.cell("refresh-x64").expect("refresh cell").trials;
+    let x64 = reports("refresh-x64");
     assert!(
         x64.iter().all(|r| r.templates_found == 0) && wins("refresh-x64") == 0,
         "64x refresh caps the activation rate below every flip threshold"
     );
 
     let bypass_pairs = mean(
-        result
-            .cell("rfm-adaptive")
-            .expect("cell")
-            .trials
+        reports("rfm-adaptive")
             .iter()
             .filter(|r| r.succeeded())
             .map(|r| r.hammer_pairs_spent as f64),
@@ -366,17 +370,8 @@ fn main() {
         "mean_timed_headroom",
         mean(timed.iter().filter_map(|r| r.hammer_rate_headroom)),
     );
-    // Phase scopes record wall-clock, counters (per-phase reads, writes,
-    // hammer pairs, simulated ns) their count.
-    for (key, stat) in &stats {
-        if !key.starts_with("phase.") {
-            continue;
-        }
-        if stat.calls > 0 {
-            summary.timing_metric(&format!("{key}.wall_s"), stat.wall_secs());
-        } else {
-            summary.timing_metric(&format!("{key}.ops"), stat.ops as f64);
-        }
+    for (phase, ms) in campaign_ledger.host_ms_per_trial(result.total_trials) {
+        summary.timing_metric(&format!("phase.{phase}.host_ms_per_trial"), ms);
     }
     if let Some(pr) = cli.pr_label() {
         summary.pr(&pr);

@@ -20,7 +20,7 @@
 //! committed `BENCH_walk.json` series.
 
 use campaign::{banner, persist, scenario, CampaignCli, Counter, Json, Stream, Summary, Table};
-use explframe_core::{ExplFrame, ExplFrameConfig, VictimCipherKind};
+use explframe_core::{ExplFrame, ExplFrameConfig, RunOptions, VictimCipherKind};
 use machine::SimMachine;
 
 const TEMPLATE_PAGES: u64 = 1024;
@@ -58,7 +58,7 @@ fn run_mode(seed: u64, kind: VictimCipherKind, walk: bool) -> ModeTrial {
         .with_dram_page_tables(walk);
     let mut machine = SimMachine::new(cfg.machine.clone());
     let report = ExplFrame::new(cfg)
-        .run_on(&mut machine)
+        .run_with(&mut machine, RunOptions::default())
         .expect("walk-campaign trial");
     let tlb = machine.tlb().stats();
     ModeTrial {

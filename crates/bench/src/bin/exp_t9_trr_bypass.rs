@@ -21,7 +21,7 @@
 
 use campaign::{banner, persist, scenario, CampaignCli, Json, Stream, Summary, Table};
 use dram::TrrParams;
-use explframe_core::{AttackReport, ExplFrame, ExplFrameConfig, NullObserver, TraceCollector};
+use explframe_core::{ExplFrame, ExplFrameConfig, RunOptions, TraceCollector};
 use machine::SimMachine;
 
 const TEMPLATE_PAGES: u64 = 512;
@@ -56,14 +56,11 @@ fn trial(seed: u64, sampler: u32, adaptive: bool) -> Trial {
     let cfg = config(seed, sampler);
     let mut machine = SimMachine::new(cfg.machine.clone());
     let driver = ExplFrame::new(cfg);
-    let report: AttackReport = if adaptive {
-        let mut observer = NullObserver;
-        driver
-            .run_adaptive_on_traced(&mut machine, &mut observer)
-            .expect("adaptive run")
-    } else {
-        driver.run_on(&mut machine).expect("naive run")
+    let options = RunOptions {
+        adaptive,
+        ..RunOptions::default()
     };
+    let report = driver.run_with(&mut machine, options).expect("attack run");
     Trial {
         succeeded: report.succeeded(),
         templates: report.templates_found,
@@ -174,8 +171,13 @@ fn main() {
     let mut trace = TraceCollector::new();
     let cfg = config(campaign.seed, 4);
     let mut machine = SimMachine::new(cfg.machine.clone());
+    let options = RunOptions {
+        adaptive: true,
+        observer: Some(&mut trace),
+        ..RunOptions::default()
+    };
     let traced = ExplFrame::new(cfg)
-        .run_adaptive_on_traced(&mut machine, &mut trace)
+        .run_with(&mut machine, options)
         .expect("traced adaptive run");
     let escalations = trace
         .events()

@@ -10,8 +10,9 @@
 //! numbers, victim keys) are used only to *report* success, never to drive
 //! the attack.
 //!
-//! The driver is deliberately thin: each `run*` method builds a
-//! [`Pipeline`] and strings the standard phases together. Custom
+//! The driver is deliberately thin: [`ExplFrame::run_with`] builds a
+//! [`Pipeline`] and strings the standard phases together; every other
+//! `run*` method is one call of it. Custom
 //! compositions (template-once/steer-many, mixed-cipher multi-victim) use
 //! the same phases directly — see the [`Pipeline`] docs.
 
@@ -19,7 +20,7 @@ use machine::{MachineSnapshot, SimMachine};
 
 use crate::config::ExplFrameConfig;
 use crate::error::AttackError;
-use crate::events::{NullObserver, Observer};
+use crate::events::Observer;
 use crate::pipeline::Pipeline;
 use crate::template::TemplateMemo;
 
@@ -100,6 +101,27 @@ impl AttackReport {
     }
 }
 
+/// How [`ExplFrame::run_with`] runs the attack. The default is the classic
+/// driver with no memo and no observer, i.e. [`ExplFrame::run`].
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Escalate to many-sided hammering when the sweep comes back empty
+    /// (see [`ExplFrame::run_adaptive`]).
+    pub adaptive: bool,
+    /// Serve the templating sweep(s) through this memo, keyed on the
+    /// snapshot the machine was forked from. The snapshot must equal the
+    /// machine's state when the run starts (checked under
+    /// `debug_assertions`). Building the pipeline does not touch the
+    /// machine and templating is the first phase, so the fork source *is*
+    /// the pre-sweep state, and memo hits compare against the caller's
+    /// capture by shared structure instead of re-snapshotting every trial.
+    pub memo: Option<(&'a MachineSnapshot, &'a mut TemplateMemo)>,
+    /// Receives every [`PhaseEvent`](crate::PhaseEvent) and every phase
+    /// call's [`PhaseCost`](crate::PhaseCost). Observers never change the
+    /// report; without one, no phase reads the host clock.
+    pub observer: Option<&'a mut dyn Observer>,
+}
+
 /// The attack driver. Construct with a configuration, then [`run`](Self::run).
 ///
 /// # Examples
@@ -130,29 +152,19 @@ impl ExplFrame {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::Machine`] for substrate failures; attack-level
+    /// Returns [`AttackError::Machine`] for substrate failures and
+    /// [`AttackError::NoSuchCpu`] for a CPU the machine lacks; attack-level
     /// failures (no templates, no fault) are reported in
     /// [`AttackReport::outcome`] instead.
     pub fn run(&self) -> Result<AttackReport, AttackError> {
         let mut machine = SimMachine::new(self.config.machine.clone());
-        self.run_on(&mut machine)
-    }
-
-    /// Runs the attack on an existing machine (lets experiments pre-load
-    /// noise or share a machine across trials).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_on(&self, machine: &mut SimMachine) -> Result<AttackReport, AttackError> {
-        let mut observer = NullObserver;
-        self.run_on_traced(machine, &mut observer)
+        self.run_with(&mut machine, RunOptions::default())
     }
 
     /// Runs the attack on a machine forked from `snapshot` — the warm-pool
     /// fast path: boot + warm once, snapshot, then run thousands of trials
     /// without paying the boot cost again. The report is byte-identical to
-    /// [`Self::run_on`] against a machine in the snapshot's state.
+    /// [`Self::run_with`] on a machine in the snapshot's state.
     ///
     /// The snapshot must come from a machine built from
     /// [`ExplFrameConfig::machine`] (the fork inherits the snapshot's
@@ -162,8 +174,7 @@ impl ExplFrame {
     ///
     /// See [`Self::run`].
     pub fn run_snapshot(&self, snapshot: &MachineSnapshot) -> Result<AttackReport, AttackError> {
-        let mut machine = snapshot.fork();
-        self.run_on(&mut machine)
+        self.run_with(&mut snapshot.fork(), RunOptions::default())
     }
 
     /// [`run_snapshot`](Self::run_snapshot) with the templating sweep
@@ -180,26 +191,14 @@ impl ExplFrame {
         snapshot: &MachineSnapshot,
         memo: &mut TemplateMemo,
     ) -> Result<AttackReport, AttackError> {
-        let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.drive(&mut machine, &mut observer, false, Some((snapshot, memo)))
-    }
-
-    /// [`run_adaptive_snapshot`](Self::run_adaptive_snapshot) through a
-    /// [`TemplateMemo`] (see [`Self::run_snapshot_memo`]); an escalating
-    /// run memoizes both sweeps.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_adaptive_snapshot_memo(
-        &self,
-        snapshot: &MachineSnapshot,
-        memo: &mut TemplateMemo,
-    ) -> Result<AttackReport, AttackError> {
-        let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.drive(&mut machine, &mut observer, true, Some((snapshot, memo)))
+        let memo = Some((snapshot, memo));
+        self.run_with(
+            &mut snapshot.fork(),
+            RunOptions {
+                memo,
+                ..RunOptions::default()
+            },
+        )
     }
 
     /// [`run_adaptive`](Self::run_adaptive) on a machine forked from
@@ -212,33 +211,11 @@ impl ExplFrame {
         &self,
         snapshot: &MachineSnapshot,
     ) -> Result<AttackReport, AttackError> {
-        let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.run_adaptive_on_traced(&mut machine, &mut observer)
-    }
-
-    /// [`run`](Self::run) with an [`Observer`] receiving every phase event
-    /// (observers never change the run's results).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_traced(&self, observer: &mut dyn Observer) -> Result<AttackReport, AttackError> {
-        let mut machine = SimMachine::new(self.config.machine.clone());
-        self.run_on_traced(&mut machine, observer)
-    }
-
-    /// [`run_on`](Self::run_on) with an [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_on_traced(
-        &self,
-        machine: &mut SimMachine,
-        observer: &mut dyn Observer,
-    ) -> Result<AttackReport, AttackError> {
-        self.drive(machine, observer, false, None)
+        let options = RunOptions {
+            adaptive: true,
+            ..RunOptions::default()
+        };
+        self.run_with(&mut snapshot.fork(), options)
     }
 
     /// The countermeasure-aware composition: like [`Self::run`], but when
@@ -256,53 +233,36 @@ impl ExplFrame {
     /// See [`Self::run`].
     pub fn run_adaptive(&self) -> Result<AttackReport, AttackError> {
         let mut machine = SimMachine::new(self.config.machine.clone());
-        let mut observer = NullObserver;
-        self.run_adaptive_on_traced(&mut machine, &mut observer)
+        let options = RunOptions {
+            adaptive: true,
+            ..RunOptions::default()
+        };
+        self.run_with(&mut machine, options)
     }
 
-    /// [`run_adaptive`](Self::run_adaptive) with an [`Observer`].
+    /// Runs the attack on `machine` — the one entry every other `run*`
+    /// method forwards to. `options` picks the driver (classic or
+    /// adaptive), an optional [`TemplateMemo`] and an optional
+    /// [`Observer`]; see [`RunOptions`].
     ///
     /// # Errors
     ///
     /// See [`Self::run`].
-    pub fn run_adaptive_traced(
-        &self,
-        observer: &mut dyn Observer,
-    ) -> Result<AttackReport, AttackError> {
-        let mut machine = SimMachine::new(self.config.machine.clone());
-        self.run_adaptive_on_traced(&mut machine, observer)
-    }
-
-    /// [`run_adaptive`](Self::run_adaptive) on an existing machine, with an
-    /// [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_adaptive_on_traced(
+    pub fn run_with(
         &self,
         machine: &mut SimMachine,
-        observer: &mut dyn Observer,
+        options: RunOptions<'_>,
     ) -> Result<AttackReport, AttackError> {
-        self.drive(machine, observer, true, None)
-    }
-
-    /// The shared five-phase loop; `adaptive` enables the templating
-    /// escalation, `memo` routes the sweep(s) through a [`TemplateMemo`]
-    /// keyed on the snapshot the machine was forked from. Building the
-    /// pipeline does not touch the machine and templating is the first
-    /// phase, so the fork source *is* the pre-sweep state — keying on it
-    /// lets memo hits compare against the caller's capture by shared
-    /// structure instead of re-snapshotting every trial.
-    fn drive(
-        &self,
-        machine: &mut SimMachine,
-        observer: &mut dyn Observer,
-        adaptive: bool,
-        memo: Option<(&MachineSnapshot, &mut TemplateMemo)>,
-    ) -> Result<AttackReport, AttackError> {
+        let RunOptions {
+            adaptive,
+            memo,
+            observer,
+        } = options;
         let cfg = &self.config;
-        let mut pipe = Pipeline::new(machine, cfg.clone()).with_observer(observer);
+        let mut pipe = Pipeline::new(machine, cfg.clone());
+        if let Some(observer) = observer {
+            pipe = pipe.with_observer(observer);
+        }
 
         if cfg.probe_mapping {
             pipe.probe_mapping()?;
@@ -324,13 +284,17 @@ impl ExplFrame {
         let escalate_to = crate::HammerStrategy::ManySided {
             rows: escalate_rows,
         };
-        let pool = match (adaptive, memo) {
-            // The probe mutates the machine, so the fork-source snapshot no
-            // longer matches — key the memo on a fresh capture instead.
-            (true, Some((_, memo))) if cfg.probe_mapping => {
-                pipe.template_adaptive_memo(escalate_to, memo)?
+        // The probe mutates the machine, so the fork-source snapshot no
+        // longer matches — key the memo on a fresh capture instead.
+        let probed;
+        let memo = match memo {
+            Some((_, memo)) if cfg.probe_mapping => {
+                probed = pipe.split().0.snapshot();
+                Some((&probed, memo))
             }
-            (false, Some((_, memo))) if cfg.probe_mapping => pipe.template_memo(memo)?,
+            memo => memo,
+        };
+        let pool = match (adaptive, memo) {
             (true, Some((pre, memo))) => pipe.template_adaptive_memo_at(pre, escalate_to, memo)?,
             (true, None) => pipe.template_adaptive(escalate_to)?,
             (false, Some((pre, memo))) => pipe.template_memo_at(pre, memo)?,

@@ -81,6 +81,7 @@ pub fn run_spray_baseline(
     // Allocator churn between release and the victim's arrival.
     {
         let (machine, rng) = pipe.split();
+        AttackError::check_cpu(machine, config.victim_cpu)?;
         let mut noise = NoiseProcess::spawn(machine, config.victim_cpu);
         for _ in 0..noise_bursts {
             noise.burst(machine, rng, 64)?;

@@ -32,6 +32,29 @@ pub enum AttackError {
     },
     /// The analysis completed but produced no key.
     AnalysisFailed,
+    /// The configuration names a CPU the machine does not have.
+    NoSuchCpu {
+        /// The configured CPU.
+        cpu: memsim::CpuId,
+        /// CPUs the machine has.
+        cpus: u32,
+    },
+}
+
+impl AttackError {
+    /// `Ok` if `machine` has `cpu`, so a phase can spawn on it
+    /// (`SimMachine::spawn` panics on a CPU out of range).
+    pub(crate) fn check_cpu(
+        machine: &machine::SimMachine,
+        cpu: memsim::CpuId,
+    ) -> Result<(), AttackError> {
+        let cpus = machine.cpu_count();
+        if cpu.0 < cpus {
+            Ok(())
+        } else {
+            Err(AttackError::NoSuchCpu { cpu, cpus })
+        }
+    }
 }
 
 impl fmt::Display for AttackError {
@@ -63,6 +86,12 @@ impl fmt::Display for AttackError {
                 )
             }
             AttackError::AnalysisFailed => write!(f, "fault analysis produced no key"),
+            AttackError::NoSuchCpu { cpu, cpus } => {
+                write!(
+                    f,
+                    "configured {cpu} does not exist (machine has {cpus} CPUs)"
+                )
+            }
         }
     }
 }

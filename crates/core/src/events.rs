@@ -1,9 +1,10 @@
 //! Structured phase events and pluggable observers.
 //!
 //! Every phase of the attack [`Pipeline`](crate::Pipeline) reports what it
-//! did as a [`PhaseEvent`] to the pipeline's [`Observer`]. Observers are
-//! pure listeners: they never touch the machine or the attacker RNG, so
-//! attaching one cannot change a run's results. The built-in
+//! did as a [`PhaseEvent`], and what each call cost as a [`PhaseCost`], to
+//! the pipeline's [`Observer`]. Observers are pure listeners: they never
+//! touch the machine or the attacker RNG, so attaching one cannot change a
+//! run's results. The built-in
 //! [`TraceCollector`] records the event stream and serializes it via
 //! [`campaign::Json`] into the shared `results/trace.json` through a
 //! [`campaign::TraceSink`].
@@ -23,6 +24,11 @@ use crate::phase::CollectOutcome;
 pub trait Observer {
     /// Called once per emitted event, in emission order.
     fn on_event(&mut self, event: &PhaseEvent);
+
+    /// Called once per phase call with what it cost, after the phase ran.
+    /// `phase` is the [`Phase::name`](crate::Phase::name). The default
+    /// ignores it; [`PhaseLedger`](crate::PhaseLedger) sums it.
+    fn on_phase(&mut self, _phase: &'static str, _cost: &PhaseCost) {}
 }
 
 /// An [`Observer`] that discards every event (the default).
@@ -31,6 +37,45 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     fn on_event(&mut self, _event: &PhaseEvent) {}
+}
+
+/// What phase calls cost. The pipeline reports each call's cost
+/// (`calls == 1`) through [`Observer::on_phase`];
+/// [`PhaseLedger`](crate::PhaseLedger) sums them per phase.
+///
+/// Only `host_ns` is host time; every other field is a deterministic
+/// function of the configuration and seed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseCost {
+    /// Phase calls.
+    pub calls: u64,
+    /// Calls a template memo served by replaying a cached sweep. The
+    /// simulated fields are then the replayed sweep's: the machine jumps
+    /// to the state the sweep left.
+    pub memo_hits: u64,
+    /// Host wall-clock nanoseconds.
+    pub host_ns: u64,
+    /// Simulated nanoseconds the machine clock advanced.
+    pub sim_ns: u64,
+    /// Machine reads issued (`MachineStats::reads`).
+    pub reads: u64,
+    /// Machine writes issued.
+    pub writes: u64,
+    /// Aggressor pairs hammered.
+    pub hammer_pairs: u64,
+}
+
+impl PhaseCost {
+    /// Adds `other` field by field.
+    pub(crate) fn add(&mut self, other: &PhaseCost) {
+        self.calls += other.calls;
+        self.memo_hits += other.memo_hits;
+        self.host_ns = self.host_ns.saturating_add(other.host_ns);
+        self.sim_ns += other.sim_ns;
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.hammer_pairs += other.hammer_pairs;
+    }
 }
 
 /// One structured record of something a pipeline phase did.
@@ -263,11 +308,17 @@ fn opt_u64(value: Option<u64>) -> Json {
 /// # Examples
 ///
 /// ```no_run
-/// use explframe_core::{ExplFrame, ExplFrameConfig, TraceCollector};
+/// use explframe_core::{ExplFrame, ExplFrameConfig, RunOptions, TraceCollector};
+/// use machine::SimMachine;
 ///
+/// let config = ExplFrameConfig::small_demo(1);
+/// let mut machine = SimMachine::new(config.machine.clone());
 /// let mut trace = TraceCollector::new();
-/// let report = ExplFrame::new(ExplFrameConfig::small_demo(1))
-///     .run_traced(&mut trace)?;
+/// let options = RunOptions {
+///     observer: Some(&mut trace),
+///     ..RunOptions::default()
+/// };
+/// let report = ExplFrame::new(config).run_with(&mut machine, options)?;
 /// trace.to_sink("demo").write(); // merges into results/trace.json
 /// # let _ = report;
 /// # Ok::<(), explframe_core::AttackError>(())

@@ -26,11 +26,13 @@
 //!    `fault` crate until the key is out.
 //!
 //! [`Pipeline`] composes phases in any order over one machine, RNG, and
-//! [`Observer`] (which receives structured [`PhaseEvent`]s — collect them
-//! with [`TraceCollector`] and persist via `campaign`'s `TraceSink` into
-//! `results/trace.json`). [`ExplFrame`] is the standard five-phase
-//! composition; [`run_spray_baseline`] shares the templating phase and
-//! models the untargeted prior-work comparison.
+//! [`Observer`]. The observer receives structured [`PhaseEvent`]s —
+//! collect them with [`TraceCollector`] and persist via `campaign`'s
+//! `TraceSink` into `results/trace.json` — and each phase call's
+//! [`PhaseCost`], which a [`PhaseLedger`] sums per phase. [`ExplFrame`] is
+//! the standard five-phase composition, started through
+//! [`ExplFrame::run_with`]; [`run_spray_baseline`] shares the templating
+//! phase and models the untargeted prior-work comparison.
 //!
 //! # Examples
 //!
@@ -60,6 +62,7 @@ mod baseline;
 mod config;
 mod error;
 mod events;
+mod ledger;
 mod memsource;
 mod noise;
 mod phase;
@@ -68,11 +71,12 @@ mod ptflip;
 mod template;
 mod victim;
 
-pub use attack::{AttackOutcome, AttackReport, ExplFrame};
+pub use attack::{AttackOutcome, AttackReport, ExplFrame, RunOptions};
 pub use baseline::{run_spray_baseline, SprayReport};
 pub use config::{ExplFrameConfig, HammerStrategy, VictimCipherKind};
 pub use error::AttackError;
-pub use events::{NullObserver, Observer, PhaseEvent, TraceCollector};
+pub use events::{NullObserver, Observer, PhaseCost, PhaseEvent, TraceCollector};
+pub use ledger::PhaseLedger;
 pub use memsource::MachineTableSource;
 pub use noise::NoiseProcess;
 pub use phase::{

@@ -353,6 +353,7 @@ impl Phase for MappingProbePhase {
         ];
         let span = deltas.iter().max().expect("non-empty probe set") + PAGE_SIZE;
         let pages = span / PAGE_SIZE + 1;
+        AttackError::check_cpu(ctx.machine, ctx.config.attacker_cpu)?;
         let prober = ctx.machine.spawn(ctx.config.attacker_cpu);
         let base = ctx.machine.mmap(prober, pages)?;
         ctx.machine.fill(prober, base, pages * PAGE_SIZE, 0)?;
@@ -475,6 +476,7 @@ impl Phase for TemplatePhase {
         ctx.emit(PhaseEvent::TemplateStarted {
             pages: cfg.template_pages,
         });
+        AttackError::check_cpu(ctx.machine, cfg.attacker_cpu)?;
         let attacker = ctx.machine.spawn(cfg.attacker_cpu);
         let buffer = ctx.machine.mmap(attacker, cfg.template_pages)?;
         let scan = template_scan_with(
@@ -593,6 +595,7 @@ impl Phase for SteerPhase {
         ctx: &mut PhaseCtx<'_>,
         (released, kind): (ReleasedFrame, VictimCipherKind),
     ) -> Result<SteeredVictim, AttackError> {
+        AttackError::check_cpu(ctx.machine, ctx.config.victim_cpu)?;
         ctx.counters.fault_rounds += 1;
         let victim =
             VictimCipherService::start(ctx.machine, ctx.config.victim_cpu, kind, ctx.keys)?;

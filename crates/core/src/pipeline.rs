@@ -14,15 +14,17 @@
 //!   victims running *different* ciphers on the same machine
 //!   (`exp_t8_mixed_victims`).
 
+use std::time::Instant;
+
 use dram::Nanos;
-use machine::{MachineSnapshot, SimMachine};
+use machine::{MachineSnapshot, MachineStats, SimMachine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::attack::{AttackOutcome, AttackReport};
 use crate::config::{ExplFrameConfig, HammerStrategy, VictimCipherKind};
 use crate::error::AttackError;
-use crate::events::{NullObserver, Observer, PhaseEvent};
+use crate::events::{NullObserver, Observer, PhaseCost, PhaseEvent};
 use crate::phase::{
     pick_template, AnalyzePhase, CollectPhase, Counters, FaultedCiphertexts, HammerPhase,
     MappingProbePhase, Phase, PhaseCtx, RecoveredKey, RecoveredMapping, ReleasePhase,
@@ -134,13 +136,9 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     /// Runs one phase against this pipeline's context.
     ///
     /// This is the single choke point every phase passes through, so it is
-    /// also where the run attributes host wall-clock, machine reads, writes
-    /// and hammer pairs, and simulated time to the phase's `perf` keys. With
-    /// the registry disabled (the default) both hooks reduce to one relaxed
-    /// atomic load; perf can never feed back into the simulation.
+    /// also where the observer learns each call's [`PhaseCost`]. Without an
+    /// observer neither the host clock nor the machine's counters are read.
     fn phase<P: Phase>(&mut self, phase: &mut P, input: P::In) -> Result<P::Out, AttackError> {
-        let perf_keys = phase_keys(phase.name());
-        let _timer = perf::scope(perf_keys.scope);
         let Pipeline {
             config,
             machine,
@@ -151,7 +149,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             counters,
             ..
         } = self;
-        let before = perf::is_enabled().then(|| (machine.stats(), machine.now()));
+        let start = observer.is_some().then(|| CostStart::read(machine));
         let observer: &mut dyn Observer = match observer {
             Some(o) => &mut **o,
             None => null,
@@ -165,18 +163,9 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             keys: *keys,
         };
         let out = phase.run(&mut ctx, input);
-        if let Some((stats, sim)) = before {
-            let now = ctx.machine.stats();
-            perf::count(perf_keys.reads, now.reads.saturating_sub(stats.reads));
-            perf::count(perf_keys.writes, now.writes.saturating_sub(stats.writes));
-            perf::count(
-                perf_keys.hammer_pairs,
-                now.hammer_pairs.saturating_sub(stats.hammer_pairs),
-            );
-            // Simulated nanoseconds attributed to the phase — with the
-            // timing engine on, this is command-clock time, the per-phase
-            // trajectory the timing campaign records.
-            perf::count(perf_keys.sim_ns, ctx.machine.now().saturating_sub(sim));
+        if let Some(start) = start {
+            ctx.observer
+                .on_phase(phase.name(), &start.cost(ctx.machine));
         }
         out
     }
@@ -225,22 +214,13 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     /// counters, the emitted events and every subsequent phase are
     /// byte-identical to the uncached pipeline.
     ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Machine`] for substrate failures.
-    pub fn template_memo(&mut self, memo: &mut TemplateMemo) -> Result<TemplatePool, AttackError> {
-        let pre = self.machine.snapshot();
-        self.template_memo_at(&pre, memo)
-    }
-
-    /// [`template_memo`](Self::template_memo) keyed on a caller-provided
-    /// snapshot of the machine's *current* state, instead of taking a fresh
-    /// one. On the warm-pool path every trial forks from one shared
-    /// snapshot and templates immediately, so the caller already holds the
-    /// exact pre-sweep state — passing it in skips the per-trial snapshot,
-    /// and, because the memo stores a clone of the same capture, the hit
-    /// comparison short-circuits on shared structure instead of walking
-    /// DRAM chunks and cache sets.
+    /// The memo is keyed on `pre`, a caller-provided snapshot of the
+    /// machine's *current* state. On the warm-pool path every trial forks
+    /// from one shared snapshot and templates immediately, so the caller
+    /// already holds the exact pre-sweep state — passing it in skips the
+    /// per-trial snapshot, and, because the memo stores a clone of the same
+    /// capture, the hit comparison short-circuits on shared structure
+    /// instead of walking DRAM chunks and cache sets.
     ///
     /// `pre` must equal the machine's current state byte-for-byte (checked
     /// under `debug_assertions`); a mismatched snapshot would replay a
@@ -259,10 +239,12 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             "caller snapshot must match the machine state at template time"
         );
         if let Some((post, pool)) = memo.lookup(&self.config, self.strategy, pre) {
-            // Only the hit is timed here: a miss runs `template()`, whose
-            // phase choke point opens the `phase.template` scope itself.
-            let _timer = perf::scope("phase.template");
-            perf::count("phase.template.memo_hits", 1);
+            // Only the hit reports its cost here: a miss runs `template()`,
+            // whose phase choke point reports it.
+            let start = self
+                .observer
+                .is_some()
+                .then(|| CostStart::read(self.machine));
             let pool = pool.clone();
             self.machine.restore(post);
             self.counters.templates_found = pool.scan.templates.len();
@@ -275,6 +257,16 @@ impl<'m, 'o> Pipeline<'m, 'o> {
                 hammer_failures: pool.scan.hammer_failures,
                 elapsed: pool.scan.elapsed,
             });
+            if let (Some(start), Some(observer)) = (start, &mut self.observer) {
+                let cost = start.cost(self.machine);
+                observer.on_phase(
+                    "template",
+                    &PhaseCost {
+                        memo_hits: 1,
+                        ..cost
+                    },
+                );
+            }
             return Ok(pool);
         }
         let strategy = self.strategy;
@@ -290,28 +282,12 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 
     /// [`template_adaptive`](Self::template_adaptive) through a
-    /// [`TemplateMemo`]: each of the (up to two) sweeps is memoized
-    /// individually, so an escalating run caches two entries and replays
-    /// both on later trials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Machine`] for substrate failures.
-    pub fn template_adaptive_memo(
-        &mut self,
-        escalate_to: HammerStrategy,
-        memo: &mut TemplateMemo,
-    ) -> Result<TemplatePool, AttackError> {
-        let pre = self.machine.snapshot();
-        self.template_adaptive_memo_at(&pre, escalate_to, memo)
-    }
-
-    /// [`template_adaptive_memo`](Self::template_adaptive_memo) keyed on a
-    /// caller-provided pre-sweep snapshot (see
-    /// [`template_memo_at`](Self::template_memo_at)). Only the first sweep
-    /// uses `pre`; an escalated re-sweep starts from the post-sweep machine
-    /// state, which the caller cannot hold, so it is re-keyed on a fresh
-    /// snapshot.
+    /// [`TemplateMemo`] (see [`template_memo_at`](Self::template_memo_at)):
+    /// each of the (up to two) sweeps is memoized individually, so an
+    /// escalating run caches two entries and replays both on later trials.
+    /// Only the first sweep uses `pre`; an escalated re-sweep starts from
+    /// the post-sweep machine state, which the caller cannot hold, so it is
+    /// keyed on a fresh snapshot.
     ///
     /// # Errors
     ///
@@ -327,7 +303,8 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             return Ok(pool);
         }
         self.escalate(escalate_to);
-        self.template_memo(memo)
+        let post = self.machine.snapshot();
+        self.template_memo_at(&post, memo)
     }
 
     /// Adaptive templating: sweep with the current strategy; if the sweep
@@ -501,6 +478,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         &mut self,
         kind: VictimCipherKind,
     ) -> Result<VictimCipherService, AttackError> {
+        AttackError::check_cpu(self.machine, self.config.victim_cpu)?;
         VictimCipherService::start(self.machine, self.config.victim_cpu, kind, self.keys)
             .map_err(AttackError::from)
     }
@@ -631,44 +609,35 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 }
 
-/// A phase's static `perf` registry keys — the registry keys by
-/// `&'static str`, so the `"phase."` namespace prefix has to be baked in at
-/// compile time.
-struct PhaseKeys {
-    /// The wall-clock scope, e.g. `phase.collect`.
-    scope: &'static str,
-    /// Machine reads (`MachineStats::reads`) during the phase.
-    reads: &'static str,
-    /// Machine writes during the phase.
-    writes: &'static str,
-    /// Hammer pairs during the phase.
-    hammer_pairs: &'static str,
-    /// Simulated nanoseconds the phase consumed.
-    sim_ns: &'static str,
+/// Host clock, machine counters and simulated clock at the start of a
+/// phase call: read only when an observer is attached.
+struct CostStart {
+    host: Instant,
+    stats: MachineStats,
+    sim: Nanos,
 }
 
-/// Maps a phase's dynamic name onto its [`PhaseKeys`].
-fn phase_keys(name: &str) -> PhaseKeys {
-    macro_rules! keys {
-        ($scope:literal) => {
-            PhaseKeys {
-                scope: $scope,
-                reads: concat!($scope, ".reads"),
-                writes: concat!($scope, ".writes"),
-                hammer_pairs: concat!($scope, ".hammer_pairs"),
-                sim_ns: concat!($scope, ".sim_ns"),
-            }
-        };
+impl CostStart {
+    fn read(machine: &SimMachine) -> Self {
+        CostStart {
+            host: Instant::now(),
+            stats: machine.stats(),
+            sim: machine.now(),
+        }
     }
-    match name {
-        "mapping-probe" => keys!("phase.mapping_probe"),
-        "template" => keys!("phase.template"),
-        "release" => keys!("phase.release"),
-        "steer" => keys!("phase.steer"),
-        "hammer" => keys!("phase.hammer"),
-        "collect" => keys!("phase.collect"),
-        "analyze" => keys!("phase.analyze"),
-        _ => keys!("phase.other"),
+
+    /// One call's cost, from the start until now.
+    fn cost(&self, machine: &SimMachine) -> PhaseCost {
+        let now = machine.stats();
+        PhaseCost {
+            calls: 1,
+            memo_hits: 0,
+            host_ns: u64::try_from(self.host.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            sim_ns: machine.now().saturating_sub(self.sim),
+            reads: now.reads.saturating_sub(self.stats.reads),
+            writes: now.writes.saturating_sub(self.stats.writes),
+            hammer_pairs: now.hammer_pairs.saturating_sub(self.stats.hammer_pairs),
+        }
     }
 }
 
@@ -686,7 +655,8 @@ impl std::fmt::Debug for Pipeline<'_, '_> {
 mod tests {
     use super::*;
     use crate::events::TraceCollector;
-    use crate::ExplFrame;
+    use crate::{run_spray_baseline, ExplFrame, RunOptions};
+    use memsim::CpuId;
 
     fn config(seed: u64) -> ExplFrameConfig {
         ExplFrameConfig::small_demo(seed).with_template_pages(512)
@@ -733,8 +703,13 @@ mod tests {
     fn observer_does_not_change_the_report() {
         let untraced = ExplFrame::new(config(5)).run().expect("untraced");
         let mut trace = TraceCollector::new();
+        let mut machine = SimMachine::new(config(5).machine);
+        let options = RunOptions {
+            observer: Some(&mut trace),
+            ..RunOptions::default()
+        };
         let traced = ExplFrame::new(config(5))
-            .run_traced(&mut trace)
+            .run_with(&mut machine, options)
             .expect("traced");
         assert_eq!(untraced, traced, "attaching an observer changed the run");
         assert!(!trace.is_empty(), "trace recorded nothing");
@@ -745,46 +720,40 @@ mod tests {
     }
 
     #[test]
-    fn phases_record_perf_time_and_ops_when_enabled() {
-        // Instrumented run: identical report, populated registry. Other
-        // tests in this binary may run concurrently and also record into
-        // the process-global registry, so assert presence, not totals.
-        let baseline = ExplFrame::new(config(7)).run().expect("baseline");
-        perf::enable();
-        perf::reset();
-        let instrumented = ExplFrame::new(config(7)).run().expect("instrumented");
-        let stats: std::collections::BTreeMap<_, _> = perf::snapshot().into_iter().collect();
-        perf::disable();
+    fn a_cpu_the_machine_lacks_is_an_error_not_a_panic() {
+        let cpus = config(1).machine.mem.cpus;
+        let bad = CpuId(99);
+        let attacker = config(1).with_attacker_cpu(bad);
+        let victim = config(1).with_victim_cpu(bad);
+        let no_such_cpu = |result: Result<(), AttackError>| match result {
+            Err(AttackError::NoSuchCpu { cpu, cpus: n }) => cpu == bad && n == cpus,
+            _ => false,
+        };
 
-        assert_eq!(
-            instrumented, baseline,
-            "perf instrumentation changed the run"
-        );
-        for key in [
-            "phase.template",
-            "phase.release",
-            "phase.steer",
-            "phase.hammer",
-            "phase.collect",
-            "phase.analyze",
-        ] {
-            let s = stats.get(key).unwrap_or_else(|| panic!("{key} missing"));
-            assert!(s.calls > 0, "{key} recorded no scope entries");
+        for cfg in [attacker.clone(), victim.clone()] {
+            let mut machine = SimMachine::new(cfg.machine.clone());
+            let result = ExplFrame::new(cfg).run_with(&mut machine, RunOptions::default());
+            assert!(no_such_cpu(result.map(drop)));
         }
-        // Each machine op family has its own counter: collect reads the
-        // victim's tables through the machine, hammer only hammers.
-        assert!(
-            stats["phase.collect.reads"].ops > 0,
-            "collect counted no reads"
-        );
-        assert!(
-            stats["phase.hammer.hammer_pairs"].ops > 0,
-            "hammer counted no pairs"
-        );
-        assert_eq!(
-            stats["phase.collect"].ops, 0,
-            "the scope key carries no op count"
-        );
+        let mut machine = SimMachine::new(victim.machine.clone());
+        assert!(no_such_cpu(
+            run_spray_baseline(&victim, &mut machine, 1).map(drop)
+        ));
+
+        // Hand-driven: probing and templating spawn the attacker, steering
+        // and a bare victim spawn the victim.
+        let mut machine = SimMachine::new(attacker.machine.clone());
+        let mut pipe = Pipeline::new(&mut machine, attacker);
+        assert!(no_such_cpu(pipe.probe_mapping().map(drop)));
+        assert!(no_such_cpu(pipe.template().map(drop)));
+        let mut machine = SimMachine::new(victim.machine.clone());
+        let mut pipe = Pipeline::new(&mut machine, victim.clone());
+        let pool = pipe.template().expect("the attacker CPU exists");
+        let template = pipe.select(&pool, victim.victim).remove(0);
+        let released = pipe.release(&pool, template).expect("release");
+        assert!(no_such_cpu(pipe.steer(&released).map(drop)));
+        assert!(no_such_cpu(pipe.spawn_victim(victim.victim).map(drop)));
+        assert_eq!(pipe.counters().fault_rounds, 0, "no round was started");
     }
 
     #[test]

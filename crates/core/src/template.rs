@@ -396,8 +396,9 @@ struct MemoEntry {
 /// runs are therefore byte-identical to uncached runs — asserted by the
 /// `memoized_template_runs_match_uncached` tests.
 ///
-/// Use via [`Pipeline::template_memo`](crate::Pipeline::template_memo) or
-/// [`ExplFrame::run_snapshot_memo`](crate::ExplFrame::run_snapshot_memo).
+/// Use via [`RunOptions::memo`](crate::RunOptions::memo),
+/// [`ExplFrame::run_snapshot_memo`](crate::ExplFrame::run_snapshot_memo) or
+/// [`Pipeline::template_memo_at`](crate::Pipeline::template_memo_at).
 ///
 /// # Examples
 ///

@@ -9,7 +9,11 @@
 //! artifacts fail loudly.
 
 use campaign::{trace_path, Json};
-use explframe_core::{ExplFrame, ExplFrameConfig, TraceCollector};
+use explframe_core::{
+    AttackReport, ExplFrame, ExplFrameConfig, Observer, PhaseCost, PhaseEvent, PhaseLedger,
+    RunOptions, TraceCollector,
+};
+use machine::SimMachine;
 
 /// Coarse pipeline rank of each event kind (first occurrences must be
 /// nondecreasing in this order).
@@ -138,11 +142,23 @@ fn record_events(context: &str, record: &Json) -> Vec<Json> {
     events.clone()
 }
 
+/// Runs the demo attack at `seed` with `observer` attached.
+fn observed_run(seed: u64, observer: &mut dyn Observer) -> AttackReport {
+    let cfg = ExplFrameConfig::small_demo(seed).with_template_pages(512);
+    let mut machine = SimMachine::new(cfg.machine.clone());
+    let options = RunOptions {
+        observer: Some(observer),
+        ..RunOptions::default()
+    };
+    ExplFrame::new(cfg)
+        .run_with(&mut machine, options)
+        .expect("run")
+}
+
 #[test]
 fn fresh_trace_survives_serialization_and_keeps_its_invariants() {
-    let cfg = ExplFrameConfig::small_demo(3).with_template_pages(512);
     let mut trace = TraceCollector::new();
-    let report = ExplFrame::new(cfg).run_traced(&mut trace).expect("run");
+    let report = observed_run(3, &mut trace);
     assert!(!trace.is_empty());
 
     // Serialize exactly as TraceSink persists it, then re-parse through
@@ -174,6 +190,35 @@ fn fresh_trace_survives_serialization_and_keeps_its_invariants() {
         last.get("fault_rounds").and_then(Json::as_u64),
         Some(u64::from(report.fault_rounds))
     );
+}
+
+#[test]
+fn ledger_next_to_the_collector_leaves_the_trace_unchanged() {
+    let mut alone = TraceCollector::new();
+    let report = observed_run(3, &mut alone);
+    /// A collector and a ledger side by side.
+    #[derive(Default)]
+    struct Both {
+        trace: TraceCollector,
+        ledger: PhaseLedger,
+    }
+    impl Observer for Both {
+        fn on_event(&mut self, event: &PhaseEvent) {
+            self.trace.on_event(event);
+            self.ledger.on_event(event);
+        }
+        fn on_phase(&mut self, phase: &'static str, cost: &PhaseCost) {
+            self.trace.on_phase(phase, cost);
+            self.ledger.on_phase(phase, cost);
+        }
+    }
+    let mut both = Both::default();
+    let beside = observed_run(3, &mut both);
+    let Both { trace, ledger } = both;
+    assert_eq!(beside, report, "the ledger changed the report");
+    assert_eq!(trace, alone, "the ledger changed the trace");
+    assert_eq!(trace.to_json(), alone.to_json());
+    assert!(ledger.get("template").is_some(), "the ledger saw no phase");
 }
 
 #[test]

@@ -1,41 +1,10 @@
-//! Zero-dependency performance instrumentation for the trial hot path.
+//! Hot-path building blocks for the simulator: a deterministic,
+//! allocation-free hasher ([`hash`]) for the substrate's integer-keyed
+//! maps.
 //!
-//! The attack pipeline runs its kernels millions of times per campaign, so
-//! the instrumentation itself must cost nothing when idle and almost
-//! nothing when active. This crate provides exactly two primitives:
-//!
-//! * [`PerfScope`] — an RAII wall-clock timer attributing elapsed time to a
-//!   named key (one per pipeline phase, or per kernel);
-//! * op counters ([`count`]) — monotonic per-key tallies of how much work a
-//!   phase performed (rows hammered, ciphertexts collected, …).
-//!
-//! Both funnel into a process-global [`PerfRegistry`]. The registry is
-//! **disabled by default**: every entry point first checks one relaxed
-//! atomic load and returns without reading the clock or taking a lock, so
-//! golden-byte determinism tests and default campaign timings are
-//! untouched. Enable it explicitly with [`enable`] or by exporting
-//! `EXPLFRAME_PERF=1` before the first instrumentation call.
-//!
-//! Wall-clock time is *host* time, never simulated time: the registry
-//! observes the simulator, it must not feed back into it. Nothing in this
-//! crate consumes randomness or advances simulated clocks, so enabling it
-//! cannot change any deterministic artifact.
-//!
-//! # Examples
-//!
-//! ```
-//! perf::enable();
-//! perf::reset();
-//! {
-//!     let _timer = perf::scope("hammer");
-//!     perf::count("hammer", 128); // e.g. rows hammered
-//! }
-//! let stats = perf::snapshot();
-//! assert_eq!(stats[0].0, "hammer");
-//! assert_eq!(stats[0].1.ops, 128);
-//! assert_eq!(stats[0].1.calls, 1);
-//! perf::disable();
-//! ```
+//! Phase cost is not measured here: each pipeline phase reports its
+//! `PhaseCost` to the pipeline's observer, and `explframe-core`'s
+//! `PhaseLedger` sums it per run. Nothing in this crate is process-global.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,214 +13,7 @@ pub mod hash;
 
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
-
-/// Aggregate counters for one key: wall-clock, op count, scope entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Total wall-clock nanoseconds spent inside scopes for this key.
-    pub wall_ns: u64,
-    /// Monotonic op counter (whatever unit the call site chose).
-    pub ops: u64,
-    /// Number of [`PerfScope`]s that completed under this key.
-    pub calls: u64,
-}
-
-impl PhaseStats {
-    /// Wall-clock time in seconds.
-    pub fn wall_secs(&self) -> f64 {
-        self.wall_ns as f64 / 1e9
-    }
-}
-
-/// The process-global registry behind [`scope`]/[`count`]/[`snapshot`].
-///
-/// All state is keyed by `&'static str` label in a sorted map, so
-/// [`snapshot`] returns entries in a stable, deterministic order.
-#[derive(Debug, Default)]
-pub struct PerfRegistry {
-    phases: Mutex<BTreeMap<&'static str, PhaseStats>>,
-}
-
-impl PerfRegistry {
-    fn add_wall(&self, key: &'static str, ns: u64) {
-        let mut phases = self.phases.lock().expect("perf registry poisoned");
-        let entry = phases.entry(key).or_default();
-        entry.wall_ns = entry.wall_ns.saturating_add(ns);
-        entry.calls += 1;
-    }
-
-    fn add_ops(&self, key: &'static str, n: u64) {
-        let mut phases = self.phases.lock().expect("perf registry poisoned");
-        phases.entry(key).or_default().ops += n;
-    }
-
-    fn snapshot(&self) -> Vec<(&'static str, PhaseStats)> {
-        let phases = self.phases.lock().expect("perf registry poisoned");
-        phases.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
-    fn reset(&self) {
-        self.phases.lock().expect("perf registry poisoned").clear();
-    }
-}
-
-/// Fast-path gate: one relaxed load decides whether any clock is read.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Lazily applies the `EXPLFRAME_PERF` environment variable exactly once.
-static ENV_INIT: OnceLock<()> = OnceLock::new();
-static REGISTRY: OnceLock<PerfRegistry> = OnceLock::new();
-
-/// Environment variable that enables the registry at startup (`1`/`true`).
-pub const PERF_ENV: &str = "EXPLFRAME_PERF";
-
-fn registry() -> &'static PerfRegistry {
-    REGISTRY.get_or_init(PerfRegistry::default)
-}
-
-fn env_init() {
-    ENV_INIT.get_or_init(|| {
-        if matches!(
-            std::env::var(PERF_ENV).as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        ) {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Turns instrumentation on for the whole process.
-pub fn enable() {
-    env_init();
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns instrumentation off; subsequent scopes and counts are no-ops.
-pub fn disable() {
-    env_init();
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether instrumentation is currently active.
-pub fn is_enabled() -> bool {
-    env_init();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Opens a scoped timer for `key`. When the registry is disabled this
-/// returns an inert scope without reading the clock.
-pub fn scope(key: &'static str) -> PerfScope {
-    PerfScope {
-        key,
-        start: is_enabled().then(Instant::now),
-    }
-}
-
-/// Adds `n` to `key`'s op counter (no-op while disabled).
-pub fn count(key: &'static str, n: u64) {
-    if is_enabled() {
-        registry().add_ops(key, n);
-    }
-}
-
-/// Returns every key's aggregate stats, sorted by key.
-pub fn snapshot() -> Vec<(&'static str, PhaseStats)> {
-    registry().snapshot()
-}
-
-/// Clears all recorded stats (the enabled flag is unaffected).
-pub fn reset() {
-    registry().reset();
-}
-
-/// RAII wall-clock timer: attributes its lifetime to a key on drop.
-///
-/// Construct via [`scope`]. An inert scope (registry disabled at
-/// construction) records nothing on drop even if the registry was enabled
-/// in between, so enable/disable races cannot attribute partial intervals.
-#[derive(Debug)]
-pub struct PerfScope {
-    key: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for PerfScope {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            registry().add_wall(self.key, ns);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The registry is process-global, so the tests in this crate share it;
-    // each test resets and re-enables around its own assertions. They run
-    // under one lock to stay independent of test-thread interleaving.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn disabled_scope_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        disable();
-        reset();
-        {
-            let _t = scope("idle");
-            count("idle", 5);
-        }
-        assert!(snapshot().is_empty(), "disabled registry must stay empty");
-    }
-
-    #[test]
-    fn enabled_scope_accumulates_wall_ops_and_calls() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        enable();
-        reset();
-        for _ in 0..3 {
-            let _t = scope("phase");
-            count("phase", 10);
-        }
-        let stats = snapshot();
-        disable();
-        assert_eq!(stats.len(), 1);
-        let (key, s) = stats[0];
-        assert_eq!(key, "phase");
-        assert_eq!(s.calls, 3);
-        assert_eq!(s.ops, 30);
-        // Wall-clock is host time: non-deterministic, but monotone counters
-        // guarantee it is recorded (3 scope entries each >= 0 ns).
-        assert!(s.wall_secs() >= 0.0);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_by_key() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        enable();
-        reset();
-        count("zeta", 1);
-        count("alpha", 1);
-        count("mid", 1);
-        let keys: Vec<_> = snapshot().into_iter().map(|(k, _)| k).collect();
-        disable();
-        assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn scope_opened_while_disabled_stays_inert_after_enable() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        disable();
-        reset();
-        let t = scope("race");
-        enable();
-        drop(t);
-        let empty = snapshot().is_empty();
-        disable();
-        assert!(empty, "an inert scope must not record after enable()");
-    }
-}
+/// Does nothing. It stands in for the process-global timing registry this
+/// crate used to hold, whose last caller is the `perfbench` benchmark; it
+/// goes when that caller does.
+pub fn disable() {}

@@ -8,7 +8,7 @@
 //! bytes out; different seed, different flip population.
 
 use explframe::attack::{
-    template_scan, AttackReport, ExplFrame, ExplFrameConfig, VictimCipherKind,
+    template_scan, AttackReport, ExplFrame, ExplFrameConfig, RunOptions, VictimCipherKind,
 };
 use explframe::dram::{DramConfig, EccMode, ParaParams, RfmParams, TrrParams};
 use explframe::machine::SimMachine;
@@ -166,11 +166,11 @@ fn snapshot_of_warm_machine_replays_attack_identically_after_mutation() {
     let snapshot = warm.snapshot();
 
     let reference = ExplFrame::new(cfg.clone())
-        .run_on(&mut snapshot.fork())
+        .run_with(&mut snapshot.fork(), RunOptions::default())
         .expect("reference run");
     // Divergence: the original machine keeps running a whole other attack.
     let _ = ExplFrame::new(cfg.clone())
-        .run_on(&mut warm)
+        .run_with(&mut warm, RunOptions::default())
         .expect("noise");
     let replay = ExplFrame::new(cfg)
         .run_snapshot(&snapshot)
