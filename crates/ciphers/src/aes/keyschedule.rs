@@ -42,17 +42,28 @@ impl AesKeySize {
     }
 }
 
-/// Expanded round keys: `rounds + 1` round keys of 16 bytes each.
+/// Round-key words of the largest key size (AES-256: 15 round keys).
+const MAX_WORDS: usize = 60;
+
+/// Expanded round keys: `rounds + 1` round keys of 16 bytes each, held
+/// inline as the FIPS-197 word schedule (no heap).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundKeys {
     size: AesKeySize,
-    words: Vec<u32>,
+    /// `w[0..4 * (rounds + 1)]`; the words past it stay zero.
+    words: [u32; MAX_WORDS],
 }
 
 impl RoundKeys {
     /// The key size these round keys were expanded from.
     pub fn size(&self) -> AesKeySize {
         self.size
+    }
+
+    /// The whole schedule `w[0..4 * (rounds + 1)]`: word `4r + c` is
+    /// column `c` of round key `r`, big-endian (row 0 in the top byte).
+    pub fn words(&self) -> &[u32] {
+        &self.words[..4 * (self.size.rounds() + 1)]
     }
 
     /// Round key `r` as 16 bytes (big-endian words, FIPS order).
@@ -112,14 +123,9 @@ pub fn expand_key(key: &[u8], size: AesKeySize) -> RoundKeys {
     );
     let nk = size.nk();
     let total_words = 4 * (size.rounds() + 1);
-    let mut words = Vec::with_capacity(total_words);
-    for i in 0..nk {
-        words.push(u32::from_be_bytes([
-            key[4 * i],
-            key[4 * i + 1],
-            key[4 * i + 2],
-            key[4 * i + 3],
-        ]));
+    let mut words = [0u32; MAX_WORDS];
+    for (w, k) in words.iter_mut().zip(key.chunks_exact(4)) {
+        *w = u32::from_be_bytes([k[0], k[1], k[2], k[3]]);
     }
     for i in nk..total_words {
         let mut temp = words[i - 1];
@@ -128,7 +134,7 @@ pub fn expand_key(key: &[u8], size: AesKeySize) -> RoundKeys {
         } else if nk > 6 && i % nk == 4 {
             temp = sub_word(temp);
         }
-        words.push(words[i - nk] ^ temp);
+        words[i] = words[i - nk] ^ temp;
     }
     RoundKeys { size, words }
 }
@@ -220,6 +226,25 @@ mod tests {
     #[should_panic(expected = "key length mismatch")]
     fn wrong_key_length_panics() {
         expand_key(&[0u8; 17], AesKeySize::Aes128);
+    }
+
+    #[test]
+    fn words_match_round_key_bytes() {
+        for (size, len) in [
+            (AesKeySize::Aes128, 16),
+            (AesKeySize::Aes192, 24),
+            (AesKeySize::Aes256, 32),
+        ] {
+            let key: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
+            let rk = expand_key(&key, size);
+            assert_eq!(rk.words().len(), 4 * (size.rounds() + 1));
+            for (r, bytes) in rk.iter().enumerate() {
+                for c in 0..4 {
+                    let word = u32::from_be_bytes(bytes[4 * c..4 * c + 4].try_into().unwrap());
+                    assert_eq!(rk.words()[4 * r + c], word);
+                }
+            }
+        }
     }
 
     #[test]

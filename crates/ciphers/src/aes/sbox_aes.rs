@@ -7,7 +7,6 @@
 //! last-round statistics reveal the key.
 
 use crate::aes::keyschedule::{expand_key, AesKeySize, RoundKeys};
-use crate::aes::sbox::gf_mul;
 use crate::source::TableSource;
 use crate::traits::BlockCipher;
 
@@ -61,37 +60,6 @@ impl<S: TableSource> SboxAes<S> {
     pub fn into_source(self) -> S {
         self.source
     }
-
-    fn sub_bytes(&mut self, b: &mut [u8; 16]) {
-        for x in b.iter_mut() {
-            *x = self.source.read_u8(*x as usize);
-        }
-    }
-}
-
-fn shift_rows(b: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [b[r], b[4 + r], b[8 + r], b[12 + r]];
-        for c in 0..4 {
-            b[4 * c + r] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn mix_columns(b: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [b[4 * c], b[4 * c + 1], b[4 * c + 2], b[4 * c + 3]];
-        b[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        b[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        b[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        b[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn add_round_key(b: &mut [u8; 16], rk: &[u8; 16]) {
-    for (x, k) in b.iter_mut().zip(rk.iter()) {
-        *x ^= k;
-    }
 }
 
 impl<S: TableSource> BlockCipher for SboxAes<S> {
@@ -101,18 +69,92 @@ impl<S: TableSource> BlockCipher for SboxAes<S> {
 
     fn encrypt_block(&mut self, block: &mut [u8]) {
         let block: &mut [u8; 16] = block.try_into().expect("AES blocks are 16 bytes");
-        let rounds = self.keys.size().rounds();
-        add_round_key(block, &self.keys.round_key(0));
-        for r in 1..rounds {
-            self.sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.keys.round_key(r));
-        }
-        self.sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.keys.round_key(rounds));
+        encrypt(&self.keys, &mut self.source, block);
     }
+}
+
+/// Encrypts `block` with round keys expanded once by the caller and the
+/// S-box read from `table` — the kernel behind [`SboxAes`], for callers
+/// that encrypt many blocks under one key with a fresh source each time.
+///
+/// The state is four big-endian column words. Every round reads the table
+/// once per state byte, in byte-index order (`block[0]` first), exactly one
+/// `read_u8` each: a source that charges each read (simulated memory) sees
+/// the same reads in the same order as a byte-wise AES.
+///
+/// # Examples
+///
+/// ```
+/// use ciphers::{expand_key, sbox_aes_encrypt, AesKeySize, RamTableSource, TableImage};
+/// let keys = expand_key(&[7u8; 16], AesKeySize::Aes128);
+/// let mut table = RamTableSource::new(TableImage::sbox().to_vec());
+/// let mut block = [0u8; 16];
+/// sbox_aes_encrypt(&keys, &mut table, &mut block);
+/// ```
+pub fn encrypt(keys: &RoundKeys, table: &mut impl TableSource, block: &mut [u8; 16]) {
+    let rounds = keys.size().rounds();
+    let mut round_keys = keys.words().chunks_exact(4);
+    let mut next_key = || round_keys.next().expect("rounds + 1 round keys");
+    let k = next_key();
+    let mut s = [0u32; 4];
+    for (c, col) in s.iter_mut().enumerate() {
+        let b = &block[4 * c..4 * c + 4];
+        *col = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) ^ k[c];
+    }
+    for _ in 1..rounds {
+        let sub = sub_bytes(table, &s);
+        let k = next_key();
+        for (c, col) in s.iter_mut().enumerate() {
+            *col = mix_column(shifted_column(&sub, c)) ^ k[c];
+        }
+    }
+    let sub = sub_bytes(table, &s);
+    let k = next_key();
+    for c in 0..4 {
+        let col = shifted_column(&sub, c) ^ k[c];
+        block[4 * c..4 * c + 4].copy_from_slice(&col.to_be_bytes());
+    }
+}
+
+/// The table bytes [`encrypt`] reads per block under a key of `size`: one
+/// `read_u8` per state byte per round.
+pub const fn byte_reads(size: AesKeySize) -> u64 {
+    16 * size.rounds() as u64
+}
+
+/// SubBytes through `table`, in state byte order (column by column, top
+/// row first).
+fn sub_bytes(table: &mut impl TableSource, s: &[u32; 4]) -> [u8; 16] {
+    let mut sub = [0u8; 16];
+    for (out, col) in sub.chunks_exact_mut(4).zip(s) {
+        for (o, b) in out.iter_mut().zip(col.to_be_bytes()) {
+            *o = table.read_u8(b as usize);
+        }
+    }
+    sub
+}
+
+/// Column `c` after ShiftRows, as a big-endian word: row `r` comes from
+/// column `c + r`.
+fn shifted_column(sub: &[u8; 16], c: usize) -> u32 {
+    u32::from_be_bytes([
+        sub[4 * c],
+        sub[4 * ((c + 1) % 4) + 1],
+        sub[4 * ((c + 2) % 4) + 2],
+        sub[4 * ((c + 3) % 4) + 3],
+    ])
+}
+
+/// Doubles each byte of `w` in GF(2^8).
+fn xtime(w: u32) -> u32 {
+    ((w & 0x7f7f_7f7f) << 1) ^ (((w >> 7) & 0x0101_0101) * 0x1b)
+}
+
+/// MixColumns on one big-endian column word: row `r` becomes
+/// `2·a[r] ^ 3·a[r+1] ^ a[r+2] ^ a[r+3]`.
+fn mix_column(w: u32) -> u32 {
+    let next = w.rotate_left(8);
+    xtime(w ^ next) ^ next ^ w.rotate_left(16) ^ w.rotate_left(24)
 }
 
 #[cfg(test)]

@@ -74,21 +74,6 @@ impl<S: TableSource> TTableAes<S> {
     pub fn into_source(self) -> S {
         self.source
     }
-
-    fn te(&mut self, table: usize, index: u32) -> u32 {
-        self.source
-            .read_u32(table * TE_TABLE_BYTES + (index as usize & 0xff) * 4)
-    }
-
-    fn round_key_word(&self, round: usize, col: usize) -> u32 {
-        let rk = self.keys.round_key(round);
-        u32::from_be_bytes([
-            rk[4 * col],
-            rk[4 * col + 1],
-            rk[4 * col + 2],
-            rk[4 * col + 3],
-        ])
-    }
 }
 
 impl<S: TableSource> BlockCipher for TTableAes<S> {
@@ -98,42 +83,70 @@ impl<S: TableSource> BlockCipher for TTableAes<S> {
 
     fn encrypt_block(&mut self, block: &mut [u8]) {
         let block: &mut [u8; 16] = block.try_into().expect("AES blocks are 16 bytes");
-        let rounds = self.keys.size().rounds();
-        let mut s = [0u32; 4];
-        for c in 0..4 {
-            s[c] = u32::from_be_bytes([
-                block[4 * c],
-                block[4 * c + 1],
-                block[4 * c + 2],
-                block[4 * c + 3],
-            ]) ^ self.round_key_word(0, c);
-        }
-
-        for r in 1..rounds {
-            let mut t = [0u32; 4];
-            for (c, slot) in t.iter_mut().enumerate() {
-                *slot = self.te(0, s[c] >> 24)
-                    ^ self.te(1, (s[(c + 1) % 4] >> 16) & 0xff)
-                    ^ self.te(2, (s[(c + 2) % 4] >> 8) & 0xff)
-                    ^ self.te(3, s[(c + 3) % 4] & 0xff)
-                    ^ self.round_key_word(r, c);
-            }
-            s = t;
-        }
-
-        // Final round: no MixColumns — extract the S[x] lanes with masks.
-        let mut out = [0u32; 4];
-        for (c, slot) in out.iter_mut().enumerate() {
-            *slot = (self.te(2, s[c] >> 24) & 0xff00_0000)
-                ^ (self.te(3, (s[(c + 1) % 4] >> 16) & 0xff) & 0x00ff_0000)
-                ^ (self.te(0, (s[(c + 2) % 4] >> 8) & 0xff) & 0x0000_ff00)
-                ^ (self.te(1, s[(c + 3) % 4] & 0xff) & 0x0000_00ff)
-                ^ self.round_key_word(rounds, c);
-        }
-        for c in 0..4 {
-            block[4 * c..4 * c + 4].copy_from_slice(&out[c].to_be_bytes());
-        }
+        encrypt(&self.keys, &mut self.source, block);
     }
+}
+
+/// Encrypts `block` with round keys expanded once by the caller and
+/// `Te0..Te3` read from `table` — the kernel behind [`TTableAes`], for
+/// callers that encrypt many blocks under one key with a fresh source each
+/// time.
+///
+/// Each round reads, column by column, `Te0`, `Te1`, `Te2`, `Te3` (the
+/// final round `Te2`, `Te3`, `Te0`, `Te1`), one `read_u32` each: a source
+/// that charges each read (simulated memory) sees the same reads in the
+/// same order on every encryption.
+///
+/// # Examples
+///
+/// ```
+/// use ciphers::{expand_key, ttable_aes_encrypt, AesKeySize, RamTableSource, TableImage};
+/// let keys = expand_key(&[1u8; 16], AesKeySize::Aes128);
+/// let mut table = RamTableSource::new(TableImage::te_tables());
+/// let mut block = *b"attack at dawn!!";
+/// ttable_aes_encrypt(&keys, &mut table, &mut block);
+/// ```
+pub fn encrypt(keys: &RoundKeys, table: &mut impl TableSource, block: &mut [u8; 16]) {
+    let rk = keys.words();
+    let rounds = keys.size().rounds();
+    let mut s = [0u32; 4];
+    for (c, col) in s.iter_mut().enumerate() {
+        let b = &block[4 * c..4 * c + 4];
+        *col = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) ^ rk[c];
+    }
+
+    for r in 1..rounds {
+        let mut t = [0u32; 4];
+        for (c, slot) in t.iter_mut().enumerate() {
+            *slot = te(table, 0, s[c] >> 24)
+                ^ te(table, 1, s[(c + 1) % 4] >> 16)
+                ^ te(table, 2, s[(c + 2) % 4] >> 8)
+                ^ te(table, 3, s[(c + 3) % 4])
+                ^ rk[4 * r + c];
+        }
+        s = t;
+    }
+
+    // Final round: no MixColumns — extract the S[x] lanes with masks.
+    for c in 0..4 {
+        let out = (te(table, 2, s[c] >> 24) & 0xff00_0000)
+            ^ (te(table, 3, s[(c + 1) % 4] >> 16) & 0x00ff_0000)
+            ^ (te(table, 0, s[(c + 2) % 4] >> 8) & 0x0000_ff00)
+            ^ (te(table, 1, s[(c + 3) % 4]) & 0x0000_00ff)
+            ^ rk[4 * rounds + c];
+        block[4 * c..4 * c + 4].copy_from_slice(&out.to_be_bytes());
+    }
+}
+
+/// The table bytes [`encrypt`] reads per block under a key of `size`: one
+/// four-byte `read_u32` per state byte per round.
+pub const fn byte_reads(size: AesKeySize) -> u64 {
+    4 * 16 * size.rounds() as u64
+}
+
+/// Entry `index & 0xff` of `Te{t}`.
+fn te(table: &mut impl TableSource, t: usize, index: u32) -> u32 {
+    table.read_u32(t * TE_TABLE_BYTES + (index as usize & 0xff) * 4)
 }
 
 /// The final-round table used by ciphertext byte position `p` (0..16):

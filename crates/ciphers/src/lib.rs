@@ -41,20 +41,23 @@
 #![warn(missing_docs)]
 
 pub mod aes;
+#[cfg(test)]
+mod kernel_oracle;
 mod present;
 mod source;
 mod traits;
 
 pub use aes::keyschedule::{expand_key, invert_last_round_key_128, AesKeySize, RoundKeys};
 pub use aes::reference::ReferenceAes;
-pub use aes::sbox_aes::SboxAes;
+pub use aes::sbox_aes::{byte_reads as sbox_aes_byte_reads, encrypt as sbox_aes_encrypt, SboxAes};
 pub use aes::tables::TableImage;
 pub use aes::ttable::{
+    byte_reads as ttable_aes_byte_reads, encrypt as ttable_aes_encrypt,
     final_round_table_for_position, TTableAes, FINAL_ROUND_S_LANE, TE_TABLE_BYTES,
 };
 pub use present::{
-    p_layer, p_layer_inverse, p_layer_target, present80_round_keys, present_sbox_image, Present80,
-    PRESENT_SBOX,
+    encrypt as present80_encrypt, p_layer, p_layer_inverse, p_layer_target, present80_round_keys,
+    present_sbox_image, Present80, BYTE_READS as PRESENT80_BYTE_READS, PRESENT_SBOX,
 };
 pub use source::{RamTableSource, TableSource};
 pub use traits::BlockCipher;

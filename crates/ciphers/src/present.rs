@@ -25,12 +25,22 @@ pub const fn p_layer_target(j: u32) -> u32 {
 }
 
 /// Applies the pLayer to a 64-bit state.
+///
+/// Input bit `4i + b` moves to `16b + i` (`i < 16`, `b < 4`), so output
+/// lane `b` is every fourth input bit from `b`, gathered in order.
 pub fn p_layer(state: u64) -> u64 {
-    let mut out = 0u64;
-    for j in 0..64u32 {
-        out |= ((state >> j) & 1) << p_layer_target(j);
-    }
-    out
+    (0..4).fold(0, |out, b| {
+        out | gather_every_fourth(state >> b) << (16 * b)
+    })
+}
+
+/// Bits `0, 4, 8, …, 60` of `x`, packed into the low 16 bits.
+fn gather_every_fourth(x: u64) -> u64 {
+    let x = x & 0x1111_1111_1111_1111;
+    let x = (x | x >> 3) & 0x0303_0303_0303_0303;
+    let x = (x | x >> 6) & 0x000f_000f_000f_000f;
+    let x = (x | x >> 12) & 0x0000_00ff_0000_00ff;
+    (x | x >> 24) & 0xffff
 }
 
 /// Inverts the pLayer (used by fault analysis, which works backwards from
@@ -101,15 +111,6 @@ impl<S: TableSource> Present80<S> {
     pub fn round_keys(&self) -> &[u64; 32] {
         &self.round_keys
     }
-
-    fn sbox_layer(&mut self, state: u64) -> u64 {
-        let mut out = 0u64;
-        for i in 0..16 {
-            let v = ((state >> (4 * i)) & 0xF) as usize;
-            out |= ((self.source.read_u8(v) & 0xF) as u64) << (4 * i);
-        }
-        out
-    }
 }
 
 impl<S: TableSource> BlockCipher for Present80<S> {
@@ -119,15 +120,47 @@ impl<S: TableSource> BlockCipher for Present80<S> {
 
     fn encrypt_block(&mut self, block: &mut [u8]) {
         let block: &mut [u8; 8] = block.try_into().expect("PRESENT blocks are 8 bytes");
-        let mut state = u64::from_be_bytes(*block);
-        for r in 0..31 {
-            state ^= self.round_keys[r];
-            state = self.sbox_layer(state);
-            state = p_layer(state);
-        }
-        state ^= self.round_keys[31];
-        *block = state.to_be_bytes();
+        encrypt(&self.round_keys, &mut self.source, block);
     }
+}
+
+/// Encrypts `block` with round keys expanded once by the caller
+/// ([`present80_round_keys`]) and the S-box read from `table` — the kernel
+/// behind [`Present80`], for callers that encrypt many blocks under one key
+/// with a fresh source each time.
+///
+/// Each round's S-box layer reads the table once per nibble, least
+/// significant nibble first, one `read_u8` each.
+///
+/// # Examples
+///
+/// ```
+/// use ciphers::{present80_encrypt, present80_round_keys, present_sbox_image, RamTableSource};
+/// let keys = present80_round_keys(&[0u8; 10]);
+/// let mut table = RamTableSource::new(present_sbox_image().to_vec());
+/// let mut block = [0u8; 8];
+/// present80_encrypt(&keys, &mut table, &mut block);
+/// assert_eq!(block, [0x55, 0x79, 0xC1, 0x38, 0x7B, 0x22, 0x84, 0x45]);
+/// ```
+pub fn encrypt(round_keys: &[u64; 32], table: &mut impl TableSource, block: &mut [u8; 8]) {
+    let mut state = u64::from_be_bytes(*block);
+    for &key in &round_keys[..31] {
+        state = p_layer(sbox_layer(table, state ^ key));
+    }
+    *block = (state ^ round_keys[31]).to_be_bytes();
+}
+
+/// The table bytes [`encrypt`] reads per block: one `read_u8` per nibble in
+/// each of the 31 rounds.
+pub const BYTE_READS: u64 = 16 * 31;
+
+fn sbox_layer(table: &mut impl TableSource, state: u64) -> u64 {
+    let mut out = 0u64;
+    for i in 0..16 {
+        let v = ((state >> (4 * i)) & 0xF) as usize;
+        out |= ((table.read_u8(v) & 0xF) as u64) << (4 * i);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -161,6 +194,20 @@ mod tests {
             let t = p_layer_target(j) as usize;
             assert!(!seen[t], "pLayer target {t} hit twice");
             seen[t] = true;
+        }
+    }
+
+    #[test]
+    fn p_layer_moves_each_bit_to_its_target() {
+        use rand::{Rng, SeedableRng};
+        for j in 0..64u32 {
+            assert_eq!(p_layer(1 << j), 1 << p_layer_target(j), "bit {j}");
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for _ in 0..1000 {
+            let s: u64 = rng.gen();
+            let by_bit = (0..64u32).fold(0, |out, j| out | ((s >> j) & 1) << p_layer_target(j));
+            assert_eq!(p_layer(s), by_bit);
         }
     }
 

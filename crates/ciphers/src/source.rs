@@ -93,6 +93,23 @@ impl TableSource for RamTableSource {
     }
 }
 
+/// A borrowed table image, read in place (a simulated machine's raw copy
+/// of a table page, say).
+impl TableSource for &[u8] {
+    fn read_u8(&mut self, offset: usize) -> u8 {
+        self[offset]
+    }
+
+    fn read_u32(&mut self, offset: usize) -> u32 {
+        let word = &self[offset..offset + 4];
+        u32::from_le_bytes([word[0], word[1], word[2], word[3]])
+    }
+
+    fn len(&mut self) -> usize {
+        <[u8]>::len(self)
+    }
+}
+
 impl<T: TableSource + ?Sized> TableSource for &mut T {
     fn read_u8(&mut self, offset: usize) -> u8 {
         (**self).read_u8(offset)
@@ -124,6 +141,14 @@ mod tests {
         assert_eq!(t.read_u8(0), 0x25);
         t.flip_bit(0, 7);
         assert_eq!(t.read_u8(0), 0xA5);
+    }
+
+    #[test]
+    fn slice_reads_in_place() {
+        let mut t: &[u8] = &[0x01, 0x02, 0x03, 0x04, 0x05];
+        assert_eq!(t.read_u8(4), 0x05);
+        assert_eq!(t.read_u32(1), 0x0504_0302);
+        assert_eq!(TableSource::len(&mut t), 5);
     }
 
     #[test]

@@ -113,43 +113,6 @@ impl TableSource for MachineTableSource<'_> {
     }
 }
 
-/// A [`TableSource`] over a warm run's raw span that counts its byte
-/// reads, for [`SimMachine::read_warm`] to charge in one step. A
-/// `read_u32` is four byte reads, as through [`MachineTableSource`].
-#[derive(Debug)]
-pub(crate) struct CountingSource<'t> {
-    bytes: &'t [u8],
-    reads: u64,
-}
-
-impl<'t> CountingSource<'t> {
-    pub(crate) fn new(bytes: &'t [u8]) -> Self {
-        CountingSource { bytes, reads: 0 }
-    }
-
-    /// Byte reads so far.
-    pub(crate) fn reads(&self) -> u64 {
-        self.reads
-    }
-}
-
-impl TableSource for CountingSource<'_> {
-    fn read_u8(&mut self, offset: usize) -> u8 {
-        self.reads += 1;
-        self.bytes[offset]
-    }
-
-    fn read_u32(&mut self, offset: usize) -> u32 {
-        self.reads += 4;
-        let word = &self.bytes[offset..offset + 4];
-        u32::from_le_bytes([word[0], word[1], word[2], word[3]])
-    }
-
-    fn len(&mut self) -> usize {
-        self.bytes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,9 @@
 //! (steered) memory.
 
 use ciphers::{
-    present_sbox_image, BlockCipher, Present80, SboxAes, TTableAes, TableImage, TableSource,
+    expand_key, present80_encrypt, present80_round_keys, present_sbox_image, sbox_aes_byte_reads,
+    sbox_aes_encrypt, ttable_aes_byte_reads, ttable_aes_encrypt, AesKeySize, RoundKeys, TableImage,
+    TableSource, PRESENT80_BYTE_READS,
 };
 use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 use memsim::{CpuId, Pfn, PAGE_SIZE};
@@ -10,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::VictimCipherKind;
-use crate::memsource::{CountingSource, MachineTableSource};
+use crate::memsource::MachineTableSource;
 
 /// Secret keys of a victim service (ground truth held by the experiment
 /// harness, never read by the attack code).
@@ -122,26 +124,26 @@ impl VictimCipherService {
     /// Opens a session of encryptions on `machine`: it holds the machine's
     /// exclusive borrow and one [`ReadRun`] memo over the table page until
     /// it drops, so no other machine operation can run between its
-    /// encryptions and the memo stays valid across all of them.
+    /// encryptions and the memo stays valid across all of them. The
+    /// victim's round keys are expanded once, here, for all of them.
     pub fn session<'m>(&self, machine: &'m mut SimMachine) -> VictimSession<'m> {
+        let cipher = match self.kind {
+            VictimCipherKind::AesSbox => {
+                KeyedCipher::AesSbox(expand_key(&self.keys.aes, AesKeySize::Aes128))
+            }
+            VictimCipherKind::AesTtable => {
+                KeyedCipher::AesTtable(expand_key(&self.keys.aes, AesKeySize::Aes128))
+            }
+            VictimCipherKind::Present => {
+                KeyedCipher::Present(present80_round_keys(&self.keys.present))
+            }
+        };
         VictimSession {
-            service: *self,
+            block_bytes: self.block_bytes(),
+            cipher,
             machine,
             run: ReadRun::new(self.pid, self.base, self.kind.image_len()),
             warm_encryptions: 0,
-        }
-    }
-
-    /// One encryption of `block` with tables read from `src`.
-    fn encrypt_with(&self, src: impl TableSource, block: &mut [u8]) {
-        match self.kind {
-            VictimCipherKind::AesSbox => SboxAes::new_128(&self.keys.aes, src).encrypt_block(block),
-            VictimCipherKind::AesTtable => {
-                TTableAes::new_128(&self.keys.aes, src).encrypt_block(block);
-            }
-            VictimCipherKind::Present => {
-                Present80::new(&self.keys.present, src).encrypt_block(block)
-            }
         }
     }
 
@@ -167,23 +169,65 @@ impl VictimCipherService {
     }
 }
 
+/// A victim's cipher with its round keys expanded, ready to encrypt with
+/// tables from any source.
+#[derive(Debug)]
+enum KeyedCipher {
+    AesSbox(RoundKeys),
+    AesTtable(RoundKeys),
+    Present([u64; 32]),
+}
+
+impl KeyedCipher {
+    /// One encryption of `block` (of the cipher's block size) with tables
+    /// read from `table`.
+    fn encrypt(&self, table: &mut impl TableSource, block: &mut [u8]) {
+        match self {
+            KeyedCipher::AesSbox(keys) => sbox_aes_encrypt(keys, table, aes_block(block)),
+            KeyedCipher::AesTtable(keys) => ttable_aes_encrypt(keys, table, aes_block(block)),
+            KeyedCipher::Present(keys) => present80_encrypt(
+                keys,
+                table,
+                block.try_into().expect("PRESENT blocks are 8 bytes"),
+            ),
+        }
+    }
+
+    /// The table bytes [`Self::encrypt`] reads per block, whatever the
+    /// block and the table bytes.
+    fn byte_reads(&self) -> u64 {
+        match self {
+            KeyedCipher::AesSbox(keys) => sbox_aes_byte_reads(keys.size()),
+            KeyedCipher::AesTtable(keys) => ttable_aes_byte_reads(keys.size()),
+            KeyedCipher::Present(_) => PRESENT80_BYTE_READS,
+        }
+    }
+}
+
+fn aes_block(block: &mut [u8]) -> &mut [u8; 16] {
+    block.try_into().expect("AES blocks are 16 bytes")
+}
+
 /// A run of encryptions by one victim on one machine — a collect's worth.
 ///
-/// The session holds the machine's exclusive borrow and one [`ReadRun`]
-/// for its whole life; [`Self::machine`] is read-only. Each encryption
-/// takes one of two paths, both exact against a plain [`SimMachine::read`]
-/// per table lookup:
+/// The session holds the machine's exclusive borrow, one [`ReadRun`] and
+/// the victim's expanded round keys for its whole life; [`Self::machine`]
+/// is read-only. Each encryption takes one of two paths, both exact
+/// against a plain [`SimMachine::read`] per table lookup:
 ///
 /// * **per byte** — every lookup through [`MachineTableSource`] and
 ///   [`SimMachine::read_byte_in`]. This is also the warm-up: it teaches the
 ///   run which table lines are most-recently-used in their L1 sets.
 /// * **closed form** — once the run is warm (the whole table is
 ///   most-recently-used in L1 and its bytes are raw), the cipher runs on
-///   the run's raw table copy through a read-counting source and
-///   [`SimMachine::read_warm`] charges the counted reads in one step.
+///   the run's raw table copy and [`SimMachine::read_warm`] charges its
+///   reads in one step. Every kernel reads a fixed number of table bytes
+///   per block, whatever the block and the table bytes, so the session
+///   charges that number instead of counting.
 #[derive(Debug)]
 pub struct VictimSession<'m> {
-    service: VictimCipherService,
+    block_bytes: usize,
+    cipher: KeyedCipher,
     machine: &'m mut SimMachine,
     run: ReadRun,
     warm_encryptions: u64,
@@ -206,12 +250,11 @@ impl VictimSession<'_> {
     ///
     /// Panics if `block.len()` differs from the service's block size.
     pub fn encrypt(&mut self, block: &mut [u8]) -> Result<(), MachineError> {
-        let service = self.service;
-        assert_eq!(block.len(), service.block_bytes(), "block size mismatch");
-        let warm = self.machine.read_warm(&mut self.run, |table| {
-            let mut src = CountingSource::new(table);
-            service.encrypt_with(&mut src, block);
-            ((), src.reads())
+        assert_eq!(block.len(), self.block_bytes, "block size mismatch");
+        let cipher = &self.cipher;
+        let warm = self.machine.read_warm(&mut self.run, |mut table| {
+            cipher.encrypt(&mut table, block);
+            ((), cipher.byte_reads())
         });
         if warm.is_some() {
             // The whole encryption was memo hits: no read can have faulted.
@@ -219,7 +262,7 @@ impl VictimSession<'_> {
             return Ok(());
         }
         let mut src = MachineTableSource::new(self.machine, &mut self.run);
-        service.encrypt_with(&mut src, block);
+        self.cipher.encrypt(&mut src, block);
         src.take_fault().map_or(Ok(()), Err)
     }
 
@@ -241,7 +284,7 @@ impl VictimSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ciphers::{RamTableSource, ReferenceAes};
+    use ciphers::{BlockCipher, Present80, RamTableSource, ReferenceAes};
     use machine::MachineConfig;
 
     fn machine() -> SimMachine {

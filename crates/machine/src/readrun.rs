@@ -82,6 +82,11 @@ pub struct ReadRun {
     bytes: Vec<u8>,
     /// Virtual address of `bytes[0]`; `None` until copied (or after a drop).
     copied_from: Option<u64>,
+    /// The CPU of the last warm verdict of [`Self::warm_span`], until the
+    /// next scalar read: only a scalar read can change the L1, the TLB,
+    /// the cells or SECDED state, so between scalar reads the verdict
+    /// stands and a whole collect of warm batches checks the span once.
+    warm: Option<CpuId>,
 }
 
 /// The translation the run's previous read resolved, and the L1 geometry
@@ -109,6 +114,7 @@ impl ReadRun {
             l1_mru: Vec::new(),
             bytes: Vec::new(),
             copied_from: None,
+            warm: None,
         }
     }
 
@@ -130,6 +136,7 @@ impl ReadRun {
     /// of it always hits.) The line just read is most-recently-used in its
     /// set either way — the data access is a scalar read's last cache access.
     fn observe(&mut self, addr: VirtAddr, read: &ScalarRead, l1: &CacheConfig) {
+        self.warm = None;
         let vpn = addr.vpn();
         let page = match self.page {
             Some(page) if read.served == ServedBy::L1 && page.vpn == vpn => page,
@@ -164,6 +171,9 @@ impl ReadRun {
     /// (never true when two span lines share a set), and `dram` reads are
     /// raw. Takes the copy if the run has not yet.
     fn warm_span(&mut self, dram: &DramDevice) -> Option<(CpuId, &[u8])> {
+        if let Some(cpu) = self.warm {
+            return Some((cpu, &self.bytes));
+        }
         let page = self.page?;
         if self.window(page) != self.span || !dram.reads_are_raw() {
             return None;
@@ -183,6 +193,7 @@ impl ReadRun {
             dram.copy_raw(PhysAddr::new(from), &mut self.bytes);
             self.copied_from = Some(self.span.start);
         }
+        self.warm = Some(page.cpu);
         Some((page.cpu, &self.bytes))
     }
 }
@@ -221,6 +232,7 @@ impl SimMachine {
             }
             Err(e) => {
                 run.page = None;
+                run.warm = None;
                 Err(e)
             }
         }

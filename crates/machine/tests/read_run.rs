@@ -498,3 +498,30 @@ fn a_bulk_charge_across_trefi_boundaries_equals_reads_one_by_one() {
     );
     assert!(memo.snapshot() == oracle.snapshot());
 }
+
+/// The closed form's warm verdict lasts only until the run's next scalar
+/// read: a read beside the span that takes the L1 set of a span line must
+/// stop the closed form until the span is warm again.
+#[test]
+fn a_read_beside_a_warm_span_pauses_the_closed_form() {
+    // A 256-byte span fills the four sets of the tiny L1 once; the byte
+    // 256 past its base lands in the set of its first line.
+    let scene = build(tiny_caches(38), 1, 0, 256, PAGE_SIZE);
+    let mut memo = scene.snapshot.fork();
+    let mut oracle = scene.snapshot.fork();
+    let mut run = ReadRun::new(scene.victim, scene.base, 256);
+    let span: Vec<VirtAddr> = (0..64).map(|i| scene.base + i * 4).collect();
+    let mut batches = |addrs: &[VirtAddr]| {
+        read_batches(&scene, &mut memo, &mut oracle, &mut run, addrs).expect("equivalent")
+    };
+    batches(&scene.sweep());
+    assert_eq!(batches(&span), 8, "a warm span goes closed form");
+    assert_eq!(batches(&[scene.base + 256]), 0);
+    assert_eq!(batches(&span[..8]), 0, "the first line lost its MRU slot");
+    batches(&scene.sweep());
+    assert_eq!(batches(&span), 8, "a sweep warms the span again");
+    assert!(
+        memo.snapshot() == oracle.snapshot(),
+        "machine state diverged"
+    );
+}
