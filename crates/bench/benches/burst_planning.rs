@@ -60,9 +60,7 @@ fn bench_flipping_pair(c: &mut Criterion, name: &str, reference: bool) {
         b.iter(|| {
             dev.fill(victim, row_bytes, 0xFF);
             dev.advance(window);
-            let out = dev
-                .hammer_pair(pair[0], pair[1], black_box(ROUNDS))
-                .unwrap();
+            let out = dev.hammer_rows(&pair, black_box(ROUNDS)).unwrap();
             assert!(!out.flips.is_empty(), "the charged row must flip");
             out
         })
@@ -97,10 +95,7 @@ fn bench_burst_planning(c: &mut Criterion) {
                 .with_timing_engine(true),
         );
         let pair = aggressors(&dev, &[99, 101]);
-        b.iter(|| {
-            dev.hammer_pair(pair[0], pair[1], black_box(400_000))
-                .unwrap()
-        })
+        b.iter(|| dev.hammer_rows(&pair, black_box(400_000)).unwrap())
     });
 
     group.finish();

@@ -20,8 +20,7 @@ fn bench_hammer(c: &mut Criterion) {
         let a = dev.mapping().coord_to_phys(coord(100));
         let bb = dev.mapping().coord_to_phys(coord(102));
         b.iter(|| {
-            dev.hammer_pair(black_box(a), black_box(bb), 100_000)
-                .unwrap();
+            dev.hammer_rows(black_box(&[a, bb]), 100_000).unwrap();
         })
     });
 
@@ -52,7 +51,7 @@ fn bench_hammer(c: &mut Criterion) {
         let above = buf;
         let below = buf + 32 * PAGE_SIZE;
         b.iter(|| {
-            m.hammer_pair_virt(pid, black_box(above), black_box(below), 100_000)
+            m.hammer_rows_virt(pid, black_box(&[above, below]), 100_000)
                 .unwrap();
         })
     });

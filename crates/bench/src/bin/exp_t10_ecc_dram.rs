@@ -82,7 +82,7 @@ fn yield_trial(seed: u64, density: f64) -> YieldTrial {
         let a = dev.mapping().coord_to_phys(coord(row - 1));
         let b = dev.mapping().coord_to_phys(coord(row + 1));
         let flips = dev
-            .hammer_pair(a, b, max_threshold + 16)
+            .hammer_rows(&[a, b], max_threshold + 16)
             .expect("hammer")
             .flips
             .iter()

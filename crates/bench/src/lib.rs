@@ -17,15 +17,3 @@
 #![warn(missing_docs)]
 
 pub use campaign::{banner, mean_std, percentile, results_dir, Table};
-
-/// Reads the trial-count override from the first CLI argument.
-///
-/// Legacy helper kept for backward compatibility; binaries now parse the
-/// full flag set through [`campaign::CampaignCli`], which still accepts the
-/// bare positional count this helper used to read.
-pub fn trials_arg(default: u32) -> u32 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}

@@ -55,11 +55,6 @@ impl<S: TableSource> SboxAes<S> {
     pub fn source_mut(&mut self) -> &mut S {
         &mut self.source
     }
-
-    /// Consumes the cipher, returning the table source.
-    pub fn into_source(self) -> S {
-        self.source
-    }
 }
 
 impl<S: TableSource> BlockCipher for SboxAes<S> {

@@ -69,11 +69,6 @@ impl<S: TableSource> TTableAes<S> {
     pub fn source_mut(&mut self) -> &mut S {
         &mut self.source
     }
-
-    /// Consumes the cipher, returning the table source.
-    pub fn into_source(self) -> S {
-        self.source
-    }
 }
 
 impl<S: TableSource> BlockCipher for TTableAes<S> {

@@ -63,15 +63,6 @@ impl RamTableSource {
         self.bytes[offset] ^= 1 << bit;
     }
 
-    /// Overwrites the byte at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of range.
-    pub fn set_byte(&mut self, offset: usize, value: u8) {
-        self.bytes[offset] = value;
-    }
-
     /// The underlying bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes

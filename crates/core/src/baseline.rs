@@ -112,7 +112,7 @@ pub fn run_spray_baseline(
         let above = spray_buffer + (t.aggressor_above.0 - pool.buffer.0);
         let below = spray_buffer + (t.aggressor_below.0 - pool.buffer.0);
         if machine
-            .hammer_pair_virt(pool.attacker, above, below, config.rehammer_pairs)
+            .hammer_rows_virt(pool.attacker, &[above, below], config.rehammer_pairs)
             .is_ok()
         {
             spray_pairs += config.rehammer_pairs;

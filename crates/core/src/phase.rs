@@ -29,7 +29,9 @@ use rand::Rng;
 use crate::config::{ExplFrameConfig, HammerStrategy, VictimCipherKind};
 use crate::error::AttackError;
 use crate::events::{Observer, PhaseEvent};
-use crate::template::{strategy_aggressors, template_scan_with, FlipTemplate, TemplateScan};
+use crate::template::{
+    same_bank_stride_pages, strategy_hammer, template_scan_with, FlipTemplate, TemplateScan,
+};
 use crate::victim::{VictimCipherService, VictimKeys};
 
 /// Ciphertext budget of the ECC-aware pre-collection probe: enough
@@ -638,7 +640,8 @@ impl Phase for SteerPhase {
 
 /// Phase 4 — hammer: re-hammer the retained aggressor rows around the
 /// steered frame with the configured [`HammerStrategy`]. Produces `false`
-/// when the hammer primitive rejects the aggressors (fragmented buffer).
+/// when the hammer primitive rejects the aggressors (fragmented buffer) or
+/// a walk casualty detached one; any other machine error propagates.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HammerPhase {
     /// Activation pattern (defaults to double-sided).
@@ -659,38 +662,18 @@ impl Phase for HammerPhase {
         (attacker, buffer, template): (Pid, VirtAddr, FlipTemplate),
     ) -> Result<bool, AttackError> {
         let pairs = ctx.config.rehammer_pairs;
-        let (ok, rows) = match self.strategy {
-            HammerStrategy::DoubleSided => (
-                ctx.machine
-                    .hammer_pair_virt(
-                        attacker,
-                        template.aggressor_above,
-                        template.aggressor_below,
-                        pairs,
-                    )
-                    .is_ok(),
-                2,
-            ),
-            HammerStrategy::ManySided { .. } => {
-                let geometry = ctx.machine.config().dram.geometry;
-                let aggressors = strategy_aggressors(
-                    ctx.machine,
-                    attacker,
-                    self.strategy,
-                    buffer,
-                    ctx.config.template_pages,
-                    template.aggressor_above,
-                    template.aggressor_below,
-                    crate::template::same_bank_stride_pages(&geometry),
-                );
-                (
-                    ctx.machine
-                        .hammer_rows_virt(attacker, &aggressors, pairs)
-                        .is_ok(),
-                    aggressors.len() as u32,
-                )
-            }
-        };
+        let geometry = ctx.machine.config().dram.geometry;
+        let (ok, rows) = strategy_hammer(
+            ctx.machine,
+            attacker,
+            self.strategy,
+            buffer,
+            ctx.config.template_pages,
+            template.aggressor_above,
+            template.aggressor_below,
+            same_bank_stride_pages(&geometry),
+            pairs,
+        )?;
         ctx.emit(PhaseEvent::HammerFinished {
             round: ctx.counters.fault_rounds,
             pairs,

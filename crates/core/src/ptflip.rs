@@ -229,10 +229,9 @@ pub fn pte_flip_escalation(config: &PtFlipConfig) -> Result<PtFlipOutcome, Attac
     // aggressor rows, then model the TLB shootdown that forces the victim
     // back onto the (corrupted) walk.
     let shadow_before = m.translate(victim, target);
-    let _ = m.hammer_pair_virt(
+    let _ = m.hammer_rows_virt(
         attacker,
-        plan.template.aggressor_above,
-        plan.template.aggressor_below,
+        &[plan.template.aggressor_above, plan.template.aggressor_below],
         config.hammer_pairs,
     )?;
     m.flush_tlb();

@@ -168,7 +168,12 @@ pub(crate) fn strategy_aggressors(
 }
 
 /// Hammers the strategy's aggressor set around (`above`, `below`) with
-/// `pairs` rounds, returning whether the primitive accepted the rows.
+/// `pairs` rounds of [`SimMachine::hammer_rows_virt`]. Returns whether the
+/// primitive accepted the set, and how many rows the set held.
+///
+/// A rejected set ([`MachineError::Dram`]: a fragmented buffer) and a walk
+/// casualty ([`MachineError::Unmapped`]) give `false`; any other error
+/// propagates.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn strategy_hammer(
     machine: &mut SimMachine,
@@ -180,32 +185,34 @@ pub(crate) fn strategy_hammer(
     below: VirtAddr,
     stride_pages: u64,
     pairs: u64,
-) -> Result<bool, MachineError> {
-    let result = match strategy {
-        HammerStrategy::DoubleSided => machine.hammer_pair_virt(pid, above, below, pairs),
-        HammerStrategy::ManySided { .. } => {
-            let rows = strategy_aggressors(
-                machine,
-                pid,
-                strategy,
-                base,
-                pages,
-                above,
-                below,
-                stride_pages,
-            );
-            machine.hammer_rows_virt(pid, &rows, pairs)
-        }
+) -> Result<(bool, u32), MachineError> {
+    // Only a set wider than the pair needs a list built.
+    let fanned;
+    let rows: &[VirtAddr] = if strategy.rows() > 2 {
+        fanned = strategy_aggressors(
+            machine,
+            pid,
+            strategy,
+            base,
+            pages,
+            above,
+            below,
+            stride_pages,
+        );
+        &fanned
+    } else {
+        &[above, below]
     };
-    match result {
-        Ok(_) => Ok(true),
-        Err(MachineError::Dram(_)) => Ok(false),
+    let accepted = match machine.hammer_rows_virt(pid, rows, pairs) {
+        Ok(_) => true,
+        Err(MachineError::Dram(_)) => false,
         // DRAM-resident page tables only: a collateral flip in the
         // attacker's own leaf tables can detach an aggressor page — the
         // attacker's SIGSEGV handler skips the set instead of dying.
-        Err(MachineError::Unmapped { .. }) => Ok(false),
-        Err(e) => Err(e),
-    }
+        Err(MachineError::Unmapped { .. }) => false,
+        Err(e) => return Err(e),
+    };
+    Ok((accepted, rows.len() as u32))
 }
 
 /// Runs a buffer access that the sweep itself may have sabotaged: with
@@ -295,7 +302,7 @@ pub fn template_scan_with(
         while victim_start + row_pages + stride_pages <= pages {
             let above = base + (victim_start - stride_pages) * PAGE_SIZE;
             let below = base + (victim_start + stride_pages) * PAGE_SIZE;
-            match strategy_hammer(
+            let (accepted, _) = strategy_hammer(
                 machine,
                 pid,
                 strategy,
@@ -305,14 +312,13 @@ pub fn template_scan_with(
                 below,
                 stride_pages,
                 hammer_pairs,
-            )? {
-                true => scan.rows_hammered += 1,
-                false => {
-                    scan.hammer_failures += 1;
-                    victim_start += row_pages;
-                    continue;
-                }
+            )?;
+            if !accepted {
+                scan.hammer_failures += 1;
+                victim_start += row_pages;
+                continue;
             }
+            scan.rows_hammered += 1;
             // Read back the sandwiched row and harvest flips from the
             // attacker's own data. Collateral flips in outer rows (±2, ±3
             // row distances) are deliberately not harvested here: every row
@@ -657,7 +663,7 @@ fn score_reproducibility(
             }
             // Let all disturbance state from previous rounds refresh away.
             machine.advance(window);
-            if !strategy_hammer(
+            let (accepted, _) = strategy_hammer(
                 machine,
                 pid,
                 strategy,
@@ -667,7 +673,8 @@ fn score_reproducibility(
                 t.aggressor_below,
                 stride_pages,
                 hammer_pairs,
-            )? {
+            )?;
+            if !accepted {
                 break;
             }
             let mut byte = [0u8];
@@ -1086,7 +1093,7 @@ mod tests {
                     let (above, below) = (aggressor(coord.row - 1), aggressor(coord.row + 1));
                     let flips = m
                         .dram_mut()
-                        .hammer_pair(above, below, cell.threshold_acts() + 16)
+                        .hammer_rows(&[above, below], cell.threshold_acts() + 16)
                         .unwrap()
                         .flips;
                     let in_buffer = flips

@@ -352,7 +352,7 @@ fn flip_scene() -> FlipScene {
                 let start = w.snapshot();
                 let flips_after = |pairs: u64| {
                     let mut h = start.fork();
-                    let outcome = h.dram_mut().hammer_pair(aggressor, outer, pairs);
+                    let outcome = h.dram_mut().hammer_rows(&[aggressor, outer], pairs);
                     let flips = outcome.expect("one bank").flips;
                     flips.iter().any(|f| (f.addr, f.bit) == target)
                 };
@@ -372,7 +372,7 @@ fn flip_scene() -> FlipScene {
                     continue;
                 }
                 w.dram_mut()
-                    .hammer_pair(aggressor, outer, lo)
+                    .hammer_rows(&[aggressor, outer], lo)
                     .expect("one bank");
                 // One pair short: the next activation of the aggressor, or
                 // the one after it from the outer row, crosses.

@@ -138,12 +138,6 @@ impl WeakCellParams {
         self
     }
 
-    /// Returns a copy with a different mean threshold.
-    pub fn with_mean_threshold_acts(mut self, acts: u64) -> Self {
-        self.mean_threshold_acts = acts;
-        self
-    }
-
     /// The widest many-sided aggressor set that can still flip the most
     /// flippable cell of this population inside one refresh window of
     /// `timing` — the activation-budget picture the adaptive attacker plans

@@ -20,6 +20,18 @@ use crate::trr::{Burst, TrrEngine, TrrParams};
 /// Bytes per ECC code word.
 const ECC_WORD: u64 = 8;
 
+/// Disturbance units one `ACT` sends to the row at each signed distance
+/// from the activated row.
+const NEIGHBOUR_UNITS: [(i64, u64); 4] = [
+    (-2, DIST_UNITS_FAR as u64),
+    (-1, DIST_UNITS_NEAR as u64),
+    (1, DIST_UNITS_NEAR as u64),
+    (2, DIST_UNITS_FAR as u64),
+];
+
+/// Aggressor sets up to this many rows keep their row list on the stack.
+const INLINE_ROWS: usize = 8;
+
 /// Complete configuration of a [`DramDevice`].
 ///
 /// Countermeasures default to off, so a plain config models the
@@ -373,14 +385,9 @@ impl DramDevice {
         self.stats
     }
 
-    /// All flips induced since the last [`Self::take_flips`].
+    /// Every flip induced so far, in order.
     pub fn flips(&self) -> &[FlipEvent] {
         &self.flip_log
-    }
-
-    /// Drains and returns the flip log.
-    pub fn take_flips(&mut self) -> Vec<FlipEvent> {
-        std::mem::take(&mut self.flip_log)
     }
 
     /// ECC counters (all zero when [`DramConfig::ecc`] is
@@ -719,14 +726,9 @@ impl DramDevice {
     /// Applies the disturbance of `acts` activations of `aggressor` to its
     /// neighbouring rows and collects any resulting flips.
     fn disturb_neighbours(&mut self, aggressor: DramCoord, acts: u64) {
-        for (delta, units) in [
-            (-2i64, DIST_UNITS_FAR),
-            (-1, DIST_UNITS_NEAR),
-            (1, DIST_UNITS_NEAR),
-            (2, DIST_UNITS_FAR),
-        ] {
+        for (delta, units) in NEIGHBOUR_UNITS {
             if let Some(victim) = aggressor.neighbour_row(delta, &self.config.geometry) {
-                self.disturb_row(victim, units as u64 * acts);
+                self.disturb_row(victim, units * acts);
             }
         }
     }
@@ -815,91 +817,18 @@ impl DramDevice {
         }
     }
 
-    /// Double-sided (or generally, two-aggressor) bulk hammering: alternately
-    /// activates the rows containing `a` and `b`, `pairs` times, advancing
-    /// the simulated clock and racing refresh exactly as the per-access path
-    /// would — but in O(refresh boundaries) instead of O(accesses).
-    ///
-    /// Returns the flips induced by this run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AggressorsInDifferentBanks`] if the two addresses
-    /// decode to different banks, and [`DramError::AggressorsShareRow`] if
-    /// they decode to the same row (alternating accesses would be row-buffer
-    /// hits and hammer nothing).
-    pub fn hammer_pair(
-        &mut self,
-        a: PhysAddr,
-        b: PhysAddr,
-        pairs: u64,
-    ) -> Result<HammerOutcome, DramError> {
-        let ca = self.mapping.phys_to_coord(a);
-        let cb = self.mapping.phys_to_coord(b);
-        if (ca.channel, ca.rank, ca.bank) != (cb.channel, cb.rank, cb.bank) {
-            return Err(DramError::AggressorsInDifferentBanks { a: ca, b: cb });
-        }
-        if ca.row == cb.row {
-            return Err(DramError::AggressorsShareRow { coord: ca });
-        }
-        let geometry = self.config.geometry;
-        let timing = self.config.timing;
-
-        // Disturbance received by each victim row per aggressor pair. The
-        // aggressor rows themselves are excluded: every pair re-activates
-        // them, restoring their own charge.
-        let mut victims: Vec<(u32, u64)> = Vec::new();
-        for aggressor in [ca.row, cb.row] {
-            for (delta, units) in [
-                (-2i64, DIST_UNITS_FAR),
-                (-1, DIST_UNITS_NEAR),
-                (1, DIST_UNITS_NEAR),
-                (2, DIST_UNITS_FAR),
-            ] {
-                let row = aggressor as i64 + delta;
-                if row < 0 || row >= geometry.rows as i64 {
-                    continue;
-                }
-                let row = row as u32;
-                if row == ca.row || row == cb.row {
-                    continue;
-                }
-                match victims.iter_mut().find(|(r, _)| *r == row) {
-                    Some((_, u)) => *u += units as u64,
-                    None => victims.push((row, units as u64)),
-                }
-            }
-        }
-        let bank_idx = geometry.bank_index(ca.channel, ca.rank, ca.bank);
-        self.banks[bank_idx].clear_disturbance(ca.row);
-        self.banks[bank_idx].clear_disturbance(cb.row);
-
-        let pair_time = 2 * timing.t_rc;
-        let flips_before = self.flip_log.len();
-        let start = self.now;
-        self.bulk_rounds(bank_idx, ca, &[ca.row, cb.row], &victims, pairs, pair_time);
-
-        self.banks[bank_idx].set_open_row(cb.row, pairs * 2);
-        self.stats.acts += pairs * 2;
-        self.stats.hammer_pairs += pairs;
-
-        Ok(HammerOutcome {
-            flips: self.flip_log[flips_before..].to_vec(),
-            acts: pairs * 2,
-            elapsed: self.now - start,
-        })
-    }
-
-    /// Many-sided (round-robin) bulk hammering: one round activates the
-    /// row containing each aggressor address once, in order, `rounds`
-    /// times — the TRRespass-style pattern that overwhelms a sampling
-    /// Target-Row-Refresh tracker when the distinct-row count exceeds its
-    /// sampler size. Races refresh (and the TRR engine, when enabled)
-    /// exactly as the per-access path would, in O(boundaries).
+    /// Bulk hammering: one round activates the row containing each
+    /// aggressor address once, in order, `rounds` times, advancing the
+    /// simulated clock and racing refresh (and the TRR engine, when
+    /// enabled) exactly as the per-access path would, in O(boundaries)
+    /// instead of O(accesses). Two rows give the paper's double-sided
+    /// burst; longer lists give the TRRespass-style round-robin pattern
+    /// that overwhelms a sampling Target-Row-Refresh tracker when the
+    /// distinct-row count exceeds its sampler size.
     ///
     /// `stats().hammer_pairs` advances by `rounds * rows / 2` — the
     /// pair-equivalent activation cost, so hammering budgets stay
-    /// comparable across strategies.
+    /// comparable across set sizes. Returns the flips induced by this run.
     ///
     /// # Errors
     ///
@@ -912,42 +841,43 @@ impl DramDevice {
         aggressors: &[PhysAddr],
         rounds: u64,
     ) -> Result<HammerOutcome, DramError> {
-        let coords: Vec<DramCoord> = aggressors
-            .iter()
-            .map(|&a| self.mapping.phys_to_coord(a))
-            .collect();
-        let Some((&first, rest)) = coords.split_first() else {
-            return Err(DramError::NotEnoughAggressors { count: 0 });
+        let count = aggressors.len();
+        if count < 2 {
+            return Err(DramError::NotEnoughAggressors { count });
+        }
+        let mut inline_rows = [0u32; INLINE_ROWS];
+        let mut spilled_rows = Vec::new();
+        let agg_rows: &mut [u32] = if count <= INLINE_ROWS {
+            &mut inline_rows[..count]
+        } else {
+            spilled_rows.resize(count, 0);
+            &mut spilled_rows
         };
-        if rest.is_empty() {
-            return Err(DramError::NotEnoughAggressors { count: 1 });
-        }
-        for c in rest {
+        let first = self.mapping.phys_to_coord(aggressors[0]);
+        for (slot, &addr) in agg_rows.iter_mut().zip(aggressors) {
+            let c = self.mapping.phys_to_coord(addr);
             if (c.channel, c.rank, c.bank) != (first.channel, first.rank, first.bank) {
-                return Err(DramError::AggressorsInDifferentBanks { a: first, b: *c });
+                return Err(DramError::AggressorsInDifferentBanks { a: first, b: c });
+            }
+            *slot = c.row;
+        }
+        for i in 1..count {
+            if agg_rows[..i].contains(&agg_rows[i]) {
+                let coord = self.mapping.phys_to_coord(aggressors[i]);
+                return Err(DramError::AggressorsShareRow { coord });
             }
         }
-        for (i, c) in coords.iter().enumerate() {
-            if coords[..i].iter().any(|p| p.row == c.row) {
-                return Err(DramError::AggressorsShareRow { coord: *c });
-            }
-        }
+        let agg_rows = &*agg_rows;
         let geometry = self.config.geometry;
         let timing = self.config.timing;
-        let agg_rows: Vec<u32> = coords.iter().map(|c| c.row).collect();
 
         // Disturbance received by each victim row per round; aggressor
         // rows are excluded (each round re-activates them).
-        let mut victims: Vec<(u32, u64)> = Vec::new();
-        for &aggressor in &agg_rows {
-            for (delta, units) in [
-                (-2i64, DIST_UNITS_FAR),
-                (-1, DIST_UNITS_NEAR),
-                (1, DIST_UNITS_NEAR),
-                (2, DIST_UNITS_FAR),
-            ] {
-                let row = aggressor as i64 + delta;
-                if row < 0 || row >= geometry.rows as i64 {
+        let mut victims: Vec<(u32, u64)> = Vec::with_capacity(4 * count);
+        for &aggressor in agg_rows {
+            for (delta, units) in NEIGHBOUR_UNITS {
+                let row = i64::from(aggressor) + delta;
+                if row < 0 || row >= i64::from(geometry.rows) {
                     continue;
                 }
                 let row = row as u32;
@@ -955,23 +885,23 @@ impl DramDevice {
                     continue;
                 }
                 match victims.iter_mut().find(|(r, _)| *r == row) {
-                    Some((_, u)) => *u += units as u64,
-                    None => victims.push((row, units as u64)),
+                    Some((_, u)) => *u += units,
+                    None => victims.push((row, units)),
                 }
             }
         }
         let bank_idx = geometry.bank_index(first.channel, first.rank, first.bank);
-        for &row in &agg_rows {
+        for &row in agg_rows {
             self.banks[bank_idx].clear_disturbance(row);
         }
 
-        let round_time = agg_rows.len() as u64 * timing.t_rc;
+        let round_time = count as u64 * timing.t_rc;
         let flips_before = self.flip_log.len();
         let start = self.now;
-        self.bulk_rounds(bank_idx, first, &agg_rows, &victims, rounds, round_time);
+        self.bulk_rounds(bank_idx, first, agg_rows, &victims, rounds, round_time);
 
-        let acts = rounds * agg_rows.len() as u64;
-        self.banks[bank_idx].set_open_row(*agg_rows.last().expect("two or more rows"), acts);
+        let acts = rounds * count as u64;
+        self.banks[bank_idx].set_open_row(agg_rows[count - 1], acts);
         self.stats.acts += acts;
         self.stats.hammer_pairs += acts / 2;
 
@@ -982,7 +912,7 @@ impl DramDevice {
         })
     }
 
-    /// The disturbance loop shared by the bulk hammer paths: `rounds`
+    /// The disturbance loop of [`Self::hammer_rows`]: `rounds`
     /// rounds of one `ACT` per aggressor row (`round_time` ns each), racing
     /// each victim row's refresh schedule and — when enabled — the
     /// Target-Row-Refresh tracker, whose trigger times the burst planner
@@ -1578,7 +1508,7 @@ mod tests {
         // Hammer with more than threshold pairs (double-sided → 2 ACTs of
         // near disturbance per pair on the sandwiched row).
         let pairs = cell.threshold_acts(); // 2 units/pair ⇒ pairs = acts/2... use full to be safe
-        let outcome = dev.hammer_pair(a, b, pairs).unwrap();
+        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
         assert!(
             outcome.flips.iter().any(|f| f.coord.row == row
                 && f.coord.col == cell.bit_in_row / 8
@@ -1607,7 +1537,7 @@ mod tests {
             dev.config().geometry.row_bytes as u64,
             fill,
         );
-        let outcome = dev.hammer_pair(a, b, cell.threshold_acts()).unwrap();
+        let outcome = dev.hammer_rows(&[a, b], cell.threshold_acts()).unwrap();
         assert!(outcome
             .flips
             .iter()
@@ -1630,7 +1560,7 @@ mod tests {
         // below min_threshold/2 pairs keeps *every* possible cell below its
         // floor threshold, regardless of seed.
         let pairs = dev.config().cells.min_threshold_acts / 4;
-        let outcome = dev.hammer_pair(a, b, pairs).unwrap();
+        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
         assert!(
             outcome.flips.is_empty(),
             "unexpected flips: {:?}",
@@ -1665,68 +1595,74 @@ mod tests {
         let chunk_pairs = dev.config().cells.min_threshold_acts / 4;
         let chunks = 1 + (cell.threshold_acts() * 4) / chunk_pairs;
         for _ in 0..chunks {
-            let outcome = dev.hammer_pair(a, b, chunk_pairs).unwrap();
+            let outcome = dev.hammer_rows(&[a, b], chunk_pairs).unwrap();
             assert!(outcome.flips.is_empty());
             dev.advance(window); // idle a full window: every row refreshes
         }
     }
 
-    #[test]
-    fn hammer_pair_rejects_cross_bank_and_same_row() {
-        let mut dev = small_dev(4);
-        let a = dev.mapping().coord_to_phys(coord(0, 10, 0));
-        let b = dev.mapping().coord_to_phys(coord(1, 12, 0));
-        assert!(matches!(
-            dev.hammer_pair(a, b, 10),
-            Err(DramError::AggressorsInDifferentBanks { .. })
-        ));
-        let c = dev.mapping().coord_to_phys(coord(0, 10, 128));
-        assert!(matches!(
-            dev.hammer_pair(a, c, 10),
-            Err(DramError::AggressorsShareRow { .. })
-        ));
-    }
-
-    #[test]
-    fn bulk_hammer_matches_per_access_path() {
-        // The same hammering expressed as individual accesses (with
-        // alternating rows, so every access is a row conflict) must produce
-        // the same flips as one bulk call.
-        let seed = 5;
-        let mut bulk = small_dev(seed);
-        let (row, cell) = find_weak_row(&mut bulk);
-        let a = bulk.mapping().coord_to_phys(coord(0, row - 1, 0));
-        let b = bulk.mapping().coord_to_phys(coord(0, row + 1, 0));
-        let victim_addr = bulk.mapping().coord_to_phys(coord(0, row, 0));
+    /// Hammers `[row - 1, row + 1]` plus `decoys` same-bank rows at
+    /// `row + 8 + 7k` around the first weak row of `config`, once in bulk
+    /// and once as individual accesses (every access a row conflict), and
+    /// asserts both leave the same flips, TRR triggers and clock. Returns
+    /// the flip count and trigger count for the caller's coverage checks.
+    fn assert_bulk_matches_per_access(config: DramConfig, decoys: u32) -> (usize, u64) {
+        let (row, cell) = find_weak_row(&mut DramDevice::new(config));
+        let mut rows = vec![row - 1, row + 1];
+        rows.extend((0..decoys).map(|k| row + 8 + 7 * k));
+        let mut bulk = DramDevice::new(config);
+        assert!(rows.iter().all(|&r| r < bulk.config().geometry.rows));
+        let set: Vec<PhysAddr> = rows
+            .iter()
+            .map(|&r| bulk.mapping().coord_to_phys(coord(0, r, 0)))
+            .collect();
+        let victim = bulk.mapping().coord_to_phys(coord(0, row, 0));
         let row_bytes = bulk.config().geometry.row_bytes as u64;
-        let pairs = cell.threshold_acts() + 16;
+        let rounds = cell.threshold_acts() + 16;
         let fill = if cell.polarity.charged_value() {
             0xFF
         } else {
             0x00
         };
 
-        bulk.fill(victim_addr, row_bytes, fill);
-        let bulk_flips = bulk.hammer_pair(a, b, pairs).unwrap().flips;
+        bulk.fill(victim, row_bytes, fill);
+        let bulk_flips = bulk.hammer_rows(&set, rounds).unwrap().flips;
 
-        let mut step = small_dev(seed);
-        step.fill(victim_addr, row_bytes, fill);
-        for _ in 0..pairs {
-            step.access(a);
-            step.access(b);
+        let mut step = DramDevice::new(config);
+        step.fill(victim, row_bytes, fill);
+        for _ in 0..rounds {
+            for &a in &set {
+                step.access(a);
+            }
         }
-        let step_flips: Vec<_> = step.flips().to_vec();
 
         let key = |f: &FlipEvent| (f.addr, f.bit, f.polarity);
         let mut bk: Vec<_> = bulk_flips.iter().map(key).collect();
-        let mut sk: Vec<_> = step_flips.iter().map(key).collect();
+        let mut sk: Vec<_> = step.flips().iter().map(key).collect();
         bk.sort();
         sk.sort();
-        assert_eq!(bk, sk, "bulk and per-access hammering disagree");
-        assert!(
-            !bk.is_empty(),
-            "expected at least one flip in the comparison"
-        );
+        let label = format!("{} rows, config {config:?}", set.len());
+        assert_eq!(bk, sk, "bulk and per-access hammering disagree: {label}");
+        assert_eq!(bulk.trr_triggers(), step.trr_triggers(), "{label}");
+        assert_eq!(bulk.now(), step.now(), "{label}");
+        (bk.len(), bulk.trr_triggers())
+    }
+
+    #[test]
+    fn bulk_hammer_matches_per_access_path() {
+        for seed in 5..=7 {
+            for timed in [false, true] {
+                let config = DramConfig::small()
+                    .with_seed(seed)
+                    .with_timing_engine(timed);
+                for decoys in [0, 2, 6] {
+                    let (flips, _) = assert_bulk_matches_per_access(config, decoys);
+                    if decoys == 0 {
+                        assert!(flips > 0, "expected at least one flip (seed {seed})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1749,7 +1685,7 @@ mod tests {
         let mut observed = Vec::new();
         for _ in 0..3 {
             dev.fill(victim_addr, row_bytes, fill);
-            let flips = dev.hammer_pair(a, b, pairs).unwrap().flips;
+            let flips = dev.hammer_rows(&[a, b], pairs).unwrap().flips;
             observed.push(
                 flips
                     .iter()
@@ -1776,7 +1712,7 @@ mod tests {
             0x00
         };
         dev.fill(victim, dev.config().geometry.row_bytes as u64, fill);
-        let outcome = dev.hammer_pair(a, b, pairs).unwrap();
+        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
         outcome
             .flips
             .iter()
@@ -1868,65 +1804,28 @@ mod tests {
     #[test]
     fn bulk_hammer_matches_per_access_path_under_trr() {
         // The TRR burst planner must be exactly equivalent to feeding the
-        // sampler one ACT at a time.
-        let seed = 5;
-        let trr = Some(TrrParams::ddr4_like().with_threshold_acts(1500));
-        let (row, cell) = find_weak_row(&mut small_dev(seed));
-        let config = DramConfig::small().with_seed(seed).with_trr(trr);
-        let pairs = cell.threshold_acts() + 16;
-
-        let mut bulk = DramDevice::new(config);
-        let a = bulk.mapping().coord_to_phys(coord(0, row - 1, 0));
-        let b = bulk.mapping().coord_to_phys(coord(0, row + 1, 0));
-        let victim = bulk.mapping().coord_to_phys(coord(0, row, 0));
-        let row_bytes = bulk.config().geometry.row_bytes as u64;
-        bulk.fill(victim, row_bytes, 0xFF);
-        let bulk_flips = bulk.hammer_pair(a, b, pairs).unwrap().flips;
-
-        let mut step = DramDevice::new(config);
-        step.fill(victim, row_bytes, 0xFF);
-        for _ in 0..pairs {
-            step.access(a);
-            step.access(b);
+        // sampler one ACT at a time, whether the set fits the sampler (2 and
+        // 4 rows: triggers fire) or thrashes it (8 rows).
+        let samplers = [
+            TrrParams::ddr4_like(),
+            TrrParams::ddr4_like().with_threshold_acts(1500),
+        ];
+        for seed in 5..=7 {
+            for timed in [false, true] {
+                for trr in samplers {
+                    let config = DramConfig::small()
+                        .with_seed(seed)
+                        .with_timing_engine(timed)
+                        .with_trr(Some(trr));
+                    for decoys in [0, 2, 6] {
+                        let (_, triggers) = assert_bulk_matches_per_access(config, decoys);
+                        if decoys < 6 {
+                            assert!(triggers > 0, "test must exercise triggers (seed {seed})");
+                        }
+                    }
+                }
+            }
         }
-        let step_flips: Vec<_> = step.flips().to_vec();
-
-        let key = |f: &FlipEvent| (f.addr, f.bit, f.polarity);
-        let mut bk: Vec<_> = bulk_flips.iter().map(key).collect();
-        let mut sk: Vec<_> = step_flips.iter().map(key).collect();
-        bk.sort();
-        sk.sort();
-        assert_eq!(bk, sk, "bulk and per-access TRR accounting disagree");
-        assert_eq!(bulk.trr_triggers(), step.trr_triggers());
-        assert!(bulk.trr_triggers() > 0, "test must exercise triggers");
-    }
-
-    #[test]
-    fn hammer_rows_on_two_rows_matches_hammer_pair() {
-        let seed = 6;
-        let (row, cell) = find_weak_row(&mut small_dev(seed));
-        let pairs = cell.threshold_acts() + 16;
-        let run = |many: bool| {
-            let mut dev = small_dev(seed);
-            let a = dev.mapping().coord_to_phys(coord(0, row - 1, 0));
-            let b = dev.mapping().coord_to_phys(coord(0, row + 1, 0));
-            let victim = dev.mapping().coord_to_phys(coord(0, row, 0));
-            dev.fill(victim, dev.config().geometry.row_bytes as u64, 0xFF);
-            let outcome = if many {
-                dev.hammer_rows(&[a, b], pairs).unwrap()
-            } else {
-                dev.hammer_pair(a, b, pairs).unwrap()
-            };
-            let mut keys: Vec<_> = outcome.flips.iter().map(|f| (f.addr, f.bit)).collect();
-            keys.sort();
-            (
-                keys,
-                outcome.acts,
-                outcome.elapsed,
-                dev.stats().hammer_pairs,
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1944,10 +1843,18 @@ mod tests {
             Err(DramError::NotEnoughAggressors { count: 1 })
         ));
         assert!(matches!(
+            dev.hammer_rows(&[a, other_bank], 10),
+            Err(DramError::AggressorsInDifferentBanks { .. })
+        ));
+        assert!(matches!(
             dev.hammer_rows(&[a, b, other_bank], 10),
             Err(DramError::AggressorsInDifferentBanks { .. })
         ));
         let same_row = dev.mapping().coord_to_phys(coord(0, 10, 64));
+        assert!(matches!(
+            dev.hammer_rows(&[a, same_row], 10),
+            Err(DramError::AggressorsShareRow { .. })
+        ));
         assert!(matches!(
             dev.hammer_rows(&[a, b, same_row], 10),
             Err(DramError::AggressorsShareRow { .. })
@@ -2126,7 +2033,7 @@ mod tests {
                 let pairs = x.threshold_acts().max(y.threshold_acts()) + 16;
                 let a = dev.mapping().coord_to_phys(coord(0, row - 1, 0));
                 let b = dev.mapping().coord_to_phys(coord(0, row + 1, 0));
-                let outcome = dev.hammer_pair(a, b, pairs).unwrap();
+                let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
                 let word = |c: &WeakCell| c.bit_in_row / 64;
                 let flipped = |c: &WeakCell| {
                     outcome
@@ -2199,7 +2106,7 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        let of = fast.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        let of = fast.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
         assert_eq!(
             fast.analytic_rounds(),
             MULTI_WINDOW_PAIRS,
@@ -2208,7 +2115,7 @@ mod tests {
         assert_eq!(slow.analytic_rounds(), 0, "reference kernels stay literal");
         assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
 
-        let os = slow.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        let os = slow.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
         assert_eq!(of.flips, os.flips);
         assert_eq!(of.elapsed, os.elapsed);
         assert_eq!(fast.now(), slow.now());
@@ -2216,8 +2123,8 @@ mod tests {
 
         // The kernel must leave per-victim refresh bookkeeping exact: a
         // follow-up hammer carries over in-window disturbance identically.
-        let of2 = fast.hammer_pair(a, b, 50_000).unwrap();
-        let os2 = slow.hammer_pair(a, b, 50_000).unwrap();
+        let of2 = fast.hammer_rows(&[a, b], 50_000).unwrap();
+        let os2 = slow.hammer_rows(&[a, b], 50_000).unwrap();
         assert_eq!(of2.flips, os2.flips);
         assert_eq!(fast.now(), slow.now());
         assert_eq!(fast.stats(), slow.stats());
@@ -2282,8 +2189,8 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        let of = fast.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
-        let os = slow.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+        let of = fast.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
+        let os = slow.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
         assert!(fast.analytic_rounds() > 0, "the kernel never engaged");
         assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
         assert_eq!(of.flips, os.flips);
@@ -2351,7 +2258,7 @@ mod tests {
             let (row, _) = find_weak_row(&mut dev);
             let a = dev.mapping().coord_to_phys(coord(0, row - 1, 0));
             let b = dev.mapping().coord_to_phys(coord(0, row + 1, 0));
-            dev.hammer_pair(a, b, MULTI_WINDOW_PAIRS).unwrap();
+            dev.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
             assert_eq!(dev.analytic_rounds(), 0, "the kernel engaged under {cm}");
         }
     }
@@ -2372,15 +2279,15 @@ mod tests {
         let mut dev = DramDevice::new(cfg);
         let a = dev.mapping().coord_to_phys(coord(0, 40, 0));
         let b = dev.mapping().coord_to_phys(coord(0, 42, 0));
-        dev.hammer_pair(a, b, 30_000).unwrap();
+        dev.hammer_rows(&[a, b], 30_000).unwrap();
         let snap = dev.snapshot();
-        let cont = dev.hammer_pair(a, b, 30_000).unwrap();
-        let fork_cont = snap.to_device().hammer_pair(a, b, 30_000).unwrap();
+        let cont = dev.hammer_rows(&[a, b], 30_000).unwrap();
+        let fork_cont = snap.to_device().hammer_rows(&[a, b], 30_000).unwrap();
         assert_eq!(cont.flips, fork_cont.flips);
         assert_eq!(cont.elapsed, fork_cont.elapsed);
         dev.restore(&snap);
         assert_eq!(dev.snapshot(), snap, "restore is not byte-identical");
-        let replay = dev.hammer_pair(a, b, 30_000).unwrap();
+        let replay = dev.hammer_rows(&[a, b], 30_000).unwrap();
         assert_eq!(replay.flips, cont.flips);
         assert_eq!(replay.elapsed, cont.elapsed);
     }

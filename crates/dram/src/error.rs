@@ -9,22 +9,22 @@ use crate::geometry::DramCoord;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DramError {
-    /// The two hammer aggressors decode into different banks; alternating
+    /// Two hammer aggressors decode into different banks; alternating
     /// between them would not cause row conflicts in a shared bank, so no
     /// hammering pressure builds up.
     AggressorsInDifferentBanks {
         /// First aggressor location.
         a: DramCoord,
-        /// Second aggressor location.
+        /// Location of the first aggressor outside `a`'s bank.
         b: DramCoord,
     },
-    /// Both aggressors decode to the same row; alternating accesses would be
+    /// Two aggressors decode to the same row; alternating accesses would be
     /// row-buffer hits and never issue an `ACT`.
     AggressorsShareRow {
-        /// The shared location.
+        /// The later aggressor's location in the shared row.
         coord: DramCoord,
     },
-    /// A many-sided hammer needs at least two distinct aggressor rows to
+    /// A hammer burst needs at least two distinct aggressor rows to
     /// generate row conflicts.
     NotEnoughAggressors {
         /// Aggressor addresses supplied.
@@ -47,7 +47,7 @@ impl fmt::Display for DramError {
             DramError::NotEnoughAggressors { count } => {
                 write!(
                     f,
-                    "many-sided hammering needs at least two distinct aggressor rows, got {count}"
+                    "hammering needs at least two distinct aggressor rows, got {count}"
                 )
             }
         }

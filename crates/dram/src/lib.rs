@@ -54,7 +54,7 @@
 //! let a = dev.mapping().coord_to_phys(above);
 //! let b = dev.mapping().coord_to_phys(below);
 //! dev.fill(dev.mapping().coord_to_phys(victim), 8192, 0xFF);
-//! let outcome = dev.hammer_pair(a, b, 400_000)?;
+//! let outcome = dev.hammer_rows(&[a, b], 400_000)?;
 //! // Whether this particular row flips depends on the seeded weak-cell
 //! // population, but the device faithfully reports every flip it induced.
 //! for f in &outcome.flips {

@@ -327,7 +327,7 @@ impl CommandClock {
     /// # Panics
     ///
     /// Panics if `acts` is zero. Debug-asserts the train is protocol-legal
-    /// given the bank's prior state (the bulk hammer paths guarantee this by
+    /// given the bank's prior state (the bulk hammer path guarantees this by
     /// spacing chunks with the same `t_rc` arithmetic).
     pub fn bulk_acts(&mut self, rank: u32, bank: u32, start: Nanos, acts: u64) {
         assert!(acts > 0, "a hammer train contains at least one ACT");
@@ -465,11 +465,6 @@ impl ParaEngine {
     /// The sampler parameters.
     pub fn params(&self) -> &ParaParams {
         &self.params
-    }
-
-    /// ACTs observed so far.
-    pub fn acts_seen(&self) -> u64 {
-        self.acts
     }
 
     /// Probabilistic neighbour refreshes issued so far.

@@ -23,7 +23,7 @@
 //! The engine exposes a per-`ACT` API ([`TrrEngine::record_act`]) for the
 //! ordinary access path and an analytic *burst* API
 //! ([`TrrEngine::plan_burst`] / [`TrrEngine::advance_tracked`] /
-//! [`TrrEngine::step_round`]) so the bulk hammer paths stay
+//! [`TrrEngine::step_round`]) so the bulk hammer path stays
 //! O(boundaries) instead of O(activations): a round-robin burst either
 //! settles into a thrashing steady state (the sampler provably never
 //! fires) or has all its rows tracked (the next trigger time is a closed

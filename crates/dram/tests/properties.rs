@@ -246,7 +246,7 @@ proptest! {
             let addr = dev.mapping().coord_to_phys(coord(r));
             dev.fill(addr, g.row_bytes as u64 / 2, 0xFF);
         }
-        let outcome = dev.hammer_pair(a, b, 200_000).unwrap();
+        let outcome = dev.hammer_rows(&[a, b], 200_000).unwrap();
         for f in &outcome.flips {
             let d = (f.coord.row as i64 - row as i64).abs();
             prop_assert!(d <= 3, "flip at row {} too far from victim {}", f.coord.row, row);
@@ -291,7 +291,7 @@ proptest! {
             let a = dev.mapping().coord_to_phys(coord(49));
             let b = dev.mapping().coord_to_phys(coord(51));
             dev.fill(dev.mapping().coord_to_phys(coord(50)), g.row_bytes as u64, 0xFF);
-            dev.hammer_pair(a, b, 150_000)
+            dev.hammer_rows(&[a, b], 150_000)
                 .unwrap()
                 .flips
                 .iter()

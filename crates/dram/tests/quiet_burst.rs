@@ -246,15 +246,11 @@ fn addr(dev: &DramDevice, bank: u32, row: u32) -> PhysAddr {
     })
 }
 
-/// Hammers `rows` for `rounds` rounds: `hammer_pair` for two rows (its
-/// own entry point), `hammer_rows` otherwise.
+/// Hammers `rows` of `bank` for `rounds` rounds.
 fn hammer(dev: &mut DramDevice, bank: u32, rows: &[u32], rounds: u64) -> HammerOutcome {
     let addrs: Vec<PhysAddr> = rows.iter().map(|&r| addr(dev, bank, r)).collect();
-    match addrs[..] {
-        [a, b] => dev.hammer_pair(a, b, rounds),
-        _ => dev.hammer_rows(&addrs, rounds),
-    }
-    .expect("distinct same-bank rows")
+    dev.hammer_rows(&addrs, rounds)
+        .expect("distinct same-bank rows")
 }
 
 fn same_outcome(fast: &HammerOutcome, reference: &HammerOutcome, what: &str) -> TestCaseResult {

@@ -78,7 +78,7 @@ fn step(dev: &mut DramDevice, (): &mut (), word: u64) {
                 ..coord
             });
             let pairs = 500 + (word >> 32) % 40_000;
-            dev.hammer_pair(above, below, pairs)
+            dev.hammer_rows(&[above, below], pairs)
                 .expect("distinct same-bank rows");
         }
         5 => {

@@ -787,22 +787,6 @@ impl SimMachine {
         Ok(self.now() - t0)
     }
 
-    /// [`Self::write`], additionally returning the simulated time it cost.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::touch`].
-    pub fn write_timed(
-        &mut self,
-        pid: Pid,
-        addr: VirtAddr,
-        data: &[u8],
-    ) -> Result<Nanos, MachineError> {
-        let t0 = self.now();
-        self.write(pid, addr, data)?;
-        Ok(self.now() - t0)
-    }
-
     /// Fills `len` bytes at `addr` with `value` (page-wise `memset`).
     ///
     /// # Errors
@@ -853,57 +837,15 @@ impl SimMachine {
     // Hammering
     // ------------------------------------------------------------------
 
-    /// One hammer iteration: access `addr` (guaranteed to reach DRAM) then
-    /// flush it — the paper's `mov`/`clflush` loop body.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::touch`].
-    pub fn access_flush(&mut self, pid: Pid, addr: VirtAddr) -> Result<(), MachineError> {
-        let (phys, cpu) = self.touch_cached(pid, addr)?;
-        // Ensure the access misses: flush first (idempotent), then access.
-        self.caches[cpu.0 as usize].clflush(phys.as_u64());
-        self.dram.access(phys);
-        self.stats.flushes += 1;
-        self.advance(CLFLUSH_NS);
-        Ok(())
-    }
-
-    /// Bulk double-sided hammering of the rows containing virtual addresses
-    /// `a` and `b`, `pairs` times, with `clflush` semantics (every access
-    /// activates a row). Equivalent to `pairs` iterations of
-    /// [`Self::access_flush`] on each address, but O(refresh boundaries).
-    ///
-    /// # Errors
-    ///
-    /// * Address resolution errors as in [`Self::touch`].
-    /// * [`MachineError::Dram`] if the two addresses do not share a bank or
-    ///   share a row.
-    pub fn hammer_pair_virt(
-        &mut self,
-        pid: Pid,
-        a: VirtAddr,
-        b: VirtAddr,
-        pairs: u64,
-    ) -> Result<HammerOutcome, MachineError> {
-        let cpu = self.process(pid)?.cpu();
-        let pa = self.touch(pid, a)?;
-        let pb = self.touch(pid, b)?;
-        self.caches[cpu.0 as usize].clflush(pa.as_u64());
-        self.caches[cpu.0 as usize].clflush(pb.as_u64());
-        let outcome = self.dram.hammer_pair(pa, pb, pairs)?;
-        self.stats.hammer_pairs += pairs;
-        self.stats.flushes += 2 * pairs;
-        Ok(outcome)
-    }
-
-    /// Many-sided bulk hammering: each round activates the row containing
-    /// every address in `aggressors` once, in order, with `clflush`
-    /// semantics — the round-robin pattern that thrashes a sampling
-    /// Target-Row-Refresh tracker (see [`dram::DramDevice::hammer_rows`]).
-    /// `stats().hammer_pairs` advances by the pair-equivalent activation
-    /// cost (`rounds * aggressors / 2`), keeping hammer budgets comparable
-    /// across strategies.
+    /// Bulk hammering: each round activates the row containing every
+    /// address in `aggressors` once, in order, with `clflush` semantics
+    /// (every access reaches DRAM and activates a row), racing refresh in
+    /// O(refresh boundaries) — see [`dram::DramDevice::hammer_rows`]. Two
+    /// addresses give the paper's double-sided burst; longer lists give the
+    /// round-robin pattern that thrashes a sampling Target-Row-Refresh
+    /// tracker. `stats().hammer_pairs` advances by the pair-equivalent
+    /// activation cost (`rounds * aggressors / 2`), keeping hammer budgets
+    /// comparable across strategies.
     ///
     /// # Errors
     ///
@@ -917,17 +859,41 @@ impl SimMachine {
         rounds: u64,
     ) -> Result<HammerOutcome, MachineError> {
         let cpu = self.process(pid)?.cpu();
-        let mut phys = Vec::with_capacity(aggressors.len());
-        for &va in aggressors {
-            phys.push(self.touch(pid, va)?);
+        // Sets of up to eight rows resolve without heap memory.
+        let mut inline = [PhysAddr::new(0); 8];
+        let mut spilled = Vec::new();
+        let phys: &mut [PhysAddr] = if aggressors.len() <= inline.len() {
+            &mut inline[..aggressors.len()]
+        } else {
+            spilled.resize(aggressors.len(), PhysAddr::new(0));
+            &mut spilled
+        };
+        for (pa, &va) in phys.iter_mut().zip(aggressors) {
+            *pa = self.touch(pid, va)?;
         }
-        for &pa in &phys {
+        for &pa in phys.iter() {
             self.caches[cpu.0 as usize].clflush(pa.as_u64());
         }
-        let outcome = self.dram.hammer_rows(&phys, rounds)?;
+        let outcome = self.dram.hammer_rows(phys, rounds)?;
         self.stats.hammer_pairs += outcome.acts / 2;
         self.stats.flushes += outcome.acts;
         Ok(outcome)
+    }
+
+    /// [`Self::hammer_rows_virt`] on `[a, b]`. Kept only because
+    /// `perfbench`'s hammer probe calls it; everything else passes the list.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::hammer_rows_virt`].
+    pub fn hammer_pair_virt(
+        &mut self,
+        pid: Pid,
+        a: VirtAddr,
+        b: VirtAddr,
+        pairs: u64,
+    ) -> Result<HammerOutcome, MachineError> {
+        self.hammer_rows_virt(pid, &[a, b], pairs)
     }
 }
 
@@ -1230,7 +1196,7 @@ mod tests {
         };
 
         let outcome = m
-            .hammer_pair_virt(p, va_a, va_b, cell.threshold_acts() + 64)
+            .hammer_rows_virt(p, &[va_a, va_b], cell.threshold_acts() + 64)
             .unwrap();
         assert!(
             outcome.flips.iter().any(|f| f.coord.row == coord.row),
@@ -1277,7 +1243,7 @@ mod tests {
         m.fill(p, va, 64 * PAGE_SIZE, 0).unwrap();
         // Two pages within the same row share the bank *and* the row —
         // hammering them must be rejected (row-buffer hits hammer nothing).
-        let e = m.hammer_pair_virt(p, va, va + PAGE_SIZE, 10);
+        let e = m.hammer_rows_virt(p, &[va, va + PAGE_SIZE], 10);
         assert!(matches!(
             e,
             Err(MachineError::Dram(

@@ -142,7 +142,7 @@ fn ecc_scene() -> Scene {
         let (above, below) = (aggressor(coord.row - 1), aggressor(coord.row + 1));
         let flips = m
             .dram_mut()
-            .hammer_pair(above, below, cell.threshold_acts() + 16)
+            .hammer_rows(&[above, below], cell.threshold_acts() + 16)
             .expect("hammer")
             .flips;
         let in_table = flips

@@ -62,17 +62,6 @@ impl MemConfig {
         }
     }
 
-    /// Returns a copy with a different CPU count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is zero.
-    pub fn with_cpus(mut self, cpus: u32) -> Self {
-        assert!(cpus > 0, "need at least one CPU");
-        self.cpus = cpus;
-        self
-    }
-
     /// Returns a copy with different pcp tuning.
     pub fn with_pcp(mut self, pcp: PcpConfig) -> Self {
         self.pcp = pcp;

@@ -105,14 +105,6 @@ impl BuddyAllocator {
         self.free_lists[order.0 as usize].len()
     }
 
-    /// Largest order with at least one free block, if any.
-    pub fn largest_free_order(&self) -> Option<Order> {
-        (0..=MAX_ORDER)
-            .rev()
-            .map(Order)
-            .find(|o| !self.free_lists[o.0 as usize].is_empty())
-    }
-
     /// Counters.
     pub fn stats(&self) -> BuddyStats {
         self.stats

@@ -104,11 +104,6 @@ impl TraceLog {
         self.enabled = enabled;
     }
 
-    /// Returns `true` if recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event (drops the oldest when full). No-op when disabled.
     pub fn record(&mut self, cpu: CpuId, zone: ZoneKind, kind: EventKind) {
         if !self.enabled {

@@ -169,12 +169,6 @@ impl Zone {
         self.buddy.free_pages() + self.pcp.iter().map(|p| p.len() as u64).sum::<u64>()
     }
 
-    /// Returns `true` if free pages sit below the `low` watermark — the
-    /// condition that wakes kswapd.
-    pub fn below_low_watermark(&self) -> bool {
-        self.free_pages() < self.watermarks.low
-    }
-
     /// Returns `true` if `pfn` belongs to this zone.
     pub fn contains(&self, pfn: Pfn) -> bool {
         self.span().contains(pfn)

@@ -133,7 +133,7 @@ fn secded_hides_single_bit_table_faults_from_the_victim() {
             });
         let flips = m
             .dram_mut()
-            .hammer_pair(above, below, cell.threshold_acts() + 16)
+            .hammer_rows(&[above, below], cell.threshold_acts() + 16)
             .expect("hammer")
             .flips;
         assert!(
