@@ -1,13 +1,16 @@
-//! Criterion: weak-cell row evaluation — lazy row materialization and the
-//! bitsliced threshold-crossing kernel vs its scalar per-cell oracle.
+//! Criterion: weak-cell row evaluation — lazy row materialization, memo
+//! hits and the bitsliced threshold-crossing kernel vs its scalar per-cell
+//! oracle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 
 use dram::{RowEval, WeakCellMap, WeakCellParams};
 
 /// 8 KiB rows, matching the small device geometry.
 const BITS_PER_ROW: u32 = 8 * 8192;
+
+/// Rows the benchmark maps hold (all the sweeps below stay under it).
+const ROWS: u64 = 4096;
 
 /// Dense enough that most rows carry a handful of weak cells, so the
 /// crossing kernels do real lane work instead of bailing on empty rows.
@@ -20,7 +23,7 @@ fn params() -> WeakCellParams {
 const STEPS: u64 = 40;
 const STEP_UNITS: u64 = 2_000;
 
-fn populated_rows(map: &mut WeakCellMap, rows: u64) -> Vec<Arc<RowEval>> {
+fn populated_rows(map: &WeakCellMap, rows: u64) -> Vec<&RowEval> {
     (0..rows)
         .map(|row| map.row_eval(row))
         .filter(|eval| !eval.is_empty())
@@ -32,15 +35,24 @@ fn bench_weak_cells(c: &mut Criterion) {
 
     group.bench_function("row_eval_cold_256_rows", |b| {
         b.iter(|| {
-            let mut map = WeakCellMap::new(7, params(), BITS_PER_ROW);
+            let map = WeakCellMap::new(7, params(), BITS_PER_ROW, ROWS);
             for row in 0..256u64 {
                 black_box(map.row_eval(black_box(row)));
             }
         })
     });
 
-    let mut map = WeakCellMap::new(7, params(), BITS_PER_ROW);
-    let rows = populated_rows(&mut map, 256);
+    let map = WeakCellMap::new(7, params(), BITS_PER_ROW, ROWS);
+    let rows = populated_rows(&map, 256);
+
+    // Memo hits: the lookup the hammer path makes for every victim row.
+    group.bench_function("row_eval_warm_256_rows", |b| {
+        b.iter(|| {
+            for row in 0..256u64 {
+                black_box(map.row_eval(black_box(row)));
+            }
+        })
+    });
     assert!(!rows.is_empty(), "density must populate some rows");
 
     group.bench_function("crossed_mask_bitsliced", |b| {

@@ -1,5 +1,8 @@
 //! Attack configuration.
 
+use std::sync::OnceLock;
+
+use ciphers::{TableImage, PRESENT_SBOX};
 use machine::MachineConfig;
 use memsim::CpuId;
 
@@ -22,6 +25,18 @@ impl VictimCipherKind {
             VictimCipherKind::AesSbox => 256,
             VictimCipherKind::AesTtable => 4096,
             VictimCipherKind::Present => 16,
+        }
+    }
+
+    /// The table image the victim installs at page start. The Te image is
+    /// built on first use and shared for the rest of the process, like the
+    /// S-box.
+    pub(crate) fn image(self) -> &'static [u8] {
+        static TE: OnceLock<Vec<u8>> = OnceLock::new();
+        match self {
+            VictimCipherKind::AesSbox => ciphers::aes::sbox::sbox(),
+            VictimCipherKind::AesTtable => TE.get_or_init(TableImage::te_tables),
+            VictimCipherKind::Present => &PRESENT_SBOX,
         }
     }
 
@@ -375,5 +390,12 @@ mod tests {
         assert_eq!(VictimCipherKind::AesSbox.image_len(), 256);
         assert_eq!(VictimCipherKind::AesTtable.image_len(), 4096);
         assert_eq!(VictimCipherKind::Present.image_len(), 16);
+        for kind in [
+            VictimCipherKind::AesSbox,
+            VictimCipherKind::AesTtable,
+            VictimCipherKind::Present,
+        ] {
+            assert_eq!(kind.image().len(), kind.image_len());
+        }
     }
 }

@@ -968,16 +968,9 @@ impl Phase for AnalyzePhase {
 /// inside the table image and the image's bit at that location holds the
 /// charged value the flip discharges.
 fn template_fires(t: &FlipTemplate, kind: VictimCipherKind) -> bool {
-    let off = t.page_offset as usize;
-    if off >= kind.image_len() {
-        return false;
-    }
-    let image_bit = match kind {
-        VictimCipherKind::AesSbox => TableImage::sbox()[off] & (1 << t.bit) != 0,
-        VictimCipherKind::AesTtable => TableImage::te_tables()[off] & (1 << t.bit) != 0,
-        VictimCipherKind::Present => present_sbox_image()[off] & (1 << t.bit) != 0,
-    };
-    image_bit == t.required_bit_value()
+    kind.image()
+        .get(usize::from(t.page_offset))
+        .is_some_and(|&byte| (byte & (1 << t.bit) != 0) == t.required_bit_value())
 }
 
 /// Selects one attack template per vulnerable page: pages where *exactly
@@ -1013,22 +1006,13 @@ pub fn select_attack_pages(
 /// hold the charged value the flip discharges, and for T-table/PRESENT
 /// victims the location must be analytically exploitable.
 pub fn template_usable(t: &FlipTemplate, kind: VictimCipherKind) -> bool {
-    let off = t.page_offset as usize;
-    if off >= kind.image_len() || t.reproducibility < 0.5 {
-        return false;
-    }
-    let image_bit = match kind {
-        VictimCipherKind::AesSbox => TableImage::sbox()[off] & (1 << t.bit) != 0,
-        VictimCipherKind::AesTtable => TableImage::te_tables()[off] & (1 << t.bit) != 0,
-        VictimCipherKind::Present => present_sbox_image()[off] & (1 << t.bit) != 0,
-    };
-    if image_bit != t.required_bit_value() {
+    if t.reproducibility < 0.5 || !template_fires(t, kind) {
         return false;
     }
     match kind {
         VictimCipherKind::AesSbox => true,
         VictimCipherKind::AesTtable => TableFault {
-            offset: off,
+            offset: usize::from(t.page_offset),
             bit: t.bit,
         }
         .classify_te()
@@ -1105,6 +1089,27 @@ mod tests {
         let mut t = template(0, 0, true);
         t.reproducibility = 0.1;
         assert!(!template_usable(&t, VictimCipherKind::AesSbox));
+    }
+
+    #[test]
+    fn te_image_matches_a_fresh_build_at_every_bit() {
+        let fresh = TableImage::te_tables();
+        assert_eq!(VictimCipherKind::AesTtable.image(), &fresh[..]);
+        for (offset, &byte) in fresh.iter().enumerate() {
+            for bit in 0..8u8 {
+                let charged = byte & (1 << bit) != 0;
+                for one_to_zero in [true, false] {
+                    assert_eq!(
+                        template_fires(
+                            &template(offset as u16, bit, one_to_zero),
+                            VictimCipherKind::AesTtable
+                        ),
+                        charged == one_to_zero,
+                        "offset {offset}, bit {bit}, one_to_zero {one_to_zero}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,9 +81,22 @@ pub struct TemplateScan {
     pub elapsed: Nanos,
 }
 
+/// Aggressor sets up to this many rows are built on the stack.
+const INLINE_ROWS: usize = 8;
+
+/// The most rows [`strategy_aggressors`] returns: the strategy's width, at
+/// least the pair, and at most the pair plus one decoy per stride step on
+/// each side of a `pages`-page buffer.
+fn set_capacity(strategy: HammerStrategy, pages: u64, stride_pages: u64) -> usize {
+    let decoys = 2 * (pages / stride_pages.max(1));
+    u64::from(strategy.rows()).clamp(2, 2 + decoys) as usize
+}
+
 /// The same-bank aggressor-row set a [`HammerStrategy`] hammers around one
 /// victim: the sandwiching pair, plus (for many-sided) decoy rows fanned
-/// outwards at `stride_pages` while they stay inside the buffer.
+/// outwards at `stride_pages` while they stay inside the buffer. The set is
+/// written to the front of `out`, which must hold [`set_capacity`]
+/// addresses, and returned.
 ///
 /// Decoy candidates are generated by virtual-address stride but each one is
 /// **verified physically** before use: the candidate page is re-translated
@@ -96,7 +109,7 @@ pub struct TemplateScan {
 /// the set. Candidates that translate nowhere (never-touched pages) or land
 /// wrong are skipped, not guessed at.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn strategy_aggressors(
+pub(crate) fn strategy_aggressors<'a>(
     machine: &SimMachine,
     pid: Pid,
     strategy: HammerStrategy,
@@ -105,11 +118,14 @@ pub(crate) fn strategy_aggressors(
     above: VirtAddr,
     below: VirtAddr,
     stride_pages: u64,
-) -> Vec<VirtAddr> {
-    let mut rows = vec![above, below];
-    let HammerStrategy::ManySided { rows: want } = strategy else {
-        return rows;
+    out: &'a mut [VirtAddr],
+) -> &'a [VirtAddr] {
+    out[0] = above;
+    out[1] = below;
+    let HammerStrategy::ManySided { .. } = strategy else {
+        return &out[..2];
     };
+    let want = set_capacity(strategy, pages, stride_pages);
     let coord_of = |va: VirtAddr| {
         machine
             .translate(pid, va)
@@ -118,25 +134,30 @@ pub(crate) fn strategy_aggressors(
     let (Some(ca), Some(cb)) = (coord_of(above), coord_of(below)) else {
         // Untouched pair: nothing to anchor the bank on; let the hammer
         // primitive's own validation report the failure.
-        return rows;
+        return &out[..2];
     };
     let bank = (ca.channel, ca.rank, ca.bank);
     if (cb.channel, cb.rank, cb.bank) != bank || ca.row == cb.row {
-        return rows; // fragmented pair — no bank to fan out within
+        return &out[..2]; // fragmented pair — no bank to fan out within
     }
-    // Rows already claimed, plus the sandwiched victim row(s) between the
-    // pair, which a decoy must never activate (that would refresh it).
+    // Rows already claimed (`claimed[i]` is the row of `out[i]`), plus the
+    // sandwiched victim row(s) between the pair, which a decoy must never
+    // activate (that would refresh it).
     let (victim_lo, victim_hi) = (ca.row.min(cb.row), ca.row.max(cb.row));
-    let mut claimed = vec![ca.row, cb.row];
+    let (mut inline_claimed, mut spilled_claimed) = ([0u32; INLINE_ROWS], Vec::new());
+    let claimed = perf::scratch(&mut inline_claimed, &mut spilled_claimed, want);
+    claimed[0] = ca.row;
+    claimed[1] = cb.row;
+    let mut len = 2;
     let Some(end) = pages
         .checked_mul(PAGE_SIZE)
         .and_then(|len| base.0.checked_add(len))
     else {
-        return rows;
+        return &out[..len];
     };
     let stride = stride_pages * PAGE_SIZE;
     let mut k = 1u64;
-    while (rows.len() as u32) < want {
+    while len < want {
         let Some(offset) = k.checked_mul(stride) else {
             break;
         };
@@ -146,7 +167,7 @@ pub(crate) fn strategy_aggressors(
             break; // buffer exhausted on both sides
         }
         for cand in [lower, upper].into_iter().flatten() {
-            if (rows.len() as u32) >= want {
+            if len >= want {
                 break;
             }
             let va = VirtAddr(cand);
@@ -155,16 +176,17 @@ pub(crate) fn strategy_aggressors(
             };
             if (c.channel, c.rank, c.bank) != bank
                 || (c.row > victim_lo && c.row < victim_hi)
-                || claimed.contains(&c.row)
+                || claimed[..len].contains(&c.row)
             {
                 continue;
             }
-            claimed.push(c.row);
-            rows.push(va);
+            claimed[len] = c.row;
+            out[len] = va;
+            len += 1;
         }
         k += 1;
     }
-    rows
+    &out[..len]
 }
 
 /// Hammers the strategy's aggressor set around (`above`, `below`) with
@@ -186,23 +208,20 @@ pub(crate) fn strategy_hammer(
     stride_pages: u64,
     pairs: u64,
 ) -> Result<(bool, u32), MachineError> {
-    // Only a set wider than the pair needs a list built.
-    let fanned;
-    let rows: &[VirtAddr] = if strategy.rows() > 2 {
-        fanned = strategy_aggressors(
-            machine,
-            pid,
-            strategy,
-            base,
-            pages,
-            above,
-            below,
-            stride_pages,
-        );
-        &fanned
-    } else {
-        &[above, below]
-    };
+    let (mut inline, mut spilled) = ([VirtAddr(0); INLINE_ROWS], Vec::new());
+    let capacity = set_capacity(strategy, pages, stride_pages);
+    let out = perf::scratch(&mut inline, &mut spilled, capacity);
+    let rows = strategy_aggressors(
+        machine,
+        pid,
+        strategy,
+        base,
+        pages,
+        above,
+        below,
+        stride_pages,
+        out,
+    );
     let accepted = match machine.hammer_rows_virt(pid, rows, pairs) {
         Ok(_) => true,
         Err(MachineError::Dram(_)) => false,
@@ -748,10 +767,10 @@ mod tests {
     #[test]
     fn flips_match_ground_truth_locations() {
         // Every template must correspond to a real weak cell (oracle check).
-        let (mut m, pid, _, scan) = scan_small(7, 2048, 400_000);
+        let (m, pid, _, scan) = scan_small(7, 2048, 400_000);
         for t in &scan.templates {
             let pa = m.translate(pid, t.page_va).expect("template page mapped");
-            let cells = m.dram_mut().weak_cells_at(pa + t.page_offset as u64);
+            let cells = m.dram().weak_cells_at(pa + t.page_offset as u64);
             let coord = m.dram().mapping().phys_to_coord(pa + t.page_offset as u64);
             let bit_in_row = coord.col * 8 + t.bit as u32;
             assert!(
@@ -781,6 +800,7 @@ mod tests {
         let above = base + 8 * stride * PAGE_SIZE;
         let below = base + 10 * stride * PAGE_SIZE;
 
+        let mut out = [VirtAddr(0); 16];
         // Double-sided: exactly the pair.
         let pair = strategy_aggressors(
             &m,
@@ -791,8 +811,9 @@ mod tests {
             above,
             below,
             stride,
+            &mut out,
         );
-        assert_eq!(pair, vec![above, below]);
+        assert_eq!(pair, [above, below]);
 
         // Many-sided: the pair first, then decoys that are *physically*
         // in the pair's bank on distinct rows — never the victim row.
@@ -805,7 +826,9 @@ mod tests {
             above,
             below,
             stride,
-        );
+            &mut out,
+        )
+        .to_vec();
         assert_eq!(many.len(), 6);
         assert_eq!(many[0], above);
         assert_eq!(many[1], below);
@@ -838,11 +861,32 @@ mod tests {
             edge_above,
             edge_below,
             stride,
+            &mut out,
         );
         assert!(clipped.len() >= 2);
-        for va in &clipped {
+        for va in clipped {
             assert!(va.0 >= base.0 && va.0 < base.0 + small_pages * PAGE_SIZE);
         }
+
+        // Any width, however absurd, needs no more room than the buffer
+        // can fill: the pair plus one decoy per stride step on each side.
+        let clipped = clipped.to_vec();
+        let absurd = HammerStrategy::ManySided { rows: u32::MAX };
+        let capacity = set_capacity(absurd, small_pages, stride);
+        assert_eq!(capacity, 2 + 2 * 5);
+        let mut room = vec![VirtAddr(0); capacity];
+        let widest = strategy_aggressors(
+            &m,
+            pid,
+            absurd,
+            base,
+            small_pages,
+            edge_above,
+            edge_below,
+            stride,
+            &mut room,
+        );
+        assert_eq!(widest, clipped);
     }
 
     #[test]
@@ -893,6 +937,7 @@ mod tests {
         while victim_start + row_pages + stride <= pages {
             let above = base + (victim_start - stride) * PAGE_SIZE;
             let below = base + (victim_start + stride) * PAGE_SIZE;
+            let mut out = [VirtAddr(0); 8];
             let rows = strategy_aggressors(
                 &m,
                 pid,
@@ -902,13 +947,14 @@ mod tests {
                 above,
                 below,
                 stride,
+                &mut out,
             );
             let ca = coord_of(&m, pid, above);
             let cb = coord_of(&m, pid, below);
             let pair_same_bank = (ca.channel, ca.rank, ca.bank) == (cb.channel, cb.rank, cb.bank);
             if pair_same_bank && ca.row != cb.row {
                 let mut seen = std::collections::HashSet::new();
-                for &va in &rows {
+                for &va in rows {
                     let c = coord_of(&m, pid, va);
                     assert_eq!(
                         (c.channel, c.rank, c.bank),
@@ -918,7 +964,7 @@ mod tests {
                     assert!(seen.insert(c.row), "duplicate aggressor row");
                 }
                 // Physically-verified sets are always accepted.
-                assert!(m.hammer_rows_virt(pid, &rows, 4).is_ok());
+                assert!(m.hammer_rows_virt(pid, rows, 4).is_ok());
                 if rows.len() > 2 {
                     verified_fanouts += 1;
                 }
@@ -1072,7 +1118,7 @@ mod tests {
                     let cols = coord.col..coord.col + PAGE_SIZE as u32;
                     let charged = |bit: u32| pattern & (1 << (bit % 8)) != 0;
                     let Some(cell) = m
-                        .dram_mut()
+                        .dram()
                         .weak_cells_at(frame)
                         .iter()
                         .find(|c| {

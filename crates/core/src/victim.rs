@@ -2,9 +2,9 @@
 //! (steered) memory.
 
 use ciphers::{
-    expand_key, present80_encrypt, present80_round_keys, present_sbox_image, sbox_aes_byte_reads,
-    sbox_aes_encrypt, ttable_aes_byte_reads, ttable_aes_encrypt, AesKeySize, RoundKeys, TableImage,
-    TableSource, PRESENT80_BYTE_READS,
+    expand_key, present80_encrypt, present80_round_keys, sbox_aes_byte_reads, sbox_aes_encrypt,
+    ttable_aes_byte_reads, ttable_aes_encrypt, AesKeySize, RoundKeys, TableSource,
+    PRESENT80_BYTE_READS,
 };
 use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 use memsim::{CpuId, Pfn, PAGE_SIZE};
@@ -63,12 +63,7 @@ impl VictimCipherService {
     ) -> Result<Self, MachineError> {
         let pid = machine.spawn(cpu);
         let base = machine.mmap(pid, 1)?;
-        let image = match kind {
-            VictimCipherKind::AesSbox => TableImage::sbox().to_vec(),
-            VictimCipherKind::AesTtable => TableImage::te_tables(),
-            VictimCipherKind::Present => present_sbox_image().to_vec(),
-        };
-        machine.write(pid, base, &image)?;
+        machine.write(pid, base, kind.image())?;
         Ok(VictimCipherService {
             pid,
             cpu,
@@ -284,7 +279,7 @@ impl VictimSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ciphers::{BlockCipher, Present80, RamTableSource, ReferenceAes};
+    use ciphers::{present_sbox_image, BlockCipher, Present80, RamTableSource, ReferenceAes};
     use machine::MachineConfig;
 
     fn machine() -> SimMachine {

@@ -331,7 +331,7 @@ fn flip_scene() -> FlipScene {
             };
             let (outer, far) = (row_addr(&m, outer), row_addr(&m, far));
             let flushed = svc.table_base() + aggressor_half * HALF;
-            let cells = m.dram_mut().weak_cells_at(pa + victim_half * HALF);
+            let cells = m.dram().weak_cells_at(pa + victim_half * HALF);
             for cell in cells.iter() {
                 let target = (
                     pa + victim_half * HALF + u64::from(cell.bit_in_row / 8),

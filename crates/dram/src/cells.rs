@@ -8,9 +8,10 @@
 //! the population is a pure function of `(seed, row)`, so re-hammering a row
 //! re-finds the same cells.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use perf::FastMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,7 +186,7 @@ impl Default for WeakCellParams {
 /// no lanes and fall back to the scalar path.
 #[derive(Debug)]
 pub struct RowEval {
-    cells: Arc<[WeakCell]>,
+    cells: Box<[WeakCell]>,
     /// `lanes[b]` bit `i` = bit `b` of `cells[i].threshold_units`.
     lanes: Vec<u64>,
     /// Occupancy: bit `i` set for each packed cell.
@@ -197,7 +198,7 @@ pub struct RowEval {
 }
 
 impl RowEval {
-    fn new(cells: Arc<[WeakCell]>) -> Self {
+    fn new(cells: Box<[WeakCell]>) -> Self {
         let min_threshold = cells
             .iter()
             .map(|c| c.threshold_units)
@@ -231,7 +232,7 @@ impl RowEval {
     }
 
     /// The row's cells, sorted by bit index.
-    pub fn cells(&self) -> &Arc<[WeakCell]> {
+    pub fn cells(&self) -> &[WeakCell] {
         &self.cells
     }
 
@@ -311,17 +312,20 @@ impl RowEval {
 ///
 /// The cells of a row are a pure function of `(seed, global_row_id)`; the map
 /// memoises them — together with their bitsliced [`RowEval`] packing — so
-/// repeated hammering of the same row is cheap.
+/// repeated hammering of the same row is cheap. The memo is one table of
+/// write-once row slots behind an `Arc`: clones (device snapshots, forks
+/// and restores) share it, so each row is generated once per population
+/// however many devices hammer it, on any thread.
 #[derive(Debug, Clone)]
 pub struct WeakCellMap {
     seed: u64,
     params: WeakCellParams,
     bits_per_row: u32,
-    cache: FastMap<u64, Arc<RowEval>>,
+    rows: Arc<RowTable>,
 }
 
 /// Two maps are equal when they describe the same population — the memo
-/// cache is excluded, since it only reflects which rows happen to have been
+/// is excluded, since it only reflects which rows happen to have been
 /// queried (an oracle call must not make two otherwise-identical devices
 /// compare unequal).
 impl PartialEq for WeakCellMap {
@@ -329,6 +333,42 @@ impl PartialEq for WeakCellMap {
         self.seed == other.seed
             && self.params == other.params
             && self.bits_per_row == other.bits_per_row
+    }
+}
+
+/// Rows per lazily allocated block of the [`RowTable`].
+const ROW_BLOCK: usize = 256;
+
+/// One block of row slots.
+type RowBlock = [OnceLock<Box<RowEval>>; ROW_BLOCK];
+
+/// The weak-cell memo: one write-once slot per row of the device, indexed
+/// by global row id. The top level holds one slot per [`ROW_BLOCK`] rows
+/// and a block is allocated on the first lookup of one of its rows, so a
+/// device costs a few pointers per thousand rows until it is hammered.
+struct RowTable {
+    blocks: Box<[OnceLock<Box<RowBlock>>]>,
+    /// Rows generated so far.
+    generated: AtomicUsize,
+}
+
+impl RowTable {
+    fn new(total_rows: u64) -> Self {
+        let blocks = usize::try_from(total_rows.div_ceil(ROW_BLOCK as u64))
+            .expect("row count fits the address space");
+        RowTable {
+            blocks: (0..blocks).map(|_| OnceLock::new()).collect(),
+            generated: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl fmt::Debug for RowTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RowTable")
+            .field("blocks", &self.blocks.len())
+            .field("generated", &self.generated.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
@@ -370,13 +410,13 @@ fn sample_standard_normal(rng: &mut StdRng) -> f64 {
 }
 
 impl WeakCellMap {
-    /// Creates a map for rows of `bits_per_row` bits.
+    /// Creates a map for `total_rows` rows of `bits_per_row` bits each.
     ///
     /// # Panics
     ///
     /// Panics if `bits_per_row` is zero or `params.density` is outside
     /// `(0, 1)`.
-    pub fn new(seed: u64, params: WeakCellParams, bits_per_row: u32) -> Self {
+    pub fn new(seed: u64, params: WeakCellParams, bits_per_row: u32, total_rows: u64) -> Self {
         assert!(bits_per_row > 0, "rows must contain at least one bit");
         assert!(
             params.density > 0.0 && params.density < 1.0,
@@ -386,7 +426,7 @@ impl WeakCellMap {
             seed,
             params,
             bits_per_row,
-            cache: FastMap::default(),
+            rows: Arc::new(RowTable::new(total_rows)),
         }
     }
 
@@ -397,22 +437,34 @@ impl WeakCellMap {
 
     /// Returns the weak cells of the row identified by `global_row_id`,
     /// generating and memoising them on first use.
-    pub fn cells_for_row(&mut self, global_row_id: u64) -> Arc<[WeakCell]> {
-        Arc::clone(self.row_eval(global_row_id).cells())
+    ///
+    /// # Panics
+    ///
+    /// Panics if `global_row_id` is not below the map's row count.
+    pub fn cells_for_row(&self, global_row_id: u64) -> &[WeakCell] {
+        self.row_eval(global_row_id).cells()
     }
 
     /// Returns the row's bitsliced evaluation structure, generating and
-    /// memoising it on first use.
-    pub fn row_eval(&mut self, global_row_id: u64) -> Arc<RowEval> {
-        if let Some(row) = self.cache.get(&global_row_id) {
-            return Arc::clone(row);
-        }
-        let row = Arc::new(RowEval::new(self.generate(global_row_id)));
-        self.cache.insert(global_row_id, Arc::clone(&row));
-        row
+    /// memoising it on first use. Concurrent first lookups of one row
+    /// generate it once; the others wait for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `global_row_id` is not below the map's row count.
+    pub fn row_eval(&self, global_row_id: u64) -> &RowEval {
+        let block = usize::try_from(global_row_id / ROW_BLOCK as u64)
+            .ok()
+            .and_then(|b| self.rows.blocks.get(b))
+            .unwrap_or_else(|| panic!("row {global_row_id} is outside the device"));
+        let block = block.get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        block[(global_row_id % ROW_BLOCK as u64) as usize].get_or_init(|| {
+            self.rows.generated.fetch_add(1, Ordering::Relaxed);
+            Box::new(RowEval::new(self.generate(global_row_id)))
+        })
     }
 
-    fn generate(&self, global_row_id: u64) -> Arc<[WeakCell]> {
+    fn generate(&self, global_row_id: u64) -> Box<[WeakCell]> {
         let row_seed = splitmix64(self.seed ^ splitmix64(global_row_id.wrapping_add(0xA5A5)));
         let mut rng = StdRng::seed_from_u64(row_seed);
         let lambda = self.bits_per_row as f64 * self.params.density;
@@ -442,15 +494,19 @@ impl WeakCellMap {
         cells.into()
     }
 
-    /// Number of rows whose populations have been generated so far.
+    /// Number of rows whose populations have been generated so far, by
+    /// this map and every clone sharing its memo.
     pub fn cached_rows(&self) -> usize {
-        self.cache.len()
+        self.rows.generated.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row count of the maps under test: more than any test queries.
+    const TEST_ROWS: u64 = 4096;
 
     #[test]
     fn polarity_values() {
@@ -462,8 +518,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let mut a = WeakCellMap::new(42, WeakCellParams::flippy(), 65536);
-        let mut b = WeakCellMap::new(42, WeakCellParams::flippy(), 65536);
+        let a = WeakCellMap::new(42, WeakCellParams::flippy(), 65536, TEST_ROWS);
+        let b = WeakCellMap::new(42, WeakCellParams::flippy(), 65536, TEST_ROWS);
         for row in 0..200u64 {
             assert_eq!(a.cells_for_row(row)[..], b.cells_for_row(row)[..]);
         }
@@ -471,8 +527,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = WeakCellMap::new(1, WeakCellParams::flippy(), 65536);
-        let mut b = WeakCellMap::new(2, WeakCellParams::flippy(), 65536);
+        let a = WeakCellMap::new(1, WeakCellParams::flippy(), 65536, TEST_ROWS);
+        let b = WeakCellMap::new(2, WeakCellParams::flippy(), 65536, TEST_ROWS);
         let differs = (0..500u64).any(|r| a.cells_for_row(r)[..] != b.cells_for_row(r)[..]);
         assert!(differs);
     }
@@ -481,7 +537,12 @@ mod tests {
     fn density_controls_population_size() {
         let rows = 2000u64;
         let count = |density: f64| -> usize {
-            let mut m = WeakCellMap::new(7, WeakCellParams::flippy().with_density(density), 65536);
+            let m = WeakCellMap::new(
+                7,
+                WeakCellParams::flippy().with_density(density),
+                65536,
+                TEST_ROWS,
+            );
             (0..rows).map(|r| m.cells_for_row(r).len()).sum()
         };
         let sparse = count(1e-7);
@@ -512,7 +573,7 @@ mod tests {
     #[test]
     fn thresholds_respect_floor() {
         let params = WeakCellParams::flippy();
-        let mut m = WeakCellMap::new(3, params, 65536);
+        let m = WeakCellMap::new(3, params, 65536, TEST_ROWS);
         for row in 0..500u64 {
             for c in m.cells_for_row(row).iter() {
                 assert!(c.threshold_acts() >= params.min_threshold_acts);
@@ -522,7 +583,12 @@ mod tests {
 
     #[test]
     fn cells_sorted_and_unique() {
-        let mut m = WeakCellMap::new(9, WeakCellParams::flippy().with_density(1e-4), 65536);
+        let m = WeakCellMap::new(
+            9,
+            WeakCellParams::flippy().with_density(1e-4),
+            65536,
+            TEST_ROWS,
+        );
         for row in 0..100u64 {
             let cells = m.cells_for_row(row);
             for w in cells.windows(2) {
@@ -533,16 +599,38 @@ mod tests {
 
     #[test]
     fn cache_memoises() {
-        let mut m = WeakCellMap::new(11, WeakCellParams::flippy(), 65536);
-        let a = m.cells_for_row(5);
-        let b = m.cells_for_row(5);
-        assert!(Arc::ptr_eq(&a, &b));
+        let m = WeakCellMap::new(11, WeakCellParams::flippy(), 65536, TEST_ROWS);
+        let a: *const RowEval = m.row_eval(5);
+        assert!(std::ptr::eq(a, m.row_eval(5)));
         assert_eq!(m.cached_rows(), 1);
+        // A clone shares the memo both ways: it sees the generated row and
+        // the original counts what the clone generates.
+        let fork = m.clone();
+        assert!(std::ptr::eq(a, fork.row_eval(5)));
+        assert_eq!(fork.cached_rows(), 1);
+        fork.row_eval(TEST_ROWS - 1);
+        assert_eq!(m.cached_rows(), 2);
+        // A map of another seed has its own memo.
+        let other = WeakCellMap::new(12, WeakCellParams::flippy(), 65536, TEST_ROWS);
+        assert_eq!(other.cached_rows(), 0);
+        assert!(!std::ptr::eq(a, other.row_eval(5)));
+        assert_eq!(m.cached_rows(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the device")]
+    fn rows_beyond_the_device_are_rejected() {
+        WeakCellMap::new(11, WeakCellParams::flippy(), 65536, TEST_ROWS).row_eval(TEST_ROWS * 2);
     }
 
     #[test]
     fn true_cell_fraction_is_respected() {
-        let mut m = WeakCellMap::new(13, WeakCellParams::flippy().with_density(1e-4), 65536);
+        let m = WeakCellMap::new(
+            13,
+            WeakCellParams::flippy().with_density(1e-4),
+            65536,
+            TEST_ROWS,
+        );
         let mut true_cells = 0usize;
         let mut total = 0usize;
         for row in 0..2000u64 {
@@ -574,12 +662,17 @@ mod tests {
                 threshold_units: t,
             })
             .collect();
-        RowEval::new(cells.into())
+        RowEval::new(cells.into_boxed_slice())
     }
 
     #[test]
     fn bitsliced_mask_matches_scalar_on_generated_rows() {
-        let mut m = WeakCellMap::new(21, WeakCellParams::flippy().with_density(1e-4), 65536);
+        let m = WeakCellMap::new(
+            21,
+            WeakCellParams::flippy().with_density(1e-4),
+            65536,
+            TEST_ROWS,
+        );
         let mut rng = StdRng::seed_from_u64(99);
         let mut crossings = 0u64;
         for row_id in 0..500u64 {

@@ -1,7 +1,5 @@
 //! The DRAM device: data plane, activation plane and Rowhammer physics.
 
-use std::sync::Arc;
-
 use crate::bank::{next_refresh_time, BankState};
 use crate::cells::{
     CellPolarity, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
@@ -29,7 +27,8 @@ const NEIGHBOUR_UNITS: [(i64, u64); 4] = [
     (2, DIST_UNITS_FAR as u64),
 ];
 
-/// Aggressor sets up to this many rows keep their row list on the stack.
+/// Aggressor sets up to this many rows keep their row and victim lists on
+/// the stack.
 const INLINE_ROWS: usize = 8;
 
 /// Complete configuration of a [`DramDevice`].
@@ -284,8 +283,8 @@ pub struct DramDevice {
     para: Option<ParaEngine>,
     rfm: Option<RfmEngine>,
     /// Hammer rounds served by an analytic path instead of the chunked
-    /// walk. Diagnostic only: like the weak-cell memo it is not device
-    /// state, so snapshots neither carry nor compare it.
+    /// walk. Diagnostic only: it is not device state, so snapshots neither
+    /// carry nor compare it.
     analytic_rounds: u64,
 }
 
@@ -304,7 +303,12 @@ impl DramDevice {
         let mapping = config.mapping.build(config.geometry);
         let banks = vec![BankState::default(); config.geometry.total_banks() as usize];
         let mem = SparseMemory::new(config.geometry.capacity_bytes());
-        let cells = WeakCellMap::new(config.seed, config.cells, config.geometry.row_bytes * 8);
+        let cells = WeakCellMap::new(
+            config.seed,
+            config.cells,
+            config.geometry.row_bytes * 8,
+            config.geometry.total_rows(),
+        );
         let trr = config
             .trr
             .map(|p| TrrEngine::new(p, config.geometry.total_banks() as usize));
@@ -753,6 +757,8 @@ impl DramDevice {
         } else {
             row.crossed_mask(delta.old_units, delta.new_units)
         };
+        // `try_flip` needs the whole device, so each flipping cell is copied
+        // out of the memo by a fresh lookup of its row.
         match mask {
             Some(mask) => {
                 debug_assert_eq!(
@@ -767,15 +773,17 @@ impl DramDevice {
                 while m != 0 {
                     let i = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    self.try_flip(victim, &row.cells()[i], self.now);
+                    let cell = self.cells.row_eval(row_id).cells()[i];
+                    self.try_flip(victim, &cell, self.now);
                 }
             }
             None => {
-                for cell in row.cells().iter() {
+                for i in 0..row.cells().len() {
+                    let cell = self.cells.row_eval(row_id).cells()[i];
                     if delta.old_units < cell.threshold_units
                         && cell.threshold_units <= delta.new_units
                     {
-                        self.try_flip(victim, cell, self.now);
+                        self.try_flip(victim, &cell, self.now);
                     }
                 }
             }
@@ -845,14 +853,8 @@ impl DramDevice {
         if count < 2 {
             return Err(DramError::NotEnoughAggressors { count });
         }
-        let mut inline_rows = [0u32; INLINE_ROWS];
-        let mut spilled_rows = Vec::new();
-        let agg_rows: &mut [u32] = if count <= INLINE_ROWS {
-            &mut inline_rows[..count]
-        } else {
-            spilled_rows.resize(count, 0);
-            &mut spilled_rows
-        };
+        let (mut inline_rows, mut spilled_rows) = ([0u32; INLINE_ROWS], Vec::new());
+        let agg_rows = perf::scratch(&mut inline_rows, &mut spilled_rows, count);
         let first = self.mapping.phys_to_coord(aggressors[0]);
         for (slot, &addr) in agg_rows.iter_mut().zip(aggressors) {
             let c = self.mapping.phys_to_coord(addr);
@@ -872,8 +874,16 @@ impl DramDevice {
         let timing = self.config.timing;
 
         // Disturbance received by each victim row per round; aggressor
-        // rows are excluded (each round re-activates them).
-        let mut victims: Vec<(u32, u64)> = Vec::with_capacity(4 * count);
+        // rows are excluded (each round re-activates them). Each aggressor
+        // has at most `NEIGHBOUR_UNITS.len()` victims.
+        let mut inline_victims = [(0u32, 0u64); NEIGHBOUR_UNITS.len() * INLINE_ROWS];
+        let mut spilled_victims = Vec::new();
+        let slots = perf::scratch(
+            &mut inline_victims,
+            &mut spilled_victims,
+            NEIGHBOUR_UNITS.len() * count,
+        );
+        let mut len = 0;
         for &aggressor in agg_rows {
             for (delta, units) in NEIGHBOUR_UNITS {
                 let row = i64::from(aggressor) + delta;
@@ -884,12 +894,16 @@ impl DramDevice {
                 if agg_rows.contains(&row) {
                     continue;
                 }
-                match victims.iter_mut().find(|(r, _)| *r == row) {
+                match slots[..len].iter_mut().find(|(r, _)| *r == row) {
                     Some((_, u)) => *u += units,
-                    None => victims.push((row, units)),
+                    None => {
+                        slots[len] = (row, units);
+                        len += 1;
+                    }
                 }
             }
         }
+        let victims = &slots[..len];
         let bank_idx = geometry.bank_index(first.channel, first.rank, first.bank);
         for &row in agg_rows {
             self.banks[bank_idx].clear_disturbance(row);
@@ -898,7 +912,7 @@ impl DramDevice {
         let round_time = count as u64 * timing.t_rc;
         let flips_before = self.flip_log.len();
         let start = self.now;
-        self.bulk_rounds(bank_idx, first, agg_rows, &victims, rounds, round_time);
+        self.bulk_rounds(bank_idx, first, agg_rows, victims, rounds, round_time);
 
         let acts = rounds * count as u64;
         self.banks[bank_idx].set_open_row(agg_rows[count - 1], acts);
@@ -1093,15 +1107,19 @@ impl DramDevice {
             .as_ref()
             .filter(|trr| trr.all_tracked(bank_idx, agg_rows));
         let period = tracked.map_or(1, TrrEngine::period);
-        let triggers: Vec<(u32, u64)> = tracked.map_or_else(Vec::new, |trr| {
-            agg_rows
-                .iter()
-                .map(|&row| {
+        let (mut inline_triggers, mut spilled_triggers) = ([(0u32, 0u64); INLINE_ROWS], Vec::new());
+        let triggers: &[(u32, u64)] = match tracked {
+            None => &[],
+            Some(trr) => {
+                let slots =
+                    perf::scratch(&mut inline_triggers, &mut spilled_triggers, agg_rows.len());
+                for (slot, &row) in slots.iter_mut().zip(agg_rows) {
                     let acts = trr.tracked_acts(bank_idx, row).expect("all tracked");
-                    (row, period - acts)
-                })
-                .collect()
-        });
+                    *slot = (row, period - acts);
+                }
+                slots
+            }
+        };
         // Round index at which the chunk holding round `r` starts.
         let chunk_start = |r: u64| {
             let mut start = 0;
@@ -1114,7 +1132,7 @@ impl DramDevice {
                     start = start.max(last + u64::from(straddle));
                 }
             }
-            for &(_, n) in &triggers {
+            for &(_, n) in triggers {
                 if let Some(x) = r.checked_sub(n) {
                     start = start.max(n + x / period * period);
                 }
@@ -1165,29 +1183,35 @@ impl DramDevice {
                     })
                 })
             };
-            let mut pending: Vec<(usize, u64)> = eval
-                .cells()
-                .iter()
-                .map(|c| c.threshold_units)
-                .enumerate()
-                .filter(|&(_, thr)| thr <= reach_first.max(reach_later))
-                .collect();
-            let (mut start, mut base) = (0, carried);
-            while start < rounds && !pending.is_empty() {
-                let end = next_reset(start).min(rounds);
-                let top = base.saturating_add(units.saturating_mul(end - start));
-                pending.retain(|&(i, thr)| {
-                    if base < thr && thr <= top {
-                        let crossing = start + (thr - base).div_ceil(units) - 1;
-                        flips.push((chunk_start(crossing), v, i, eval.cells()[i]));
-                        false
-                    } else {
-                        // Beyond every later gap: only the first segment
-                        // could have reached it.
-                        thr <= reach_later
+            // Cells still able to cross, as a mask over each 64-cell lane
+            // block (rows hold one block at any realistic density).
+            for (block, cells) in eval.cells().chunks(64).enumerate() {
+                let mut pending = cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.threshold_units <= reach_first.max(reach_later))
+                    .fold(0u64, |mask, (j, _)| mask | 1 << j);
+                let (mut start, mut base) = (0, carried);
+                while start < rounds && pending != 0 {
+                    let end = next_reset(start).min(rounds);
+                    let top = base.saturating_add(units.saturating_mul(end - start));
+                    let mut m = pending;
+                    while m != 0 {
+                        let j = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        let thr = cells[j].threshold_units;
+                        if base < thr && thr <= top {
+                            let crossing = start + (thr - base).div_ceil(units) - 1;
+                            flips.push((chunk_start(crossing), v, 64 * block + j, cells[j]));
+                            pending &= !(1 << j);
+                        } else if thr > reach_later {
+                            // Beyond every later gap: only the first segment
+                            // could have reached it.
+                            pending &= !(1 << j);
+                        }
                     }
-                });
-                (start, base) = (end, 0);
+                    (start, base) = (end, 0);
+                }
             }
         }
         flips.sort_unstable_by_key(|&(chunk, v, i, _)| (chunk, v, i));
@@ -1300,10 +1324,17 @@ impl DramDevice {
     ///
     /// This is an oracle for experiments and tests; the simulated attacker
     /// never calls it (templating *discovers* flips by hammering).
-    pub fn weak_cells_at(&mut self, addr: PhysAddr) -> Arc<[WeakCell]> {
+    pub fn weak_cells_at(&self, addr: PhysAddr) -> &[WeakCell] {
         let coord = self.mapping.phys_to_coord(addr);
         let row_id = self.config.geometry.global_row_id(coord);
         self.cells.cells_for_row(row_id)
+    }
+
+    /// Rows whose weak-cell populations have been generated so far. The
+    /// memo is shared by every snapshot, fork and restore of one booted
+    /// device, so this counts each row once across all of them.
+    pub fn weak_rows_generated(&self) -> usize {
+        self.cells.cached_rows()
     }
 
     /// Enumerates `(address, bit, cell)` for every weak cell whose bit falls
@@ -1312,11 +1343,7 @@ impl DramDevice {
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
-    pub fn weak_bits_in_range(
-        &mut self,
-        start: PhysAddr,
-        len: u64,
-    ) -> Vec<(PhysAddr, u8, WeakCell)> {
+    pub fn weak_bits_in_range(&self, start: PhysAddr, len: u64) -> Vec<(PhysAddr, u8, WeakCell)> {
         assert!(
             start.as_u64() + len <= self.capacity_bytes(),
             "range beyond capacity"
@@ -1353,10 +1380,11 @@ impl DramDevice {
 /// tracker state.
 ///
 /// **Not captured:** the address mapping (a pure function of the config,
-/// re-built by [`DramSnapshot::to_device`]) and the weak-cell memo cache's
-/// *contents* (the population is a pure function of the seed; the memo is
-/// carried along only as a warm-start optimisation and is excluded from
-/// snapshot equality).
+/// re-built by [`DramSnapshot::to_device`]) and the weak-cell memo's
+/// *contents*. The population is a pure function of the seed, so the
+/// snapshot shares the device's memo instead of copying it: rows either
+/// side generates later serve both. The memo is excluded from snapshot
+/// equality.
 ///
 /// # Examples
 ///
@@ -1655,7 +1683,9 @@ mod tests {
                 let config = DramConfig::small()
                     .with_seed(seed)
                     .with_timing_engine(timed);
-                for decoys in [0, 2, 6] {
+                // Two, four, eight and twelve rows: the last spills the
+                // row and victim lists to the heap.
+                for decoys in [0, 2, 6, 10] {
                     let (flips, _) = assert_bulk_matches_per_access(config, decoys);
                     if decoys == 0 {
                         assert!(flips > 0, "expected at least one flip (seed {seed})");
@@ -1805,7 +1835,8 @@ mod tests {
     fn bulk_hammer_matches_per_access_path_under_trr() {
         // The TRR burst planner must be exactly equivalent to feeding the
         // sampler one ACT at a time, whether the set fits the sampler (2 and
-        // 4 rows: triggers fire) or thrashes it (8 rows).
+        // 4 rows: triggers fire) or thrashes it (8 and 12 rows; 12 also
+        // spills the kernel's trigger list to the heap).
         let samplers = [
             TrrParams::ddr4_like(),
             TrrParams::ddr4_like().with_threshold_acts(1500),
@@ -1817,7 +1848,7 @@ mod tests {
                         .with_seed(seed)
                         .with_timing_engine(timed)
                         .with_trr(Some(trr));
-                    for decoys in [0, 2, 6] {
+                    for decoys in [0, 2, 6, 10] {
                         let (_, triggers) = assert_bulk_matches_per_access(config, decoys);
                         if decoys < 6 {
                             assert!(triggers > 0, "test must exercise triggers (seed {seed})");
@@ -2064,7 +2095,7 @@ mod tests {
 
     #[test]
     fn weak_bits_in_range_oracle_matches_cells() {
-        let mut dev = small_dev(7);
+        let dev = small_dev(7);
         let g = dev.config().geometry;
         let len = 1 << 20; // 1 MiB
         let found = dev.weak_bits_in_range(PhysAddr::new(0), len);

@@ -486,12 +486,13 @@ impl SimMachine {
             return self.touch_walk(pid, addr);
         }
         let proc = self.process(pid)?;
-        let Some((_, vma)) = proc.vma_of(addr.vpn()) else {
-            return Err(MachineError::Unmapped { pid, addr });
-        };
+        // A resident page lies in a live VMA: `munmap` drops its frame.
         if let Some(pfn) = proc.frame_of(addr) {
             return Ok(PhysAddr::new(pfn.phys_addr() + addr.page_offset()));
         }
+        let Some((_, vma)) = proc.vma_of(addr.vpn()) else {
+            return Err(MachineError::Unmapped { pid, addr });
+        };
         let cpu = proc.cpu();
         if vma.huge {
             return self.fault_huge_chunk(pid, addr, cpu, None);
@@ -1148,7 +1149,7 @@ mod tests {
         let mut target = None;
         'scan: for i in 0..pages {
             let pa = m.translate(p, va + i * PAGE_SIZE).unwrap();
-            let cells = m.dram_mut().weak_cells_at(pa);
+            let cells = m.dram().weak_cells_at(pa);
             for c in cells.iter() {
                 if c.polarity == dram::CellPolarity::True {
                     target = Some((i, *c));

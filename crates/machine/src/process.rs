@@ -94,6 +94,118 @@ pub struct Vma {
     pub huge: bool,
 }
 
+/// Pages per leaf of the shadow page table: a leaf covers the 512 pages one
+/// walk-mode leaf table maps.
+const LEAF_PAGES: u64 = 512;
+
+/// Leaf slot value of a page with no frame.
+const NO_FRAME: u64 = u64::MAX;
+
+/// One 512-page leaf of a [`PageMap`]: the frame number of each page, or
+/// [`NO_FRAME`].
+#[derive(Clone, PartialEq, Eq)]
+struct Leaf {
+    /// `vpn >> 9` of every page in the leaf.
+    key: u64,
+    /// Slots holding a frame (never 0: empty leaves are dropped).
+    used: u32,
+    frames: Box<[u64; LEAF_PAGES as usize]>,
+}
+
+/// The shadow page table: vpn → frame, in 512-slot leaves keyed by
+/// `vpn >> 9` and kept in key order. A lookup is a search over the few
+/// leaves a process has plus an index; only touched pages allocate a leaf,
+/// and a leaf whose last page goes is dropped, so equal maps have equal
+/// leaves.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct PageMap {
+    leaves: Vec<Leaf>,
+    /// Pages holding a frame.
+    resident: u64,
+}
+
+impl PageMap {
+    fn leaf_index(&self, key: u64) -> Result<usize, usize> {
+        self.leaves.binary_search_by_key(&key, |leaf| leaf.key)
+    }
+
+    fn get(&self, vpn: u64) -> Option<Pfn> {
+        let leaf = &self.leaves[self.leaf_index(vpn / LEAF_PAGES).ok()?];
+        let frame = leaf.frames[(vpn % LEAF_PAGES) as usize];
+        (frame != NO_FRAME).then_some(Pfn(frame))
+    }
+
+    fn insert(&mut self, vpn: u64, pfn: Pfn) {
+        let key = vpn / LEAF_PAGES;
+        let at = self.leaf_index(key).unwrap_or_else(|at| {
+            let frames = Box::new([NO_FRAME; LEAF_PAGES as usize]);
+            self.leaves.insert(
+                at,
+                Leaf {
+                    key,
+                    used: 0,
+                    frames,
+                },
+            );
+            at
+        });
+        let leaf = &mut self.leaves[at];
+        let slot = &mut leaf.frames[(vpn % LEAF_PAGES) as usize];
+        if *slot == NO_FRAME {
+            leaf.used += 1;
+            self.resident += 1;
+        }
+        *slot = pfn.0;
+    }
+
+    /// Removes the frames of pages `start..end`, returning them in vpn
+    /// order.
+    fn remove_range(&mut self, start: u64, end: u64) -> Vec<(u64, Pfn)> {
+        let mut freed = Vec::new();
+        if start >= end {
+            return freed;
+        }
+        let mut at = self.leaf_index(start / LEAF_PAGES).unwrap_or_else(|at| at);
+        while let Some(leaf) = self.leaves.get_mut(at) {
+            let first = leaf.key * LEAF_PAGES;
+            if first >= end {
+                break;
+            }
+            for vpn in start.max(first)..end.min(first + LEAF_PAGES) {
+                let slot = &mut leaf.frames[(vpn - first) as usize];
+                if *slot != NO_FRAME {
+                    freed.push((vpn, Pfn(*slot)));
+                    *slot = NO_FRAME;
+                    leaf.used -= 1;
+                    self.resident -= 1;
+                }
+            }
+            if leaf.used == 0 {
+                self.leaves.remove(at);
+            } else {
+                at += 1;
+            }
+        }
+        freed
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, Pfn)> + '_ {
+        self.leaves.iter().flat_map(|leaf| {
+            (leaf.key * LEAF_PAGES..)
+                .zip(leaf.frames.iter())
+                .filter(|&(_, &frame)| frame != NO_FRAME)
+                .map(|(vpn, &frame)| (vpn, Pfn(frame)))
+        })
+    }
+}
+
+/// Prints as the vpn → frame map it stands for.
+impl fmt::Debug for PageMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// One simulated process: VMAs, a page table, a CPU pin and a state.
 ///
 /// The structure is pure bookkeeping; all side effects (allocation, DRAM
@@ -111,7 +223,7 @@ pub struct Process {
     /// vpn → mapping, for each live anonymous VMA.
     vmas: BTreeMap<u64, Vma>,
     /// vpn → physical frame, for pages that have been touched.
-    page_table: BTreeMap<u64, Pfn>,
+    page_table: PageMap,
     next_mmap_vpn: u64,
     /// Root page-table frame (`Some` only with DRAM-resident page tables).
     root_table: Option<Pfn>,
@@ -128,7 +240,7 @@ impl Process {
             cpu,
             state: ProcState::Active,
             vmas: BTreeMap::new(),
-            page_table: BTreeMap::new(),
+            page_table: PageMap::default(),
             next_mmap_vpn: MMAP_BASE / PAGE_SIZE,
             root_table: None,
             leaf_tables: BTreeMap::new(),
@@ -192,7 +304,7 @@ impl Process {
 
     /// The frame backing `addr`, if the page has been touched.
     pub fn frame_of(&self, addr: VirtAddr) -> Option<Pfn> {
-        self.page_table.get(&addr.vpn()).copied()
+        self.page_table.get(addr.vpn())
     }
 
     pub(crate) fn install(&mut self, vpn: u64, pfn: Pfn) {
@@ -235,13 +347,7 @@ impl Process {
                 },
             );
         }
-        let mut freed = Vec::new();
-        for vpn in start..end {
-            if let Some(pfn) = self.page_table.remove(&vpn) {
-                freed.push((vpn, pfn));
-            }
-        }
-        Some(freed)
+        Some(self.page_table.remove_range(start, end))
     }
 
     // ------------------------------------------------------------------
@@ -278,7 +384,7 @@ impl Process {
 
     /// Number of pages with physical backing.
     pub fn resident_pages(&self) -> u64 {
-        self.page_table.len() as u64
+        self.page_table.resident
     }
 
     /// Number of live virtual pages (mapped, possibly untouched).
@@ -288,7 +394,7 @@ impl Process {
 
     /// Iterates over `(vpn, pfn)` pairs of resident pages.
     pub fn resident(&self) -> impl Iterator<Item = (u64, Pfn)> + '_ {
-        self.page_table.iter().map(|(&v, &p)| (v, p))
+        self.page_table.iter()
     }
 }
 

@@ -140,3 +140,144 @@ proptest! {
         }
     }
 }
+
+/// Operations on the shadow page table, for the page-map model test.
+#[derive(Debug, Clone)]
+enum PageOp {
+    Spawn,
+    Mmap(u8, u16),
+    MmapHuge(u8),
+    Touch(u8, u16),
+    /// Unmaps a sub-range of a base-page VMA (the whole VMA if huge): the
+    /// two words pick its start and length.
+    Munmap(u8, u16, u16),
+    Exit(u8),
+}
+
+fn page_ops() -> impl Strategy<Value = Vec<PageOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(PageOp::Spawn),
+            (any::<u8>(), 1u16..1200).prop_map(|(p, n)| PageOp::Mmap(p, n)),
+            any::<u8>().prop_map(PageOp::MmapHuge),
+            (any::<u8>(), any::<u16>()).prop_map(|(v, o)| PageOp::Touch(v, o)),
+            (any::<u8>(), any::<u16>()).prop_map(|(v, o)| PageOp::Touch(v, o)),
+            (any::<u8>(), any::<u16>()).prop_map(|(v, o)| PageOp::Touch(v, o)),
+            (any::<u8>(), any::<u16>(), any::<u16>()).prop_map(|(v, a, n)| PageOp::Munmap(v, a, n)),
+            any::<u8>().prop_map(PageOp::Exit),
+        ],
+        1..60,
+    )
+}
+
+/// One live VMA as the model sees it: owner, first vpn, pages, huge.
+type ModelVma = (machine::Pid, u64, u64, bool);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The shadow page table against a `BTreeMap` model: random mmap, huge
+    /// mmap, touch, partial munmap and exit sequences (on shadow and walk
+    /// machines alike) must leave `frame_of` on every live and recently
+    /// unmapped page, the vpn order of `resident()` and `resident_pages()`
+    /// as the model has them after every step.
+    #[test]
+    fn page_map_matches_a_btreemap_model(schedule in page_ops(), walk in any::<bool>()) {
+        use std::collections::BTreeMap;
+        let config = MachineConfig::small(5).with_dram_page_tables(walk);
+        let mut m = SimMachine::new(config);
+        let mut model: BTreeMap<machine::Pid, BTreeMap<u64, memsim::Pfn>> = BTreeMap::new();
+        let mut vmas: Vec<ModelVma> = Vec::new();
+        // Pages to probe with `frame_of` beyond the live VMAs: every page
+        // unmapped so far, which must read as absent.
+        let mut gone: Vec<(machine::Pid, u64)> = Vec::new();
+        let pid_at = |model: &BTreeMap<machine::Pid, _>, i: u8| {
+            model.keys().nth(i as usize % model.len().max(1)).copied()
+        };
+        for op in schedule {
+            match op {
+                PageOp::Spawn => {
+                    let pid = m.spawn(CpuId(0));
+                    model.insert(pid, BTreeMap::new());
+                }
+                PageOp::Mmap(p, n) => {
+                    if let Some(pid) = pid_at(&model, p) {
+                        let va = m.mmap(pid, u64::from(n)).unwrap();
+                        vmas.push((pid, va.vpn(), u64::from(n), false));
+                    }
+                }
+                PageOp::MmapHuge(p) => {
+                    if let Some(pid) = pid_at(&model, p) {
+                        let va = m.mmap_huge(pid, 1).unwrap();
+                        vmas.push((pid, va.vpn(), 512, true));
+                    }
+                }
+                PageOp::Touch(v, off) if !vmas.is_empty() => {
+                    let (pid, start, pages, huge) = vmas[v as usize % vmas.len()];
+                    let vpn = start + u64::from(off) % pages;
+                    let pa = m.touch(pid, VirtAddr(vpn * PAGE_SIZE)).unwrap();
+                    let pfn = pa.as_u64() / PAGE_SIZE;
+                    let map = model.get_mut(&pid).expect("live pid");
+                    if huge {
+                        // The whole 2 MiB chunk faults in at once.
+                        let chunk = vpn & !511;
+                        let block = pfn - (vpn - chunk);
+                        for i in 0..512 {
+                            map.entry(chunk + i).or_insert(memsim::Pfn(block + i));
+                        }
+                    } else {
+                        map.entry(vpn).or_insert(memsim::Pfn(pfn));
+                    }
+                }
+                PageOp::Munmap(v, a, n) if !vmas.is_empty() => {
+                    let (pid, start, pages, huge) = vmas.swap_remove(v as usize % vmas.len());
+                    let (from, len) = if huge {
+                        (start, pages)
+                    } else {
+                        let from = start + u64::from(a) % pages;
+                        (from, 1 + u64::from(n) % (start + pages - from))
+                    };
+                    m.munmap(pid, VirtAddr(from * PAGE_SIZE), len).unwrap();
+                    if from > start {
+                        vmas.push((pid, start, from - start, false));
+                    }
+                    if from + len < start + pages {
+                        vmas.push((pid, from + len, start + pages - from - len, false));
+                    }
+                    let map = model.get_mut(&pid).expect("live pid");
+                    for vpn in from..from + len {
+                        map.remove(&vpn);
+                        gone.push((pid, vpn));
+                    }
+                }
+                PageOp::Exit(p) => {
+                    if let Some(pid) = pid_at(&model, p) {
+                        m.exit(pid).unwrap();
+                        model.remove(&pid);
+                        vmas.retain(|&(q, ..)| q != pid);
+                    }
+                }
+                _ => {}
+            }
+            for (&pid, map) in &model {
+                let proc = m.process(pid).unwrap();
+                prop_assert_eq!(proc.resident_pages(), map.len() as u64);
+                let resident: Vec<_> = proc.resident().collect();
+                let expected: Vec<_> = map.iter().map(|(&v, &f)| (v, f)).collect();
+                prop_assert_eq!(resident, expected);
+            }
+            for &(pid, start, pages, _) in &vmas {
+                let proc = m.process(pid).unwrap();
+                for vpn in start..start + pages {
+                    let frame = proc.frame_of(VirtAddr(vpn * PAGE_SIZE));
+                    prop_assert_eq!(frame, model[&pid].get(&vpn).copied(), "vpn {:#x}", vpn);
+                }
+            }
+            for &(pid, vpn) in &gone {
+                if let Ok(proc) = m.process(pid) {
+                    prop_assert_eq!(proc.frame_of(VirtAddr(vpn * PAGE_SIZE)), None);
+                }
+            }
+        }
+    }
+}

@@ -111,7 +111,7 @@ fn ecc_scene() -> Scene {
         if coord.row < 1 || coord.row + 1 >= m.config().dram.geometry.rows {
             continue;
         }
-        let cells = m.dram_mut().weak_cells_at(table);
+        let cells = m.dram().weak_cells_at(table);
         let page_cols = coord.col..coord.col + PAGE_SIZE as u32;
         let Some(cell) = cells
             .iter()

@@ -1,8 +1,8 @@
 //! A deterministic, allocation-free hasher for small integer keys.
 //!
-//! The substrate's hottest maps — sparse DRAM chunks, weak-cell row
-//! caches, per-row disturbance tables, buddy-allocator bookkeeping — are
-//! all keyed by small integers, yet `std`'s default `HashMap` runs every
+//! The substrate's hottest maps — sparse DRAM chunks, per-row
+//! disturbance tables, buddy-allocator bookkeeping — are all keyed by
+//! small integers, yet `std`'s default `HashMap` runs every
 //! lookup through SipHash-1-3 with a per-process random seed. Profiling
 //! the attack trial shows that hashing alone is double-digit percent of
 //! the read path. This module swaps in a fixed-key SplitMix64 finalizer:

@@ -99,7 +99,7 @@ fn secded_hides_single_bit_table_faults_from_the_victim() {
         // A weak cell inside the S-box image whose charged value the image
         // currently stores (so hammering will flip it).
         let coord = m.dram().mapping().phys_to_coord(table);
-        let cells = m.dram_mut().weak_cells_at(table);
+        let cells = m.dram().weak_cells_at(table);
         let candidate = cells.iter().copied().find(|c| {
             let byte_in_row = c.bit_in_row / 8;
             if byte_in_row < coord.col || byte_in_row >= coord.col + image_len {

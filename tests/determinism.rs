@@ -109,6 +109,72 @@ fn snapshot_forked_attack_is_byte_identical_to_fresh_boot_for_every_victim() {
 }
 
 #[test]
+fn shared_weak_cell_table_serves_concurrent_forks_once() {
+    // Every fork of one booted device shares its weak-cell memo: two
+    // threads attacking forks of one warm snapshot at once must each
+    // report the cold boot's bytes, and the memo must end up holding each
+    // row the attack needs exactly once — the count a lone cold boot
+    // generates, not twice it.
+    let cfg = ExplFrameConfig::small_demo(1)
+        .with_template_pages(1024)
+        .with_victim(VictimCipherKind::AesTtable);
+    let mut cold_machine = SimMachine::new(cfg.machine.clone());
+    let cold = ExplFrame::new(cfg.clone())
+        .run_with(&mut cold_machine, RunOptions::default())
+        .expect("cold run");
+    let cold_rows = cold_machine.dram().weak_rows_generated();
+
+    let warm = SimMachine::new(cfg.machine.clone()).snapshot();
+    let booted_rows = warm.fork().dram().weak_rows_generated();
+    assert!(booted_rows < cold_rows, "the attack must generate rows");
+    let start = std::sync::Barrier::new(2);
+    let forked: Vec<AttackReport> = std::thread::scope(|s| {
+        let attacks: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut machine = warm.fork();
+                    start.wait();
+                    ExplFrame::new(cfg.clone())
+                        .run_with(&mut machine, RunOptions::default())
+                        .expect("forked run")
+                })
+            })
+            .collect();
+        attacks
+            .into_iter()
+            .map(|a| a.join().expect("attack thread"))
+            .collect()
+    });
+    for report in &forked {
+        assert_eq!(
+            report, &cold,
+            "a concurrent fork diverged from the cold boot"
+        );
+    }
+    assert_eq!(warm.fork().dram().weak_rows_generated(), cold_rows);
+
+    // A device of another seed boots with a memo of its own: it starts
+    // from its own boot's rows and never adds to the seed-1 memo.
+    let other_cfg = ExplFrameConfig::small_demo(2)
+        .with_template_pages(1024)
+        .with_victim(VictimCipherKind::AesTtable);
+    let lone_boot = SimMachine::new(other_cfg.machine.clone());
+    let mut other = SimMachine::new(other_cfg.machine.clone());
+    assert_eq!(
+        other.dram().weak_rows_generated(),
+        lone_boot.dram().weak_rows_generated()
+    );
+    let other_report = ExplFrame::new(other_cfg)
+        .run_with(&mut other, RunOptions::default())
+        .expect("other-seed run");
+    assert_ne!(
+        other_report, cold,
+        "another seed must attack another module"
+    );
+    assert_eq!(warm.fork().dram().weak_rows_generated(), cold_rows);
+}
+
+#[test]
 fn snapshot_forked_adaptive_attack_matches_fresh_boot_under_trr() {
     // Same differential, through the adaptive (strategy-escalating) driver
     // against a TRR-hardened module — the snapshot must carry the sampler
