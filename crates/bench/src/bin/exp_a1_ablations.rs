@@ -1,5 +1,4 @@
-//! A1 — ablations over the design knobs DESIGN.md calls out, as three
-//! campaigns:
+//! A1 — ablations over the simulator's design knobs, as three campaigns:
 //!
 //! 1. pcp tuning (`batch`/`high`) vs steering success — the exploit rides
 //!    the LIFO head, so it survives any sane tuning; disabling the cache

@@ -28,12 +28,10 @@
 //! mapping functions and asserts it recovers the configured oracle. Every
 //! trial carries a [`PhaseLedger`]; each cell's ledgers, merged in trial
 //! order, land in its deterministic `results/summary.json` record (calls,
-//! simulated ns, reads, writes, hammer pairs per phase). Run metrics
-//! (suppression ratios, bypass cost, host ms per trial per phase) land in
-//! the committed `BENCH_timing.json` series, which is parsed back through
-//! `campaign::json` and shape-checked on every invocation.
+//! simulated ns, reads, writes, hammer pairs per phase), next to the
+//! campaign's bypass cost and refresh-x8 template suppression.
 
-use campaign::{banner, bench_path, fnv1a, scenario, CampaignCli, Json, Summary, Table};
+use campaign::{banner, fnv1a, scenario, CampaignCli, Json, Summary, Table};
 use dram::{MappingKind, ParaParams, RfmParams};
 use explframe_core::{AttackReport, ExplFrame, ExplFrameConfig, PhaseLedger, Pipeline, RunOptions};
 use machine::SimMachine;
@@ -255,7 +253,6 @@ fn main() {
         cell.trials.iter().map(|(report, _)| report).collect()
     };
     let untimed = reports("untimed");
-    let timed = reports("timed");
 
     let mut table = Table::new(
         "time-domain countermeasures vs the classic and adaptive drivers",
@@ -270,15 +267,13 @@ fn main() {
     );
     let mut summary = Summary::new("t14_timing", &campaign);
     let mut successes = std::collections::HashMap::new();
-    // A cell's ledgers merge in trial order, so they are identical at every
-    // thread count; host time is reported per trial over the campaign.
-    let mut campaign_ledger = PhaseLedger::new();
     for cell in &result.cells {
+        // A cell's ledgers merge in trial order, so they are identical at
+        // every thread count.
         let mut ledger = PhaseLedger::new();
         for (_, trial) in &cell.trials {
             ledger.merge(trial);
         }
-        campaign_ledger.merge(&ledger);
         let trials = reports(&cell.name);
         let n = trials.len() as f64;
         let wins = trials.iter().filter(|r| r.succeeded()).count();
@@ -361,49 +356,15 @@ fn main() {
         "\nadaptive RFM bypass cost: {bypass_cost:.2}x hammer pairs vs the unprotected baseline"
     );
 
-    summary.timing_metric("rfm_bypass_cost_pairs_ratio", bypass_cost);
-    summary.timing_metric(
+    summary.metric("rfm_bypass_cost_pairs_ratio", bypass_cost);
+    summary.metric(
         "template_suppression_refresh_x8",
         scaled_templates / untimed_templates.max(1.0),
     );
-    summary.timing_metric(
-        "mean_timed_headroom",
-        mean(timed.iter().filter_map(|r| r.hammer_rate_headroom)),
-    );
-    for (phase, ms) in campaign_ledger.host_ms_per_trial(result.total_trials) {
-        summary.timing_metric(&format!("phase.{phase}.host_ms_per_trial"), ms);
-    }
-    if let Some(pr) = cli.pr_label() {
-        summary.pr(&pr);
-    }
     summary.write(&result);
-    summary.write_bench("timing", &result);
-
-    // Round-trip shape check: the committed bench series must parse back
-    // through campaign::json. Runs on every invocation, including CI smoke.
-    let bench = std::fs::read_to_string(bench_path("timing")).expect("bench series written");
-    let bench = Json::parse(&bench).expect("bench series is valid JSON");
-    assert_eq!(bench.get("schema").and_then(Json::as_u64), Some(1));
-    let runs = match bench.get("runs") {
-        Some(Json::Arr(runs)) if !runs.is_empty() => runs,
-        other => panic!("bench series must carry runs, got {other:?}"),
-    };
-    let last = runs.last().expect("non-empty");
-    for field in [
-        "total_trials",
-        "wall_clock_s",
-        "trials_per_s",
-        "rfm_bypass_cost_pairs_ratio",
-        "mean_timed_headroom",
-    ] {
-        assert!(
-            last.get(field).is_some(),
-            "latest bench run is missing '{field}'"
-        );
-    }
 
     println!(
         "\nshape check PASS: zero-stall differential holds; PARA suppresses both drivers; \
-         adaptive many-sided bypasses the 4-row RFM sampler; bench series round-trips"
+         adaptive many-sided bypasses the 4-row RFM sampler"
     );
 }

@@ -16,8 +16,7 @@
 //! attacker: key-recovery rate, activation pairs per recovered key, TLB
 //! hit rate, table walks, and per-seed walk/shadow cost ratios (each ratio
 //! pairs two runs of the same seed, never two unrelated trial
-//! populations). Each run appends shadow-vs-walk cost rows to the
-//! committed `BENCH_walk.json` series.
+//! populations).
 
 use campaign::{banner, persist, scenario, CampaignCli, Counter, Json, Stream, Summary, Table};
 use explframe_core::{ExplFrame, ExplFrameConfig, RunOptions, VictimCipherKind};
@@ -73,7 +72,7 @@ fn run_mode(seed: u64, kind: VictimCipherKind, walk: bool) -> ModeTrial {
     }
 }
 
-/// Per-mode aggregates used by both tables and the bench series.
+/// Per-mode aggregates used by both tables and the summary record.
 #[derive(Debug, Clone, Copy)]
 struct CellStats {
     key_rate: f64,
@@ -177,12 +176,8 @@ fn main() {
                     ("mean_sim_elapsed_ns", Json::Float(s.mean_elapsed)),
                 ],
             );
-            let key = format!("{mode}.{}", cell.name);
-            summary.timing_metric(&format!("{key}.key_rate"), s.key_rate);
-            summary.timing_metric(&format!("{key}.tlb_hit_rate"), s.tlb_hit_rate);
-            summary.timing_metric(&format!("{key}.mean_sim_elapsed_ns"), s.mean_elapsed);
             if let Some(p) = s.pairs_per_key {
-                summary.timing_metric(&format!("{key}.pairs_per_key"), p);
+                summary.metric(&format!("{mode}.{}.pairs_per_key", cell.name), p);
             }
         }
         stats.push((cell.name.clone(), cell_stats(&shadow), cell_stats(&walk)));
@@ -218,16 +213,12 @@ fn main() {
             &format!("{pairs_x:.4}"),
             &format!("{:+.3}", walk.key_rate - shadow.key_rate),
         ]);
-        summary.timing_metric(&format!("overhead.{}.elapsed_x", cell.name), elapsed_x);
-        summary.timing_metric(&format!("overhead.{}.pairs_x", cell.name), pairs_x);
+        summary.metric(&format!("overhead.{}.elapsed_x", cell.name), elapsed_x);
+        summary.metric(&format!("overhead.{}.pairs_x", cell.name), pairs_x);
     }
     persist("t16_walk_cost", &cost, &mut summary);
 
-    if let Some(pr) = cli.pr_label() {
-        summary.pr(&pr);
-    }
     summary.write(&result);
-    summary.write_bench("walk", &result);
 
     println!("\nshape checks:");
     println!("  - AES cells still recover every key: the release phase's sacrificial staging");

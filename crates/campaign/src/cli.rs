@@ -13,9 +13,6 @@ use crate::runner::Campaign;
 /// Environment variable consulted when `--threads` is absent.
 pub const THREADS_ENV: &str = "EXPLFRAME_THREADS";
 
-/// Environment variable consulted when `--pr` is absent.
-pub const PR_ENV: &str = "EXPLFRAME_PR";
-
 /// Parsed experiment arguments. `None` means "use the binary's default".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignCli {
@@ -25,10 +22,6 @@ pub struct CampaignCli {
     pub seed: Option<u64>,
     /// `--threads T`.
     pub threads: Option<usize>,
-    /// `--pr LABEL` — the PR ordinal this run belongs to, recorded into
-    /// committed `BENCH_*.json` run entries so trajectory plots can order
-    /// runs without wall-clock timestamps.
-    pub pr: Option<String>,
 }
 
 impl CampaignCli {
@@ -97,13 +90,6 @@ impl CampaignCli {
                     }
                     cli.threads = Some(t);
                 }
-                "--pr" => {
-                    let v = value(inline, &mut args, "--pr")?;
-                    if v.is_empty() {
-                        return Err(CliError::bad("--pr requires a non-empty label"));
-                    }
-                    cli.pr = Some(v);
-                }
                 _ => return Err(CliError::bad(format!("unrecognized argument '{arg}'"))),
             }
         }
@@ -120,17 +106,6 @@ impl CampaignCli {
     #[must_use]
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
-    }
-
-    /// The PR label for bench run entries: the `--pr` flag, falling back to
-    /// the `EXPLFRAME_PR` environment variable. The label is caller-chosen
-    /// and monotonic by convention (the PR ordinal) — never derived from
-    /// wall-clock time, which would break run-to-run determinism.
-    #[must_use]
-    pub fn pr_label(&self) -> Option<String> {
-        self.pr
-            .clone()
-            .or_else(|| std::env::var(PR_ENV).ok().filter(|label| !label.is_empty()))
     }
 
     /// Builds the [`Campaign`] these arguments describe.
@@ -171,17 +146,15 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 const USAGE: &str = "\
-Usage: <exp binary> [TRIALS] [--trials N] [--seed S] [--threads T] [--pr LABEL]
+Usage: <exp binary> [TRIALS] [--trials N] [--seed S] [--threads T]
 
   TRIALS        legacy positional trial count (same as --trials)
   --trials N    trials per scenario cell
   --seed S      campaign seed (per-trial seeds derive via SplitMix64)
   --threads T   worker threads (default: $EXPLFRAME_THREADS, then all cores)
-  --pr LABEL    PR ordinal recorded into BENCH_*.json run entries
-                (default: $EXPLFRAME_PR; orders trajectory plots)
 
-Output is byte-identical for every thread count. results/ and BENCH_*.json
-are written under $EXPLFRAME_OUT when set, else at the workspace root.";
+Output is byte-identical for every thread count. results/ is written under
+$EXPLFRAME_OUT when set, else at the workspace root.";
 
 fn value<I: Iterator<Item = String>>(
     inline: Option<String>,
@@ -225,25 +198,15 @@ mod tests {
 
     #[test]
     fn flags_and_inline_forms_parse() {
-        let cli = parse(&["--trials", "50", "--seed=9", "--threads", "4", "--pr=7"]);
+        let cli = parse(&["--trials", "50", "--seed=9", "--threads", "4"]);
         assert_eq!(
             cli,
             CampaignCli {
                 trials: Some(50),
                 seed: Some(9),
                 threads: Some(4),
-                pr: Some("7".to_string()),
             }
         );
-    }
-
-    #[test]
-    fn pr_flag_wins_over_environment() {
-        // The flag is consulted first; only its absence falls through to
-        // EXPLFRAME_PR (not exercised here — env vars are process-global
-        // and the test harness runs tests concurrently).
-        let cli = parse(&["--pr", "12"]);
-        assert_eq!(cli.pr_label(), Some("12".to_string()));
     }
 
     #[test]
@@ -277,6 +240,7 @@ mod tests {
             vec!["--threads", "0"],
             vec!["--pr"],
             vec!["--pr="],
+            vec!["--pr", "7"],
             vec!["--bogus"],
             vec!["300=5"],
             vec!["200", "100"],

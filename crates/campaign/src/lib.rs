@@ -21,7 +21,7 @@
 //! * [`Stream`] / [`Counter`] / [`wilson_ci`] — streaming count / mean /
 //!   stddev / Wilson-interval aggregation for reducers.
 //! * [`Table`] / [`banner`] / [`results_dir`] — aligned-table and CSV
-//!   reporting (moved here from `explframe-bench`).
+//!   reporting.
 //! * [`Summary`] — the machine-readable `results/summary.json` record:
 //!   deterministic aggregates plus per-thread-count wall-clock history and
 //!   `speedup_vs_serial` for the performance trajectory.
@@ -70,13 +70,13 @@ pub mod summary;
 pub mod trace;
 pub mod warmpool;
 
-pub use cli::{default_threads, CampaignCli, CliError, PR_ENV, THREADS_ENV};
+pub use cli::{default_threads, CampaignCli, CliError, THREADS_ENV};
 pub use json::{Json, JsonError};
 pub use report::{banner, fnv1a, persist, results_dir, Table};
 pub use runner::{Campaign, CampaignResult, CellResult};
 pub use scenario::{cartesian2, cartesian3, scenario, FnScenario, Scenario};
 pub use seed::{mix64, trial_seed};
 pub use stats::{mean_std, percentile, wilson_ci, Counter, Stream, Wilson};
-pub use summary::{bench_path, summary_path, Summary};
+pub use summary::{summary_path, Summary};
 pub use trace::{trace_path, TraceSink};
 pub use warmpool::{warm_scenario, WarmScenario};

@@ -1,14 +1,17 @@
-//! Human-readable output: aligned tables, CSV persistence, banners.
+//! Output under `results/`: aligned tables, CSV persistence, banners, and
+//! the locked read-modify-write of the shared JSON documents.
 //!
-//! Moved here from `explframe-bench`'s lib so every campaign consumer (and
-//! the campaign engine's own determinism tests) shares one implementation;
-//! `explframe-bench` re-exports these names for backward compatibility.
+//! Every campaign consumer (and the campaign engine's own determinism
+//! tests) shares this one implementation.
 
 use std::ffi::OsString;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+use crate::json::Json;
+use crate::lock::FileLock;
 
 /// An aligned ASCII table that can also persist itself as CSV.
 ///
@@ -118,7 +121,7 @@ impl Table {
 /// Panics with a clear diagnostic if `results` exists but is not a
 /// directory (e.g. a stray file of that name), or if it cannot be created.
 pub fn results_dir() -> PathBuf {
-    let dir = out_root().join("results");
+    let dir = resolve_out_root(std::env::var_os(OUT_ENV)).join("results");
     if let Err(e) = ensure_dir(&dir) {
         panic!("cannot use results directory {}: {e}", dir.display());
     }
@@ -160,18 +163,36 @@ pub fn persist(name: &str, table: &Table, summary: &mut crate::Summary) {
     summary.table(name, table);
 }
 
-/// Environment variable naming the directory campaign artifacts are written
-/// under: `results/` and the `BENCH_*.json` series.
-const OUT_ENV: &str = "EXPLFRAME_OUT";
-
-/// The directory campaign artifacts are written under: `$EXPLFRAME_OUT`
-/// when set, else the workspace root the crate was built in.
-pub(crate) fn out_root() -> PathBuf {
-    resolve_out_root(std::env::var_os(OUT_ENV))
+/// Updates the shared JSON document at `path` (one of `results/*.json`)
+/// under its lock `results/.<stem>.lock`: loads it, or starts `{}` when it
+/// is missing or unparsable, lets `merge` change it, and writes it back.
+///
+/// # Panics
+///
+/// Panics if the document cannot be written.
+pub(crate) fn update_json(path: &Path, merge: impl FnOnce(&mut Json)) {
+    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+    let _lock = FileLock::acquire(&format!(".{stem}.lock"));
+    let mut doc = fs::read_to_string(path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+        .filter(|doc| matches!(doc, Json::Obj(_)))
+        .unwrap_or_else(Json::obj);
+    merge(&mut doc);
+    // Write-then-rename so a killed process never leaves a truncated
+    // document behind (which would silently wipe the accumulated records
+    // on the next load).
+    let tmp = path.with_extension("json.tmp");
+    fs::write(&tmp, doc.pretty()).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
+    fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename into {}: {e}", path.display()));
 }
 
-/// [`out_root`] for a given value of [`OUT_ENV`]: the named directory when
-/// it is set and non-empty, else the workspace root the crate was built in.
+/// Environment variable naming the directory `results/` is written under.
+const OUT_ENV: &str = "EXPLFRAME_OUT";
+
+/// The directory `results/` is written under, for a given value of
+/// [`OUT_ENV`]: the named directory when it is set and non-empty, else the
+/// workspace root the crate was built in.
 fn resolve_out_root(out: Option<OsString>) -> PathBuf {
     match out {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
@@ -245,6 +266,22 @@ mod tests {
         fs::write(&file, b"not a dir").unwrap();
         let err = ensure_dir(&file).unwrap_err();
         assert!(err.to_string().contains("not a directory"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn update_json_replaces_an_unparsable_document_and_keeps_records() {
+        let dir = std::env::temp_dir().join(format!("campaign-update-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        fs::write(&path, b"{ truncated").unwrap();
+        update_json(&path, |doc| doc.set("a", 1u64));
+        update_json(&path, |doc| doc.set("b", 2u64));
+        let doc = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("a").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("b").and_then(Json::as_u64), Some(2));
+        assert!(!path.with_extension("json.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -11,12 +11,10 @@
 //!   serial and a parallel run have been recorded — explicitly excluded
 //!   from determinism comparisons.
 
-use std::fs;
 use std::path::PathBuf;
 
 use crate::json::Json;
-use crate::lock::FileLock;
-use crate::report::{fnv1a, results_dir, Table};
+use crate::report::{fnv1a, results_dir, update_json, Table};
 use crate::runner::{Campaign, CampaignResult};
 
 /// Builder for one campaign's `summary.json` record.
@@ -29,7 +27,6 @@ pub struct Summary {
     metrics: Vec<(String, Json)>,
     tables: Vec<Json>,
     timing_metrics: Vec<(String, Json)>,
-    pr: Option<String>,
 }
 
 impl Summary {
@@ -44,16 +41,7 @@ impl Summary {
             metrics: Vec::new(),
             tables: Vec::new(),
             timing_metrics: Vec::new(),
-            pr: None,
         }
-    }
-
-    /// Labels this run with the PR ordinal it belongs to (see
-    /// [`CampaignCli::pr_label`](crate::CampaignCli::pr_label)). Recorded
-    /// as the `pr` field of `BENCH_*.json` run entries so trajectory plots
-    /// can order the series without wall-clock timestamps.
-    pub fn pr(&mut self, label: &str) {
-        self.pr = Some(label.to_string());
     }
 
     /// Records one cell with its headline metric(s).
@@ -117,15 +105,7 @@ impl Summary {
     /// Panics if the summary file cannot be written.
     pub fn write<T>(&self, result: &CampaignResult<T>) {
         let path = summary_path();
-        let _lock = FileLock::acquire(".summary.lock");
-        let mut doc = load_or_new(&path);
-        self.merge_into(&mut doc, result);
-        // Write-then-rename so a killed process never leaves a truncated
-        // document behind (which would silently wipe the accumulated
-        // wall-clock history on the next load).
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, doc.pretty()).expect("write results/summary.json.tmp");
-        fs::rename(&tmp, &path).expect("rename into results/summary.json");
+        update_json(&path, |doc| self.merge_into(doc, result));
         println!("[summary] {}", path.display());
     }
 
@@ -176,81 +156,6 @@ impl Summary {
     }
 }
 
-impl Summary {
-    /// Appends this campaign's timing datapoint to `BENCH_<stem>.json` at
-    /// the **workspace root** — unlike `results/` (untracked scratch), the
-    /// `BENCH_*` files are meant to be committed, so the performance
-    /// trajectory accumulates in version control PR over PR.
-    ///
-    /// The file is a run series: `{schema, name, runs: [...]}` where each
-    /// run records the campaign identity (name, seed, trials per cell),
-    /// thread count, wall-clock, throughput, and every
-    /// [`Summary::timing_metric`]. The series is capped at the most recent
-    /// [`BENCH_RUNS_CAP`] runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bench file cannot be written.
-    pub fn write_bench<T>(&self, stem: &str, result: &CampaignResult<T>) {
-        let path = bench_path(stem);
-        let _lock = FileLock::acquire(&format!(".bench-{stem}.lock"));
-        let mut doc = load_or_new(&path);
-        self.merge_bench_into(stem, &mut doc, result);
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, doc.pretty()).expect("write BENCH json tmp");
-        fs::rename(&tmp, &path).expect("rename into BENCH json");
-        println!("[bench] {}", path.display());
-    }
-
-    /// The merge step of [`Summary::write_bench`], on an in-memory document
-    /// (separated for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` has a non-array `runs` field.
-    pub fn merge_bench_into<T>(&self, stem: &str, doc: &mut Json, result: &CampaignResult<T>) {
-        if doc.get("runs").is_none() {
-            doc.set("schema", 1u64);
-            doc.set("name", stem);
-            doc.set("runs", Json::Arr(Vec::new()));
-        }
-
-        let mut run = Json::obj();
-        if let Some(pr) = &self.pr {
-            run.set("pr", pr.as_str());
-        }
-        run.set("campaign", self.name.as_str());
-        run.set("seed", self.seed);
-        run.set("trials_per_cell", self.trials_per_cell);
-        run.set("threads", result.threads);
-        run.set("total_trials", result.total_trials);
-        run.set("wall_clock_s", result.wall_clock.as_secs_f64());
-        run.set("trials_per_s", result.trials_per_second());
-        for (key, value) in &self.timing_metrics {
-            run.set(key, value.clone());
-        }
-
-        let Some(Json::Arr(runs)) = doc.get_mut("runs") else {
-            panic!("BENCH_{stem}.json has a non-array 'runs' field");
-        };
-        runs.push(run);
-        if runs.len() > BENCH_RUNS_CAP {
-            let excess = runs.len() - BENCH_RUNS_CAP;
-            runs.drain(..excess);
-        }
-    }
-}
-
-/// Most recent runs kept in a `BENCH_*.json` series.
-pub const BENCH_RUNS_CAP: usize = 32;
-
-/// Path of the bench series `BENCH_<stem>.json`: under `$EXPLFRAME_OUT`
-/// when set, else the committed one at the workspace root.
-#[must_use]
-pub fn bench_path(stem: &str) -> PathBuf {
-    crate::report::out_root().join(format!("BENCH_{stem}.json"))
-}
-
 /// `wall(threads=1) / min(wall(threads>1))`, once both have been recorded.
 fn speedup_vs_serial(runs: &Json) -> Option<f64> {
     let entries = runs.entries()?;
@@ -267,14 +172,6 @@ fn speedup_vs_serial(runs: &Json) -> Option<f64> {
 #[must_use]
 pub fn summary_path() -> PathBuf {
     results_dir().join("summary.json")
-}
-
-fn load_or_new(path: &PathBuf) -> Json {
-    fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .filter(|doc| matches!(doc, Json::Obj(_)))
-        .unwrap_or_else(Json::obj)
 }
 
 #[cfg(test)]
@@ -387,41 +284,6 @@ mod tests {
         let campaigns = doc.get("campaigns").unwrap();
         assert!(campaigns.get("demo").is_some());
         assert!(campaigns.get("other").is_some());
-    }
-
-    #[test]
-    fn bench_series_appends_and_caps() {
-        let mut doc = Json::obj();
-        let mut s = summary();
-        s.timing_metric("jobs_per_s", 12.5f64);
-        s.pr("7");
-        for i in 0..(BENCH_RUNS_CAP + 3) {
-            s.merge_bench_into("demo", &mut doc, &result(2, 100 + i as u64));
-        }
-        assert_eq!(doc.get("name").and_then(Json::as_str), Some("demo"));
-        let Some(Json::Arr(runs)) = doc.get("runs") else {
-            panic!("runs array missing");
-        };
-        assert_eq!(runs.len(), BENCH_RUNS_CAP, "series must be capped");
-        // Oldest entries were drained: the first surviving run is run #3.
-        let first_wall = runs[0].get("wall_clock_s").and_then(Json::as_f64).unwrap();
-        assert!((first_wall - 0.103).abs() < 1e-9, "{first_wall}");
-        let last = runs.last().unwrap();
-        assert_eq!(last.get("campaign").and_then(Json::as_str), Some("demo"));
-        assert_eq!(last.get("jobs_per_s").and_then(Json::as_f64), Some(12.5));
-        assert_eq!(last.get("threads").and_then(Json::as_u64), Some(2));
-        // The PR ordinal orders trajectory plots (no wall-clock timestamps).
-        assert_eq!(last.get("pr").and_then(Json::as_str), Some("7"));
-    }
-
-    #[test]
-    fn bench_runs_omit_pr_when_unlabelled() {
-        let mut doc = Json::obj();
-        summary().merge_bench_into("demo", &mut doc, &result(1, 10));
-        let Some(Json::Arr(runs)) = doc.get("runs") else {
-            panic!("runs array missing");
-        };
-        assert!(runs[0].get("pr").is_none());
     }
 
     #[test]

@@ -24,12 +24,10 @@
 //! assert_eq!(record.get("event_count").and_then(Json::as_u64), Some(1));
 //! ```
 
-use std::fs;
 use std::path::PathBuf;
 
 use crate::json::Json;
-use crate::lock::FileLock;
-use crate::report::results_dir;
+use crate::report::{results_dir, update_json};
 
 /// Collects event records for one named pipeline run and persists them into
 /// the shared `results/trace.json`.
@@ -95,18 +93,7 @@ impl TraceSink {
     /// Panics if the trace file cannot be written.
     pub fn write(&self) {
         let path = trace_path();
-        let _lock = FileLock::acquire(".trace.lock");
-        let mut doc = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .filter(|doc| matches!(doc, Json::Obj(_)))
-            .unwrap_or_else(Json::obj);
-        self.merge_into(&mut doc);
-        // Write-then-rename so a killed process never leaves a truncated
-        // document behind.
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, doc.pretty()).expect("write results/trace.json.tmp");
-        fs::rename(&tmp, &path).expect("rename into results/trace.json");
+        update_json(&path, |doc| self.merge_into(doc));
         println!("[trace] {}", path.display());
     }
 }

@@ -64,16 +64,6 @@ impl PhaseLedger {
         }
         obj
     }
-
-    /// Each phase's host time as mean milliseconds per trial over
-    /// `trials` trials — the figure to report, since a sum of host time
-    /// across threads exceeds the wall clock.
-    pub fn host_ms_per_trial(&self, trials: u64) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        let trials = trials.max(1) as f64;
-        self.phases
-            .iter()
-            .map(move |(phase, c)| (*phase, c.host_ns as f64 / 1e6 / trials))
-    }
 }
 
 impl Observer for PhaseLedger {
@@ -141,7 +131,6 @@ mod tests {
         assert_eq!(template.get("calls").and_then(Json::as_u64), Some(2));
         assert_eq!(template.get("memo_hits").and_then(Json::as_u64), Some(1));
         assert!(template.get("host_ns").is_none(), "host time is not exact");
-        let host: Vec<_> = merged.host_ms_per_trial(2).collect();
-        assert_eq!(host, [("template", 1.5), ("hammer", 1.5)]);
+        assert_eq!(merged.get("template").map(|t| t.host_ns), Some(3_000_000));
     }
 }

@@ -450,6 +450,34 @@ fn walk_mode_memoized_template_runs_match_uncached() {
 }
 
 #[test]
+fn memo_hits_at_other_attacker_seeds_match_direct_runs() {
+    // Forked trials of one warm snapshot at four attacker seeds share one
+    // memo: the first seed pays the sweep, the other three replay it (the
+    // sweep never reads the attacker RNG). Every replay must report what a
+    // direct run of its own seed reports.
+    use explframe::attack::TemplateMemo;
+    let config = |seed| ExplFrameConfig::small_demo(seed).with_template_pages(512);
+    let warm = SimMachine::new(config(1).machine.clone()).snapshot();
+    let mut memo = TemplateMemo::new();
+    let mut reports = Vec::new();
+    for seed in 1..=4 {
+        let memoized = ExplFrame::new(config(seed))
+            .run_snapshot_memo(&warm, &mut memo)
+            .expect("memoized run");
+        let direct = ExplFrame::new(config(seed))
+            .run_snapshot(&warm)
+            .expect("direct run");
+        assert_eq!(memoized, direct, "memoized run diverged (seed {seed})");
+        reports.push(memoized);
+    }
+    assert_eq!((memo.misses(), memo.hits()), (1, 3));
+    assert!(
+        reports.windows(2).any(|pair| pair[0] != pair[1]),
+        "attacker seeds must change the reports, or the comparison is vacuous"
+    );
+}
+
+#[test]
 fn walk_mode_adaptive_escalates_through_trr_and_recovers_key() {
     // The adaptive driver on a walk machine against a sampling TRR: the
     // double-sided sweep is suppressed, the driver escalates to many-sided,
