@@ -1,4 +1,4 @@
-//! T11 — snapshot/fork scaling: trials/sec cold-boot vs forked.
+//! T11 — snapshot/fork equivalence: forked trials against cold boots.
 //!
 //! Every campaign trial used to pay the full cost of booting a `SimMachine`
 //! and replaying the allocator warm-up ritual before doing any measured
@@ -6,12 +6,11 @@
 //! `machine::warm_boot` once, `SimMachine::snapshot` the result, and
 //! `MachineSnapshot::fork` per trial (copy-on-write DRAM, cloned metadata).
 //!
-//! This campaign measures the win directly: the *same* probe workload runs
-//! once with a cold boot-and-warm per trial and once forked from a shared
-//! warm snapshot. The two cells must produce byte-identical trial
-//! fingerprints (the differential guarantee); only the throughput differs.
-//! The speedup is per-trial work elimination, so it is real even on a
-//! single-core host — no parallelism involved.
+//! This campaign checks that the shortcut changes nothing: the *same* probe
+//! workload runs once with a cold boot-and-warm per trial and once forked
+//! from a shared warm snapshot, and the two cells must produce
+//! byte-identical trial fingerprints. Host time is measured by the
+//! `perfbench` benchmark, not here.
 
 use campaign::{banner, fnv1a, persist, scenario, warm_scenario, CampaignCli, Summary, Table};
 use machine::{warm_boot, MachineConfig, SimMachine, WARMUP_PAGES};
@@ -56,7 +55,7 @@ fn probe(machine: &mut SimMachine, seed: u64) -> u64 {
 fn main() {
     banner(
         "T11: snapshot/fork trial scaling",
-        "one warm boot, thousands of byte-identical forked trials (warm-pool throughput)",
+        "one warm boot, thousands of forked trials byte-identical to cold boots",
     );
     let cli = CampaignCli::parse();
     let campaign = cli.campaign(64, 1100);
@@ -81,8 +80,8 @@ fn main() {
         },
     )]);
 
-    // The differential guarantee, asserted on every run: forking changes
-    // throughput, never results.
+    // The differential guarantee, asserted on every run: forking never
+    // changes results.
     assert_eq!(
         cold.cells[0].trials, forked.cells[0].trials,
         "forked trials diverged from cold-boot trials"
@@ -90,7 +89,7 @@ fn main() {
 
     let digest = |trials: &[u64]| fnv1a(format!("{trials:?}").as_bytes());
     let mut table = Table::new(
-        "snapshot scaling (fingerprints are deterministic; timing lives in summary.json)",
+        "snapshot scaling (fingerprints are deterministic)",
         &["mode", "trials", "fingerprint_fnv1a"],
     );
     let mut summary = Summary::new("t11_snapshot_scaling", &campaign);
@@ -101,25 +100,6 @@ fn main() {
     }
     persist("t11_snapshot_scaling", &table, &mut summary);
 
-    let cold_tps = cold.trials_per_second();
-    let forked_tps = forked.trials_per_second();
-    let speedup = if cold_tps > 0.0 {
-        forked_tps / cold_tps
-    } else {
-        0.0
-    };
-    println!("\ncold-boot: {cold_tps:.1} trials/s   forked: {forked_tps:.1} trials/s   speedup: {speedup:.1}x");
-    summary.timing_metric("cold_trials_per_s", cold_tps);
-    summary.timing_metric("forked_trials_per_s", forked_tps);
-    summary.timing_metric("forked_vs_cold_speedup", speedup);
     summary.write(&forked);
-
-    println!(
-        "shape check {}: forked trials byte-identical to cold-boot trials",
-        if speedup >= 5.0 {
-            "PASS (speedup ≥ 5x)"
-        } else {
-            "PASS (identity; speedup below 5x on this host/trial count)"
-        }
-    );
+    println!("\nforked trials byte-identical to cold-boot trials");
 }

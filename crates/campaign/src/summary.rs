@@ -26,7 +26,6 @@ pub struct Summary {
     cells: Vec<Json>,
     metrics: Vec<(String, Json)>,
     tables: Vec<Json>,
-    timing_metrics: Vec<(String, Json)>,
 }
 
 impl Summary {
@@ -40,7 +39,6 @@ impl Summary {
             cells: Vec::new(),
             metrics: Vec::new(),
             tables: Vec::new(),
-            timing_metrics: Vec::new(),
         }
     }
 
@@ -57,14 +55,6 @@ impl Summary {
     /// Records a campaign-level deterministic metric.
     pub fn metric(&mut self, key: &str, value: impl Into<Json>) {
         self.metrics.push((key.to_string(), value.into()));
-    }
-
-    /// Records a wall-clock-derived metric (e.g. a measured speedup). It
-    /// lands in the record's `timing` object, which is explicitly excluded
-    /// from determinism comparisons — use [`Summary::metric`] for anything
-    /// that must be byte-identical across runs and thread counts.
-    pub fn timing_metric(&mut self, key: &str, value: impl Into<Json>) {
-        self.timing_metrics.push((key.to_string(), value.into()));
     }
 
     /// Records a CSV artifact: name, row count, and FNV-1a digest of its
@@ -144,9 +134,6 @@ impl Summary {
         timing.set("trials_per_s", result.trials_per_second());
         if let Some(speedup) = speedup_vs_serial(&runs) {
             timing.set("speedup_vs_serial", speedup);
-        }
-        for (key, value) in &self.timing_metrics {
-            timing.set(key, value.clone());
         }
         timing.set("runs", runs);
 
@@ -248,27 +235,6 @@ mod tests {
             .unwrap();
         assert!(timing.get("runs").unwrap().get("1").is_none());
         assert!(timing.get("speedup_vs_serial").is_none());
-    }
-
-    #[test]
-    fn timing_metrics_land_in_timing_not_the_deterministic_record() {
-        let mut s = summary();
-        s.timing_metric("forked_speedup", 8.5f64);
-        let text = s.deterministic_json().pretty();
-        assert!(!text.contains("forked_speedup"));
-        let mut doc = Json::obj();
-        s.merge_into(&mut doc, &result(1, 10));
-        let timing = doc
-            .get("campaigns")
-            .unwrap()
-            .get("demo")
-            .unwrap()
-            .get("timing")
-            .unwrap();
-        assert_eq!(
-            timing.get("forked_speedup").and_then(Json::as_f64),
-            Some(8.5)
-        );
     }
 
     #[test]

@@ -251,6 +251,15 @@ fn diff_words(page: &[u8; CHUNK], pattern: u8, out: &mut Vec<(u16, u8)>) {
     }
 }
 
+/// A countermeasure refresh in `bank` of the rows within `radius` of
+/// `row`, out of `rows` rows: their leaked charge is restored.
+fn refresh_rows_around(bank: &mut BankState, row: u32, radius: u32, rows: u32) {
+    let (lo, hi) = (row.saturating_sub(radius), row.saturating_add(radius));
+    for n in (lo..=hi.min(rows - 1)).filter(|&n| n != row) {
+        bank.clear_disturbance(n);
+    }
+}
+
 /// Result of a bulk hammer operation.
 #[derive(Debug, Clone, Default)]
 pub struct HammerOutcome {
@@ -286,6 +295,22 @@ pub struct DramDevice {
     /// walk. Diagnostic only: it is not device state, so snapshots neither
     /// carry nor compare it.
     analytic_rounds: u64,
+    /// The burst kernel's flip list, kept between calls.
+    kernel_flips: KernelFlips,
+}
+
+/// The first crossings one [`DramDevice::burst_kernel`] call found, as
+/// `(chunk start, victim, cell index, cell)`. The list is empty between
+/// calls and kept only for its capacity, so a burst allocates nothing once
+/// it has grown. It is not device state: snapshots, `restore` and `Debug`
+/// leave it out.
+#[derive(Default)]
+struct KernelFlips(Vec<(u64, usize, usize, WeakCell)>);
+
+impl std::fmt::Debug for KernelFlips {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("KernelFlips")
+    }
 }
 
 /// Seed perturbation separating the PARA sampler's stream from the
@@ -352,6 +377,7 @@ impl DramDevice {
             para,
             rfm,
             analytic_rounds: 0,
+            kernel_flips: KernelFlips::default(),
         }
     }
 
@@ -520,10 +546,10 @@ impl DramDevice {
     /// difference from `pattern` (listed into `out` unless the whole page
     /// differs uniformly). Counts one read, as `read` does. While
     /// [`Self::reads_are_raw`] holds it inspects the stored chunk in place:
-    /// a uniform chunk answers in O(1), a materialised one is compared
-    /// word by word without a copy. Otherwise the page is read through the
-    /// SECDED filter (same corrections and counters as `read`) and the
-    /// filtered bytes are diffed.
+    /// a uniform chunk answers in O(1), a patched one on `pattern` lists
+    /// its patches, and any other is compared word by word. Otherwise the
+    /// page is read through the SECDED filter (same corrections and
+    /// counters as `read`) and the filtered bytes are diffed.
     ///
     /// # Panics
     ///
@@ -538,6 +564,19 @@ impl DramDevice {
             self.count_reads(1);
             return match self.mem.chunk_view(addr) {
                 ChunkView::Uniform(byte) => PageDiff::Uniform(byte ^ pattern),
+                // Every byte off the patches holds the pattern.
+                ChunkView::Patched { base, patches } if base == pattern => {
+                    out.extend(patches.iter().map(|&(off, value)| (off, value ^ pattern)));
+                    PageDiff::Listed
+                }
+                ChunkView::Patched { base, patches } => {
+                    let mut page = [base; CHUNK];
+                    for &(off, value) in patches {
+                        page[usize::from(off)] = value;
+                    }
+                    diff_words(&page, pattern, out);
+                    PageDiff::Listed
+                }
                 ChunkView::Bytes(page) => {
                     diff_words(page, pattern, out);
                     PageDiff::Listed
@@ -722,9 +761,8 @@ impl DramDevice {
     /// A countermeasure trigger (TRR, PARA or RFM): refresh the rows within
     /// `radius` of `aggressor`, restoring their leaked charge.
     fn refresh_neighbour_rows(&mut self, bank_idx: usize, aggressor: DramCoord, radius: u32) {
-        for n in aggressor.neighbour_rows(radius, &self.config.geometry) {
-            self.banks[bank_idx].clear_disturbance(n.row);
-        }
+        let rows = self.config.geometry.rows;
+        refresh_rows_around(&mut self.banks[bank_idx], aggressor.row, radius, rows);
     }
 
     /// Applies the disturbance of `acts` activations of `aggressor` to its
@@ -1016,15 +1054,15 @@ impl DramDevice {
             remaining -= chunk;
             if let Some(Burst::After(_)) = plan {
                 let trr = self.trr.as_mut().expect("plan implies an engine");
-                let fired = if trr.all_tracked(bank_idx, agg_rows) {
-                    trr.advance_tracked(bank_idx, agg_rows, chunk)
+                let radius = self.config.trr.map_or(0, |p| p.radius);
+                let rows = self.config.geometry.rows;
+                let bank = &mut self.banks[bank_idx];
+                let refresh = |row| refresh_rows_around(bank, row, radius, rows);
+                if trr.all_tracked(bank_idx, agg_rows) {
+                    trr.advance_tracked(bank_idx, agg_rows, chunk, refresh);
                 } else {
                     debug_assert_eq!(chunk, 1, "untracked bursts advance one round at a time");
-                    trr.step_round(bank_idx, agg_rows)
-                };
-                let radius = self.config.trr.map_or(0, |p| p.radius);
-                for row in fired {
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, radius);
+                    trr.step_round(bank_idx, agg_rows, refresh);
                 }
             }
             // Burst::Never: the sampler state is round-invariant and can
@@ -1120,16 +1158,33 @@ impl DramDevice {
                 slots
             }
         };
+        // Each victim's first refresh boundary, as an offset `b` from the
+        // burst start, with the round starting at or before it and whether
+        // that round straddles it: `(b, last, straddles)`.
+        let (mut inline_refresh, mut spilled_refresh) = (
+            [(0u64, 0u64, false); NEIGHBOUR_UNITS.len() * INLINE_ROWS],
+            Vec::new(),
+        );
+        let refresh = perf::scratch(&mut inline_refresh, &mut spilled_refresh, victims.len());
+        for (slot, &(row, _)) in refresh.iter_mut().zip(victims) {
+            let b = next_refresh_time(row, t, &timing) - t;
+            *slot = (b, b / round_time, b % round_time != 0);
+        }
+        let refresh = &*refresh;
         // Round index at which the chunk holding round `r` starts.
         let chunk_start = |r: u64| {
             let mut start = 0;
-            for &(row, _) in victims {
-                let b = next_refresh_time(row, t, &timing) - t;
+            for &(b, last, straddles) in refresh {
                 if let Some(x) = ((r + 1) * round_time).checked_sub(b + 1) {
-                    let boundary = b + x / w * w;
-                    let last = boundary / round_time;
-                    let straddle = boundary % round_time != 0 && last < r;
-                    start = start.max(last + u64::from(straddle));
+                    // The last boundary before round `r` ends; the first
+                    // one's round is precomputed.
+                    let (last, straddles) = if x < w {
+                        (last, straddles)
+                    } else {
+                        let boundary = b + x / w * w;
+                        (boundary / round_time, boundary % round_time != 0)
+                    };
+                    start = start.max(last + u64::from(straddles && last < r));
                 }
             }
             for &(_, n) in triggers {
@@ -1140,9 +1195,10 @@ impl DramDevice {
             start
         };
         let rounds_per_window = w.div_ceil(round_time);
-        // (chunk start, victim, cell index, cell) of every first crossing.
-        let mut flips: Vec<(u64, usize, usize, WeakCell)> = Vec::new();
-        for (v, &(row, units)) in victims.iter().enumerate() {
+        // (chunk start, victim, cell index, cell) of every first crossing,
+        // in a list kept between calls.
+        let mut flips = std::mem::take(&mut self.kernel_flips.0);
+        for (v, (&(row, units), &(b, _, _))) in victims.iter().zip(refresh).enumerate() {
             let coord = DramCoord {
                 row,
                 col: 0,
@@ -1152,7 +1208,6 @@ impl DramDevice {
             if eval.min_threshold() == u64::MAX {
                 continue;
             }
-            let b = next_refresh_time(row, t, &timing) - t;
             let near = || {
                 triggers
                     .iter()
@@ -1215,7 +1270,7 @@ impl DramDevice {
             }
         }
         flips.sort_unstable_by_key(|&(chunk, v, i, _)| (chunk, v, i));
-        for (chunk, v, _, cell) in flips {
+        for &(chunk, v, _, cell) in &flips {
             let victim = DramCoord {
                 row: victims[v].0,
                 col: 0,
@@ -1223,6 +1278,8 @@ impl DramDevice {
             };
             self.try_flip(victim, &cell, t + chunk * round_time);
         }
+        flips.clear();
+        self.kernel_flips.0 = flips;
 
         let (clock_rank, clock_bank) = self.clock_coords(template);
         self.now += rounds * round_time;
@@ -1231,11 +1288,18 @@ impl DramDevice {
             clock.drain_refreshes(self.now);
             self.stats.refs = clock.refresh_commands();
         }
-        let fired = match &mut self.trr {
-            Some(trr) if !triggers.is_empty() => trr.jump_tracked(bank_idx, agg_rows, rounds),
-            _ => Vec::new(),
-        };
-        for &(row, _) in &fired {
+        // Each aggressor that fired, with the round of its last trigger.
+        let (mut inline_fired, mut spilled_fired) = ([(0u32, 0u64); INLINE_ROWS], Vec::new());
+        let slots = perf::scratch(&mut inline_fired, &mut spilled_fired, agg_rows.len());
+        let mut len = 0;
+        if let Some(trr) = self.trr.as_mut().filter(|_| !triggers.is_empty()) {
+            trr.jump_tracked(bank_idx, agg_rows, rounds, |row, last| {
+                slots[len] = (row, last);
+                len += 1;
+            });
+        }
+        let fired = &slots[..len];
+        for &(row, _) in fired {
             self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, radius);
         }
         for &(row, units) in victims {
@@ -1452,6 +1516,7 @@ impl DramSnapshot {
             para: self.para.clone(),
             rfm: self.rfm.clone(),
             analytic_rounds: 0,
+            kernel_flips: KernelFlips::default(),
         }
     }
 }
@@ -1948,6 +2013,45 @@ mod tests {
             [(0, 0x80), (0x803, 0x01), (0x804, 0xFF), (0xFFF, 0x10)]
         );
         assert_eq!(dev.stats().reads, reads + 4, "one read per call");
+        // A filled page with two single-byte writes is patched, not
+        // materialised: on its fill pattern it lists the patches, off it
+        // every differing byte, both exactly as the byte loop does.
+        let patched = PhysAddr::new(0x5000);
+        dev.fill(patched, 4096, 0xFF);
+        dev.write_byte(patched + 0x10, 0xFE);
+        dev.write_byte(patched + 0x7, 0x00);
+        assert_eq!(dev.mem.materialized_chunks(), 1, "only `page` is");
+        let mut bytes = [0u8; 4096];
+        dev.copy_raw(patched, &mut bytes);
+        for pattern in [0xFF, 0x0F] {
+            out.clear();
+            assert_eq!(dev.read_diff(patched, pattern, &mut out), PageDiff::Listed);
+            assert_eq!(out, byte_diff(&bytes, pattern));
+        }
+        out.clear();
+        dev.read_diff(patched, 0xFF, &mut out);
+        assert_eq!(out, [(0x7, 0xFF), (0x10, 0x01)]);
+        assert_eq!(dev.stats().reads, reads + 7, "one read per call");
+    }
+
+    #[test]
+    fn a_flip_on_a_filled_page_patches_it_without_a_copy() {
+        let mut dev = small_dev(3);
+        let (row, cell) = find_weak_row(&mut dev);
+        assert!(hammer_known_cell(
+            &mut dev,
+            row,
+            cell,
+            cell.threshold_acts() + 16
+        ));
+        let flip = dev.flips()[0];
+        let on_page = |f: &FlipEvent| f.addr.align_down(4096) == flip.addr.align_down(4096);
+        assert_eq!(dev.flips().iter().filter(|f| on_page(f)).count(), 1);
+        assert_eq!(dev.mem.materialized_chunks(), 0);
+        let fill = dev.read_byte(flip.addr) ^ 1 << flip.bit;
+        let mut out = Vec::new();
+        dev.read_diff(flip.addr.align_down(4096), fill, &mut out);
+        assert_eq!(out, [((flip.addr.as_u64() % 4096) as u16, 1 << flip.bit)]);
     }
 
     #[test]

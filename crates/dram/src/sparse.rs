@@ -2,23 +2,29 @@
 //!
 //! Multi-GiB devices cannot be backed by a dense host allocation, and most of
 //! the array is never touched (or is touched with a uniform fill pattern
-//! during templating). The store keeps 4 KiB chunks in one of two forms:
-//! `Uniform(byte)` for untouched / memset chunks, and materialised byte
-//! buffers for anything written with structure.
+//! during templating). The store keeps 4 KiB chunks in one of three forms:
+//! `Uniform(byte)` for untouched / memset chunks, a uniform byte plus a few
+//! patched bytes for a filled chunk that took single-byte writes (the bit
+//! flips of a templating sweep), and materialised byte buffers for anything
+//! written with structure.
 //!
-//! Materialised chunks sit behind an [`Arc`], so cloning the store — the
-//! snapshot/fork path — is a copy-on-write overlay: the clone shares every
-//! chunk with the original, and a chunk's bytes are only duplicated when one
-//! side writes into it ([`Arc::make_mut`]).
+//! Patched and materialised chunks sit behind an [`Arc`], so cloning the
+//! store — the snapshot/fork path — is a copy-on-write overlay: the clone
+//! shares every chunk with the original, and a chunk is only duplicated
+//! when one side writes into it ([`Arc::make_mut`]).
 
 use std::sync::Arc;
 
-use perf::{FastMap, FastSet};
+use perf::FastMap;
 
 use crate::geometry::PhysAddr;
 
 /// Chunk size in bytes: one 4 KiB page.
 pub(crate) const CHUNK: usize = 4096;
+
+/// Most bytes a patched chunk holds off its base byte; one more
+/// materialises it.
+const MAX_PATCHES: usize = 8;
 
 /// One materialised 4 KiB chunk.
 type ChunkBytes = [u8; CHUNK];
@@ -30,25 +36,184 @@ pub(crate) enum ChunkView<'a> {
     /// Every byte holds this value: a filled chunk, or an absent one
     /// reading as the store's default byte.
     Uniform(u8),
+    /// Every byte holds `base` except the listed `(offset, value)` bytes,
+    /// which are in offset order and each differ from `base`.
+    Patched {
+        /// The byte at every offset not listed.
+        base: u8,
+        /// The bytes that differ from `base`.
+        patches: &'a [(u16, u8)],
+    },
     /// A materialised chunk's bytes, in place.
     Bytes(&'a [u8; CHUNK]),
+}
+
+/// A uniform chunk with a few bytes written off its base byte. Entries are
+/// sorted by offset and none holds `base`, so equal contents have equal
+/// patches.
+#[derive(Debug, Clone)]
+struct Patches {
+    base: u8,
+    len: usize,
+    slots: [(u16, u8); MAX_PATCHES],
+}
+
+/// What [`Patches::set`] left behind.
+enum PatchSet {
+    /// The chunk is still patched.
+    Kept,
+    /// The last patch went back to the base byte: the chunk is uniform.
+    Uniform,
+    /// The write needs a patch beyond [`MAX_PATCHES`]: the chunk must be
+    /// materialised.
+    Full,
+}
+
+impl Patches {
+    /// A chunk of `base` with `value` (not `base`) at `off`.
+    fn one(base: u8, off: usize, value: u8) -> Self {
+        let mut slots = [(0, 0); MAX_PATCHES];
+        slots[0] = (off as u16, value);
+        Patches {
+            base,
+            len: 1,
+            slots,
+        }
+    }
+
+    fn patches(&self) -> &[(u16, u8)] {
+        &self.slots[..self.len]
+    }
+
+    fn get(&self, off: usize) -> u8 {
+        self.patches()
+            .iter()
+            .find(|&&(o, _)| usize::from(o) == off)
+            .map_or(self.base, |&(_, v)| v)
+    }
+
+    /// Writes `value` at `off`, where the chunk holds something else.
+    fn set(&mut self, off: usize, value: u8) -> PatchSet {
+        let off = off as u16;
+        match self.patches().binary_search_by_key(&off, |&(o, _)| o) {
+            Ok(i) if value == self.base => {
+                self.slots.copy_within(i + 1..self.len, i);
+                self.len -= 1;
+                self.slots[self.len] = (0, 0);
+                if self.len == 0 {
+                    return PatchSet::Uniform;
+                }
+            }
+            Ok(i) => self.slots[i].1 = value,
+            Err(_) if self.len == MAX_PATCHES => return PatchSet::Full,
+            Err(i) => {
+                self.slots.copy_within(i..self.len, i + 1);
+                self.slots[i] = (off, value);
+                self.len += 1;
+            }
+        }
+        PatchSet::Kept
+    }
+
+    fn to_bytes(&self) -> ChunkBytes {
+        let mut bytes = [self.base; CHUNK];
+        for &(off, value) in self.patches() {
+            bytes[usize::from(off)] = value;
+        }
+        bytes
+    }
+}
+
+impl PartialEq for Patches {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base && self.patches() == other.patches()
+    }
 }
 
 #[derive(Debug, Clone)]
 enum ChunkData {
     Uniform(u8),
+    Patched(Arc<Patches>),
     Bytes(Arc<ChunkBytes>),
 }
 
 impl ChunkData {
+    fn view(&self) -> ChunkView<'_> {
+        match self {
+            ChunkData::Uniform(b) => ChunkView::Uniform(*b),
+            ChunkData::Patched(p) => ChunkView::Patched {
+                base: p.base,
+                patches: p.patches(),
+            },
+            ChunkData::Bytes(bytes) => ChunkView::Bytes(bytes),
+        }
+    }
+
+    fn byte(&self, off: usize) -> u8 {
+        match self {
+            ChunkData::Uniform(b) => *b,
+            ChunkData::Patched(p) => p.get(off),
+            ChunkData::Bytes(bytes) => bytes[off],
+        }
+    }
+
+    /// The base byte of a uniform chunk, `None` for any other form.
+    fn uniform(&self) -> Option<u8> {
+        match self {
+            ChunkData::Uniform(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// Effective content comparison: a `Uniform` chunk equals a materialised
-    /// chunk holding the same byte everywhere.
+    /// chunk holding the same byte everywhere, and likewise a patched one.
     fn content_eq(&self, other: &ChunkData) -> bool {
         match (self, other) {
             (ChunkData::Uniform(a), ChunkData::Uniform(b)) => a == b,
+            (ChunkData::Patched(a), ChunkData::Patched(b)) => a == b,
             (ChunkData::Bytes(a), ChunkData::Bytes(b)) => Arc::ptr_eq(a, b) || a == b,
-            (ChunkData::Uniform(u), ChunkData::Bytes(bytes))
-            | (ChunkData::Bytes(bytes), ChunkData::Uniform(u)) => bytes.iter().all(|&b| b == *u),
+            // A patched chunk holds at least one byte off its base.
+            (ChunkData::Uniform(_), ChunkData::Patched(_))
+            | (ChunkData::Patched(_), ChunkData::Uniform(_)) => false,
+            (data, ChunkData::Bytes(bytes)) | (ChunkData::Bytes(bytes), data) => {
+                bytes.iter().enumerate().all(|(i, &b)| data.byte(i) == b)
+            }
+        }
+    }
+
+    /// The chunk's bytes for writing: materialised, and unshared if a clone
+    /// still holds them.
+    fn bytes_mut(&mut self) -> &mut ChunkBytes {
+        match self {
+            ChunkData::Uniform(b) => *self = ChunkData::Bytes(Arc::new([*b; CHUNK])),
+            ChunkData::Patched(p) => *self = ChunkData::Bytes(Arc::new(p.to_bytes())),
+            ChunkData::Bytes(_) => {}
+        }
+        match self {
+            ChunkData::Bytes(bytes) => Arc::make_mut(bytes),
+            _ => unreachable!("just materialised"),
+        }
+    }
+
+    /// Writes `value` at `off`. A uniform chunk takes it as a patch, a
+    /// patched one keeps it as one until it overflows, and a write that
+    /// changes nothing leaves a shared chunk shared.
+    fn set_byte(&mut self, off: usize, value: u8) {
+        match self {
+            ChunkData::Uniform(base) if *base != value => {
+                *self = ChunkData::Patched(Arc::new(Patches::one(*base, off, value)));
+            }
+            ChunkData::Uniform(_) => {}
+            ChunkData::Patched(p) if p.get(off) != value => {
+                match Arc::make_mut(p).set(off, value) {
+                    PatchSet::Kept => {}
+                    PatchSet::Uniform => *self = ChunkData::Uniform(value),
+                    PatchSet::Full => self.bytes_mut()[off] = value,
+                }
+            }
+            ChunkData::Patched(_) => {}
+            ChunkData::Bytes(bytes) if bytes[off] != value => Arc::make_mut(bytes)[off] = value,
+            ChunkData::Bytes(_) => {}
         }
     }
 }
@@ -64,40 +229,22 @@ impl ChunkData {
 /// assert_eq!(m.read_byte(PhysAddr::new(0x1234)), 0xAB);
 /// m.write_byte(PhysAddr::new(0x1234), 0x55);
 /// assert_eq!(m.read_byte(PhysAddr::new(0x1234)), 0x55);
+/// assert_eq!(m.materialized_chunks(), 0); // one patched byte
 /// ```
-#[derive(Debug)]
+///
+/// Cloning is the snapshot/fork path: the clone shares every patched and
+/// materialised chunk with the original until either side writes into it.
+#[derive(Debug, Clone)]
 pub struct SparseMemory {
     capacity: u64,
     default_byte: u8,
     chunks: FastMap<u64, ChunkData>,
-    /// Chunks this store believes it owns exclusively (materialised here and
-    /// not shared with any clone since). A pure *hint*: the write fast path
-    /// re-verifies uniqueness before trusting it, so a hint gone stale after
-    /// a clone costs one fallback to the copy-on-write path, never
-    /// correctness. Cleared (on the clone side) by [`Clone`].
-    owned: FastSet<u64>,
-}
-
-/// Cloning is the snapshot/fork path: the clone shares every materialised
-/// chunk with the original, so it starts with an empty owned-chunk hint set
-/// — every chunk it later writes must go through copy-on-write once. The
-/// original's hints go stale (its chunks are now shared too); the write
-/// fast path detects that and falls back, re-owning chunks as it unshares
-/// them.
-impl Clone for SparseMemory {
-    fn clone(&self) -> Self {
-        SparseMemory {
-            capacity: self.capacity,
-            default_byte: self.default_byte,
-            chunks: self.chunks.clone(),
-            owned: FastSet::default(),
-        }
-    }
 }
 
 /// Equality is over *effective contents*: an absent chunk, a `Uniform`
 /// chunk of the default byte, and a materialised chunk holding that byte
-/// everywhere all compare equal. Snapshot round-trip tests rely on this —
+/// everywhere all compare equal (and a patched chunk equals its
+/// materialised bytes). Snapshot round-trip tests rely on this —
 /// representation may differ between a restored store and a freshly
 /// replayed one without changing a single observable byte.
 impl PartialEq for SparseMemory {
@@ -133,7 +280,6 @@ impl SparseMemory {
             capacity,
             default_byte: 0,
             chunks: FastMap::default(),
-            owned: FastSet::default(),
         }
     }
 
@@ -142,7 +288,8 @@ impl SparseMemory {
         self.capacity
     }
 
-    /// Number of chunks that have been materialised as full byte buffers.
+    /// Number of chunks that have been materialised as full byte buffers
+    /// (uniform and patched chunks are not).
     pub fn materialized_chunks(&self) -> usize {
         self.chunks
             .values()
@@ -161,58 +308,23 @@ impl SparseMemory {
     }
 
     fn chunk_byte(&self, chunk: u64) -> Option<u8> {
-        match self.chunks.get(&chunk) {
-            None => Some(self.default_byte),
-            Some(ChunkData::Uniform(b)) => Some(*b),
-            Some(ChunkData::Bytes(_)) => None,
-        }
+        self.chunks
+            .get(&chunk)
+            .map_or(Some(self.default_byte), ChunkData::uniform)
     }
 
-    fn materialize(&mut self, chunk: u64) -> &mut [u8] {
+    fn materialize(&mut self, chunk: u64) -> &mut ChunkBytes {
         let default = self.default_byte;
-        let entry = self
-            .chunks
+        self.chunks
             .entry(chunk)
-            .or_insert(ChunkData::Uniform(default));
-        if let ChunkData::Uniform(b) = *entry {
-            *entry = ChunkData::Bytes(Arc::new([b; CHUNK]));
-        }
-        match entry {
-            // Copy-on-write: unshare the chunk if a snapshot still holds it.
-            // `make_mut` leaves the Arc uniquely owned, so the chunk joins
-            // the owned-hint set and later writes take the fast path.
-            ChunkData::Bytes(bytes) => {
-                self.owned.insert(chunk);
-                &mut Arc::make_mut(bytes)[..]
-            }
-            ChunkData::Uniform(_) => unreachable!("just materialised"),
-        }
-    }
-
-    /// Write fast path: a single map probe into a chunk this store already
-    /// owns. Returns `false` (after dropping the stale hint) when the
-    /// chunk is uniform, absent, or was shared out by a clone — callers
-    /// then take the copy-on-write slow path.
-    fn write_owned(&mut self, chunk: u64, off: usize, src: &[u8]) -> bool {
-        if !self.owned.contains(&chunk) {
-            return false;
-        }
-        if let Some(ChunkData::Bytes(bytes)) = self.chunks.get_mut(&chunk) {
-            // Re-verify the hint: `get_mut` is the uniqueness check the
-            // hot path skips *repeating* — it runs once per probe instead
-            // of once per write path + entry + make_mut chain.
-            if let Some(buf) = Arc::get_mut(bytes) {
-                buf[off..off + src.len()].copy_from_slice(src);
-                return true;
-            }
-        }
-        self.owned.remove(&chunk);
-        false
+            .or_insert(ChunkData::Uniform(default))
+            .bytes_mut()
     }
 
     /// The chunk starting at `addr` as stored: uniform chunks answer in
-    /// O(1), materialised ones lend their bytes. A query only — it never
-    /// materialises or unshares a chunk.
+    /// O(1), patched ones list their patches and materialised ones lend
+    /// their bytes. A query only — it never materialises or unshares a
+    /// chunk.
     ///
     /// # Panics
     ///
@@ -225,11 +337,9 @@ impl SparseMemory {
             "chunk_view needs a 4 KiB-aligned address"
         );
         self.check(addr, CHUNK as u64);
-        match self.chunks.get(&(addr.as_u64() / CHUNK as u64)) {
-            None => ChunkView::Uniform(self.default_byte),
-            Some(ChunkData::Uniform(b)) => ChunkView::Uniform(*b),
-            Some(ChunkData::Bytes(bytes)) => ChunkView::Bytes(bytes),
-        }
+        self.chunks
+            .get(&(addr.as_u64() / CHUNK as u64))
+            .map_or(ChunkView::Uniform(self.default_byte), ChunkData::view)
     }
 
     /// Reads a single byte.
@@ -240,31 +350,41 @@ impl SparseMemory {
     pub fn read_byte(&self, addr: PhysAddr) -> u8 {
         self.check(addr, 1);
         let chunk = addr.as_u64() / CHUNK as u64;
-        match self.chunks.get(&chunk) {
-            None => self.default_byte,
-            Some(ChunkData::Uniform(b)) => *b,
-            Some(ChunkData::Bytes(bytes)) => bytes[(addr.as_u64() % CHUNK as u64) as usize],
-        }
+        self.chunks.get(&chunk).map_or(self.default_byte, |data| {
+            data.byte((addr.as_u64() % CHUNK as u64) as usize)
+        })
     }
 
-    /// Writes a single byte.
+    /// Writes a single byte. On a uniform chunk the byte is kept as a
+    /// patch; the chunk is materialised only when it gathers more patches
+    /// than a patched chunk holds.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is beyond capacity.
     pub fn write_byte(&mut self, addr: PhysAddr, value: u8) {
+        self.update_byte(addr, |_| value);
+    }
+
+    /// Replaces the byte at `addr` with `f` of its current value, in one
+    /// probe of the chunk map.
+    fn update_byte(&mut self, addr: PhysAddr, f: impl FnOnce(u8) -> u8) {
         self.check(addr, 1);
         let chunk = addr.as_u64() / CHUNK as u64;
         let off = (addr.as_u64() % CHUNK as u64) as usize;
-        if self.write_owned(chunk, off, &[value]) {
-            return;
+        match self.chunks.get_mut(&chunk) {
+            Some(data) => {
+                let value = f(data.byte(off));
+                data.set_byte(off, value);
+            }
+            None => {
+                let mut data = ChunkData::Uniform(self.default_byte);
+                data.set_byte(off, f(self.default_byte));
+                if data.uniform().is_none() {
+                    self.chunks.insert(chunk, data);
+                }
+            }
         }
-        // Avoid materialising when the write is a no-op on a uniform chunk.
-        if self.chunk_byte(chunk) == Some(value) {
-            return;
-        }
-        let bytes = self.materialize(chunk);
-        bytes[off] = value;
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -280,12 +400,25 @@ impl SparseMemory {
             let chunk = pos / CHUNK as u64;
             let in_chunk = (pos % CHUNK as u64) as usize;
             let n = (CHUNK - in_chunk).min(buf.len() - off);
-            match self.chunks.get(&chunk) {
-                None => buf[off..off + n].fill(self.default_byte),
-                Some(ChunkData::Uniform(b)) => buf[off..off + n].fill(*b),
-                Some(ChunkData::Bytes(bytes)) => {
-                    buf[off..off + n].copy_from_slice(&bytes[in_chunk..in_chunk + n]);
+            let dst = &mut buf[off..off + n];
+            let view = self
+                .chunks
+                .get(&chunk)
+                .map_or(ChunkView::Uniform(self.default_byte), ChunkData::view);
+            match view {
+                ChunkView::Uniform(b) => dst.fill(b),
+                ChunkView::Patched { base, patches } => {
+                    dst.fill(base);
+                    for &(o, value) in patches {
+                        if let Some(d) = usize::from(o)
+                            .checked_sub(in_chunk)
+                            .and_then(|i| dst.get_mut(i))
+                        {
+                            *d = value;
+                        }
+                    }
                 }
+                ChunkView::Bytes(bytes) => dst.copy_from_slice(&bytes[in_chunk..in_chunk + n]),
             }
             pos += n as u64;
             off += n;
@@ -310,20 +443,12 @@ impl SparseMemory {
                 .first()
                 .copied()
                 .filter(|&b| src.iter().all(|&x| x == b));
-            match (n == CHUNK, uniform) {
-                (true, Some(b)) => {
-                    self.chunks.insert(chunk, ChunkData::Uniform(b));
-                }
-                _ => {
-                    if self.write_owned(chunk, in_chunk, src) {
-                        // Owned-chunk fast path: single probe, no CoW dance.
-                    } else if uniform.is_some() && self.chunk_byte(chunk) == uniform {
-                        // No-op write into a uniform chunk of the same value.
-                    } else {
-                        let bytes = self.materialize(chunk);
-                        bytes[in_chunk..in_chunk + n].copy_from_slice(src);
-                    }
-                }
+            if n == CHUNK && uniform.is_some() {
+                self.chunks.insert(chunk, ChunkData::Uniform(src[0]));
+            } else if uniform.is_none() || self.chunk_byte(chunk) != uniform {
+                // Anything but a no-op write into a uniform chunk of the
+                // same value.
+                self.materialize(chunk)[in_chunk..in_chunk + n].copy_from_slice(src);
             }
             pos += n as u64;
             off += n;
@@ -347,8 +472,7 @@ impl SparseMemory {
             if n == CHUNK {
                 self.chunks.insert(chunk, ChunkData::Uniform(value));
             } else if self.chunk_byte(chunk) != Some(value) {
-                let bytes = self.materialize(chunk);
-                bytes[in_chunk..in_chunk + n].fill(value);
+                self.materialize(chunk)[in_chunk..in_chunk + n].fill(value);
             }
             pos += n as u64;
         }
@@ -371,13 +495,13 @@ impl SparseMemory {
     /// Panics if `addr` is beyond capacity or `bit >= 8`.
     pub fn write_bit(&mut self, addr: PhysAddr, bit: u8, value: bool) {
         assert!(bit < 8, "bit index must be 0..8");
-        let byte = self.read_byte(addr);
-        let new = if value {
-            byte | (1 << bit)
-        } else {
-            byte & !(1 << bit)
-        };
-        self.write_byte(addr, new);
+        self.update_byte(addr, |byte| {
+            if value {
+                byte | (1 << bit)
+            } else {
+                byte & !(1 << bit)
+            }
+        });
     }
 }
 
@@ -477,30 +601,126 @@ mod tests {
         assert!(!Arc::ptr_eq(a, b), "write must unshare the chunk");
     }
 
+    /// The stored form of chunk `chunk`, as [`SparseMemory::chunk_view`]
+    /// reports it.
+    fn view(m: &SparseMemory, chunk: u64) -> ChunkView<'_> {
+        m.chunk_view(PhysAddr::new(chunk * CHUNK as u64))
+    }
+
     #[test]
-    fn owned_hint_tracks_writes_and_heals_after_clone() {
+    fn byte_writes_on_a_filled_chunk_are_sorted_patches() {
         let mut m = SparseMemory::new(1 << 16);
-        m.write(PhysAddr::new(0), b"structured"); // materialises and owns 0
-        assert!(m.owned.contains(&0), "materialize must record ownership");
-        m.write_byte(PhysAddr::new(1), b'Y'); // owned fast path
-        let fork = m.clone();
-        assert!(
-            fork.owned.is_empty(),
-            "a clone shares every chunk, so it owns none"
+        m.fill(PhysAddr::new(0x1000), 4096, 0xFF);
+        m.write_bit(PhysAddr::new(0x1040), 3, false);
+        m.write_byte(PhysAddr::new(0x1008), 0x00);
+        m.write_byte(PhysAddr::new(0x1040), 0x17);
+        assert_eq!(
+            view(&m, 1),
+            ChunkView::Patched {
+                base: 0xFF,
+                patches: &[(0x08, 0x00), (0x40, 0x17)]
+            }
         );
-        // The original's hint is now stale. The next write must detect the
-        // sharing, fall back to copy-on-write, and re-own the fresh copy —
-        // without leaking the write into the fork.
-        m.write_byte(PhysAddr::new(2), b'Z');
-        assert!(m.owned.contains(&0), "CoW write must re-own the chunk");
-        assert_eq!(fork.read_byte(PhysAddr::new(2)), b'r');
-        assert_eq!(m.read_byte(PhysAddr::new(2)), b'Z');
-        // Overwriting the chunk with a uniform fill drops it back to the
-        // compact form; the stale hint self-heals on the next write.
-        m.fill(PhysAddr::new(0), 4096, 0xEE);
-        m.write_byte(PhysAddr::new(3), 0x01);
-        assert_eq!(m.read_byte(PhysAddr::new(3)), 0x01);
-        assert_eq!(m.read_byte(PhysAddr::new(4)), 0xEE);
+        assert_eq!(m.materialized_chunks(), 0);
+        assert_eq!(m.read_byte(PhysAddr::new(0x1040)), 0x17);
+        assert_eq!(m.read_byte(PhysAddr::new(0x1041)), 0xFF);
+        // An absent chunk patches its default byte.
+        m.write_bit(PhysAddr::new(0x3005), 0, true);
+        assert_eq!(
+            view(&m, 3),
+            ChunkView::Patched {
+                base: 0,
+                patches: &[(5, 1)]
+            }
+        );
+    }
+
+    #[test]
+    fn writing_every_patch_back_returns_the_chunk_to_uniform() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.fill(PhysAddr::new(0), 4096, 0xAA);
+        for off in 0..MAX_PATCHES as u64 {
+            m.write_byte(PhysAddr::new(off * 100), 0x55);
+        }
+        assert!(matches!(view(&m, 0), ChunkView::Patched { .. }));
+        for off in 0..MAX_PATCHES as u64 {
+            m.write_byte(PhysAddr::new(off * 100), 0xAA);
+        }
+        assert_eq!(view(&m, 0), ChunkView::Uniform(0xAA));
+        assert_eq!(m.materialized_chunks(), 0);
+    }
+
+    #[test]
+    fn a_patch_past_the_cap_materialises_the_chunk() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.fill(PhysAddr::new(0), 4096, 0xAA);
+        for off in 0..=MAX_PATCHES as u64 {
+            m.write_byte(PhysAddr::new(off), off as u8);
+        }
+        let ChunkView::Bytes(bytes) = view(&m, 0) else {
+            panic!("one patch too many materialises the chunk");
+        };
+        assert_eq!(
+            &bytes[..=MAX_PATCHES + 1],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 0xAA]
+        );
+        assert_eq!(m.materialized_chunks(), 1);
+    }
+
+    #[test]
+    fn multi_byte_writes_and_partial_fills_materialise_and_whole_fills_drop_patches() {
+        let mut m = SparseMemory::new(1 << 16);
+        for chunk in 0..3u64 {
+            m.fill(PhysAddr::new(chunk * 4096), 4096, 0xAA);
+            m.write_byte(PhysAddr::new(chunk * 4096 + 9), 0x01);
+        }
+        m.write(PhysAddr::new(100), &[1, 2]);
+        m.fill(PhysAddr::new(4096 + 100), 2, 0x33);
+        assert!(matches!(view(&m, 0), ChunkView::Bytes(_)));
+        assert!(matches!(view(&m, 1), ChunkView::Bytes(_)));
+        assert_eq!(m.read_byte(PhysAddr::new(9)), 0x01);
+        assert_eq!(m.read_byte(PhysAddr::new(4096 + 9)), 0x01);
+        m.fill(PhysAddr::new(2 * 4096), 4096, 0xAA);
+        assert_eq!(view(&m, 2), ChunkView::Uniform(0xAA));
+    }
+
+    #[test]
+    fn clone_shares_a_patched_chunk_until_written() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.fill(PhysAddr::new(0), 4096, 0xFF);
+        m.write_byte(PhysAddr::new(3), 0x7F);
+        let fork = m.clone();
+        let shared = |a: &SparseMemory, b: &SparseMemory| match (&a.chunks[&0], &b.chunks[&0]) {
+            (ChunkData::Patched(x), ChunkData::Patched(y)) => Arc::ptr_eq(x, y),
+            _ => panic!("chunk 0 should be patched in both stores"),
+        };
+        assert!(shared(&m, &fork), "clone must share the patches");
+        // A write that changes nothing leaves the chunk shared.
+        m.write_byte(PhysAddr::new(3), 0x7F);
+        assert!(shared(&m, &fork));
+        m.write_byte(PhysAddr::new(4), 0x7F);
+        assert!(!shared(&m, &fork), "a write must unshare the chunk");
+        assert_eq!(fork.read_byte(PhysAddr::new(4)), 0xFF);
+        assert_eq!(m.read_byte(PhysAddr::new(4)), 0x7F);
+    }
+
+    #[test]
+    fn a_patched_chunk_equals_its_materialised_bytes() {
+        let mut patched = SparseMemory::new(1 << 16);
+        patched.fill(PhysAddr::new(0), 4096, 0xAB);
+        patched.write_byte(PhysAddr::new(77), 0x01);
+        let mut bytes = [0xAB; 4096];
+        bytes[77] = 0x01;
+        let mut materialised = SparseMemory::new(1 << 16);
+        materialised.write(PhysAddr::new(0), &bytes);
+        assert_eq!(materialised.materialized_chunks(), 1);
+        assert_eq!(patched, materialised);
+        assert_eq!(materialised, patched);
+        let mut uniform = SparseMemory::new(1 << 16);
+        uniform.fill(PhysAddr::new(0), 4096, 0xAB);
+        assert_ne!(patched, uniform);
+        patched.write_byte(PhysAddr::new(77), 0xAB);
+        assert_eq!(patched, uniform);
     }
 
     #[test]

@@ -104,53 +104,81 @@ impl Default for TrrParams {
 }
 
 /// One sampler entry: a tracked row and its activation count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     row: u32,
     acts: u64,
 }
 
-/// Per-bank sampler table. The `Vec` is kept in insertion order (oldest
-/// first), so FIFO eviction is positional and deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Sampler tables up to this many entries are probed on the stack
+/// ([`TrrEngine::plan_burst`]).
+const INLINE_SAMPLER: usize = 16;
+
+/// Records one `ACT` of `row` in the FIFO sampler table `slots[..*len]`,
+/// which has room for `slots.len()` entries (the sampler size). Entries
+/// are kept in insertion order (oldest first), so eviction is positional
+/// and deterministic. Returns whether the tracker fired (the caller must
+/// refresh the row's neighbours).
+fn record(slots: &mut [Entry], len: &mut usize, row: u32, threshold_acts: u64) -> bool {
+    if slots.is_empty() {
+        return false;
+    }
+    if let Some(e) = slots[..*len].iter_mut().find(|e| e.row == row) {
+        e.acts += 1;
+        if e.acts >= threshold_acts {
+            e.acts = 0;
+            return true;
+        }
+        return false;
+    }
+    if *len == slots.len() {
+        // Evict the oldest entry (FIFO). Hardware samplers age their
+        // counters every refresh interval for the same reason: an
+        // eviction policy that *protects* high counts lets stale
+        // aggressors squat in the table forever, leaving the tracker
+        // permanently blind to fresh pairs.
+        slots.rotate_left(1);
+        *len -= 1;
+    }
+    let fired = 1 >= threshold_acts;
+    slots[*len] = Entry {
+        row,
+        acts: u64::from(!fired),
+    };
+    *len += 1;
+    fired
+}
+
+/// Per-bank sampler table: one slot per sampler entry, the first `len`
+/// holding the tracked rows oldest first and the rest left default.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct TrrBank {
-    entries: Vec<Entry>,
+    slots: Vec<Entry>,
+    len: usize,
 }
 
 impl TrrBank {
-    /// Records one `ACT` of `row`; returns `Some(row)` if the tracker
-    /// fired (the caller must refresh the row's neighbours).
-    fn record_act(&mut self, row: u32, params: &TrrParams) -> Option<u32> {
-        if params.sampler_size == 0 {
-            return None;
+    fn new(sampler_size: u32) -> Self {
+        TrrBank {
+            slots: vec![Entry::default(); sampler_size as usize],
+            len: 0,
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.row == row) {
-            e.acts += 1;
-            if e.acts >= params.threshold_acts {
-                e.acts = 0;
-                return Some(row);
-            }
-            return None;
-        }
-        if self.entries.len() >= params.sampler_size as usize {
-            // Evict the oldest entry (FIFO). Hardware samplers age their
-            // counters every refresh interval for the same reason: an
-            // eviction policy that *protects* high counts lets stale
-            // aggressors squat in the table forever, leaving the tracker
-            // permanently blind to fresh pairs.
-            self.entries.remove(0);
-        }
-        self.entries.push(Entry { row, acts: 1 });
-        if 1 >= params.threshold_acts {
-            let e = self.entries.last_mut().expect("just inserted");
-            e.acts = 0;
-            return Some(row);
-        }
-        None
+    }
+
+    fn record_act(&mut self, row: u32, threshold_acts: u64) -> bool {
+        record(&mut self.slots, &mut self.len, row, threshold_acts)
+    }
+
+    fn entries(&self) -> &[Entry] {
+        &self.slots[..self.len]
     }
 
     fn tracked(&self, row: u32) -> Option<&Entry> {
-        self.entries.iter().find(|e| e.row == row)
+        self.entries().iter().find(|e| e.row == row)
+    }
+
+    fn tracked_mut(&mut self, row: u32) -> Option<&mut Entry> {
+        self.slots[..self.len].iter_mut().find(|e| e.row == row)
     }
 
     fn all_tracked(&self, rows: &[u32]) -> bool {
@@ -183,7 +211,7 @@ impl TrrEngine {
     pub fn new(params: TrrParams, num_banks: usize) -> Self {
         TrrEngine {
             params,
-            banks: vec![TrrBank::default(); num_banks],
+            banks: vec![TrrBank::new(params.sampler_size); num_banks],
             triggers: 0,
         }
     }
@@ -201,11 +229,11 @@ impl TrrEngine {
     /// Records one `ACT` of `row` in `bank`; returns `Some(row)` if the
     /// tracker fired and the row's neighbours must be refreshed.
     pub fn record_act(&mut self, bank: usize, row: u32) -> Option<u32> {
-        let fired = self.banks[bank].record_act(row, &self.params);
-        if fired.is_some() {
-            self.triggers += 1;
+        if !self.banks[bank].record_act(row, self.params.threshold_acts) {
+            return None;
         }
-        fired
+        self.triggers += 1;
+        Some(row)
     }
 
     /// Plans a round-robin burst of `rows` against `bank`'s current sampler
@@ -215,15 +243,19 @@ impl TrrEngine {
     /// table state is round-invariant and no replay can ever fire.
     pub fn plan_burst(&self, bank: usize, rows: &[u32]) -> Burst {
         let table = &self.banks[bank];
-        let mut probe = table.clone();
+        // Replay one probe round on a stack copy of the table.
+        let (mut inline, mut spilled) = ([Entry::default(); INLINE_SAMPLER], Vec::new());
+        let probe = perf::scratch(&mut inline, &mut spilled, table.slots.len());
+        probe.copy_from_slice(&table.slots);
+        let mut len = table.len;
         let mut fired = false;
         for &row in rows {
-            fired |= probe.record_act(row, &self.params).is_some();
+            fired |= record(probe, &mut len, row, self.params.threshold_acts);
         }
         if fired {
             return Burst::After(1);
         }
-        if probe == *table {
+        if probe[..len] == *table.entries() {
             return Burst::Never;
         }
         if table.all_tracked(rows) {
@@ -251,30 +283,32 @@ impl TrrEngine {
 
     /// Advances a fully tracked burst by `rounds` rounds in closed form:
     /// each row's count grows by `rounds`; rows reaching the threshold
-    /// fire (returned in `rows` order) and reset.
+    /// fire (passed to `fired` in `rows` order) and reset.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if some row is untracked — callers must check
+    /// Panics if some row is untracked — callers must check
     /// [`Self::all_tracked`] first.
-    pub fn advance_tracked(&mut self, bank: usize, rows: &[u32], rounds: u64) -> Vec<u32> {
-        let params = self.params;
+    pub fn advance_tracked(
+        &mut self,
+        bank: usize,
+        rows: &[u32],
+        rounds: u64,
+        mut fired: impl FnMut(u32),
+    ) {
+        let threshold = self.params.threshold_acts;
         let table = &mut self.banks[bank];
-        let mut fired = Vec::new();
         for &row in rows {
             let e = table
-                .entries
-                .iter_mut()
-                .find(|e| e.row == row)
+                .tracked_mut(row)
                 .expect("advance_tracked requires every row tracked");
             e.acts += rounds;
-            if e.acts >= params.threshold_acts {
+            if e.acts >= threshold {
                 e.acts = 0;
-                fired.push(row);
+                self.triggers += 1;
+                fired(row);
             }
         }
-        self.triggers += fired.len() as u64;
-        fired
     }
 
     /// Activations a tracked row needs to fire, from a reset counter. A
@@ -292,8 +326,8 @@ impl TrrEngine {
     /// of any sequence of [`Self::advance_tracked`] calls that each stop at
     /// or before the next trigger. Each row's count moves to
     /// `(count + rounds) mod period`, every trigger is counted, and each
-    /// row that fired is returned (in `rows` order) with the 0-based index
-    /// of the round of its last trigger.
+    /// row that fired is passed to `fired` (in `rows` order) with the
+    /// 0-based index of the round of its last trigger.
     ///
     /// # Panics
     ///
@@ -304,15 +338,13 @@ impl TrrEngine {
         bank: usize,
         rows: &[u32],
         rounds: u64,
-    ) -> Vec<(u32, u64)> {
+        mut fired: impl FnMut(u32, u64),
+    ) {
         let period = self.period();
         let table = &mut self.banks[bank];
-        let mut fired = Vec::new();
         for &row in rows {
             let e = table
-                .entries
-                .iter_mut()
-                .find(|e| e.row == row)
+                .tracked_mut(row)
                 .expect("jump_tracked requires every row tracked");
             let start = e.acts;
             let fires = (start + rounds) / period;
@@ -320,22 +352,19 @@ impl TrrEngine {
             if fires > 0 {
                 // Trigger `m` lands on round `m * period - start - 1`.
                 self.triggers += fires;
-                fired.push((row, fires * period - start - 1));
+                fired(row, fires * period - start - 1);
             }
         }
-        fired
     }
 
     /// Replays one literal round (one `ACT` of each row, in order),
-    /// returning the rows that fired.
-    pub fn step_round(&mut self, bank: usize, rows: &[u32]) -> Vec<u32> {
-        let mut fired = Vec::new();
+    /// passing the rows that fired to `fired`.
+    pub fn step_round(&mut self, bank: usize, rows: &[u32], mut fired: impl FnMut(u32)) {
         for &row in rows {
             if let Some(r) = self.record_act(bank, row) {
-                fired.push(r);
+                fired(r);
             }
         }
-        fired
     }
 }
 
@@ -352,6 +381,20 @@ mod tests {
             },
             1,
         )
+    }
+
+    /// One literal round of `rows` in bank 0, returning the rows that fired.
+    fn round(t: &mut TrrEngine, rows: &[u32]) -> Vec<u32> {
+        let mut fired = Vec::new();
+        t.step_round(0, rows, |row| fired.push(row));
+        fired
+    }
+
+    /// `advance_tracked` in bank 0, returning the rows that fired.
+    fn advance(t: &mut TrrEngine, rows: &[u32], rounds: u64) -> Vec<u32> {
+        let mut fired = Vec::new();
+        t.advance_tracked(0, rows, rounds, |row| fired.push(row));
+        fired
     }
 
     #[test]
@@ -472,13 +515,13 @@ mod tests {
         let rows = [2u32, 4, 6, 8];
         // Settle the transient with real rounds.
         while t.plan_burst(0, &rows) != Burst::Never {
-            assert!(t.step_round(0, &rows).is_empty());
+            assert!(round(&mut t, &rows).is_empty());
         }
         let before = t.banks[0].clone();
         // Replaying any number of rounds must fire nothing and reproduce
         // the state exactly.
         for _ in 0..50 {
-            assert!(t.step_round(0, &rows).is_empty());
+            assert!(round(&mut t, &rows).is_empty());
         }
         assert_eq!(t.banks[0], before);
     }
@@ -493,8 +536,8 @@ mod tests {
         let mut literal = engine(4, threshold);
 
         // Settle both with one real round so the rows are tracked.
-        assert!(analytic.step_round(0, &rows).is_empty());
-        assert!(literal.step_round(0, &rows).is_empty());
+        assert!(round(&mut analytic, &rows).is_empty());
+        assert!(round(&mut literal, &rows).is_empty());
 
         let mut remaining = 400u64;
         let mut analytic_fired = Vec::new();
@@ -504,22 +547,77 @@ mod tests {
                 Burst::After(n) => n.min(remaining),
             };
             if analytic.all_tracked(0, &rows) {
-                analytic_fired.extend(analytic.advance_tracked(0, &rows, chunk));
+                analytic_fired.extend(advance(&mut analytic, &rows, chunk));
             } else {
                 for _ in 0..chunk {
-                    analytic_fired.extend(analytic.step_round(0, &rows));
+                    analytic_fired.extend(round(&mut analytic, &rows));
                 }
             }
             remaining -= chunk;
         }
         let mut literal_fired = Vec::new();
         for _ in 0..400 {
-            literal_fired.extend(literal.step_round(0, &rows));
+            literal_fired.extend(round(&mut literal, &rows));
         }
         assert_eq!(analytic_fired, literal_fired);
         assert_eq!(analytic.banks[0], literal.banks[0]);
         assert_eq!(analytic.triggers(), literal.triggers());
         assert!(!literal_fired.is_empty(), "test must exercise triggers");
+    }
+
+    /// The plan against one probe round replayed through `record_act` on a
+    /// clone of the engine, over random tables (samplers past the inline
+    /// probe size included), thresholds and row sets; and, where the plan
+    /// is a closed form, against replaying the burst itself.
+    #[test]
+    fn plan_burst_matches_replaying_rounds_through_record_act() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for case in 0..3000 {
+            let sampler = rng.gen_range(0..=20u32);
+            let mut t = engine(sampler, rng.gen_range(0..12u64));
+            for _ in 0..rng.gen_range(0..60) {
+                t.record_act(0, rng.gen_range(0..24));
+            }
+            let count = rng.gen_range(1..=10);
+            let mut rows = Vec::new();
+            while rows.len() < count {
+                let row = rng.gen_range(0..24u32);
+                if !rows.contains(&row) {
+                    rows.push(row);
+                }
+            }
+            let mut replay = t.clone();
+            let fired = !round(&mut replay, &rows).is_empty();
+            let expected = if fired {
+                Burst::After(1)
+            } else if replay == t {
+                Burst::Never
+            } else if t.all_tracked(0, &rows) {
+                let acts = rows.iter().map(|&r| t.tracked_acts(0, r).unwrap());
+                Burst::After(t.params.threshold_acts - acts.max().unwrap())
+            } else {
+                Burst::After(1)
+            };
+            let plan = t.plan_burst(0, &rows);
+            assert_eq!(plan, expected, "case {case}");
+            let mut replay = t.clone();
+            match plan {
+                Burst::Never => {
+                    for _ in 0..=sampler {
+                        assert!(round(&mut replay, &rows).is_empty(), "case {case}");
+                    }
+                    assert_eq!(replay, t, "case {case}");
+                }
+                Burst::After(n) if t.all_tracked(0, &rows) => {
+                    for _ in 1..n {
+                        assert!(round(&mut replay, &rows).is_empty(), "case {case}");
+                    }
+                    assert!(!round(&mut replay, &rows).is_empty(), "case {case}");
+                }
+                Burst::After(_) => {}
+            }
+        }
     }
 
     #[test]
@@ -528,8 +626,8 @@ mod tests {
         for (threshold, rounds) in [(37, 400), (1, 9), (0, 5), (50, 12), (7, 70)] {
             let mut chunked = engine(4, threshold);
             // Stagger the counts so the rows trigger on different rounds.
-            chunked.step_round(0, &rows);
-            chunked.step_round(0, &rows[..1]);
+            round(&mut chunked, &rows);
+            round(&mut chunked, &rows[..1]);
             let mut jumped = chunked.clone();
 
             let mut last = Vec::new();
@@ -540,12 +638,13 @@ mod tests {
                     Burst::After(n) => n.min(rounds - round),
                 };
                 round += chunk;
-                for row in chunked.advance_tracked(0, &rows, chunk) {
+                for row in advance(&mut chunked, &rows, chunk) {
                     last.retain(|&(r, _)| r != row);
                     last.push((row, round - 1));
                 }
             }
-            let mut fired = jumped.jump_tracked(0, &rows, rounds);
+            let mut fired = Vec::new();
+            jumped.jump_tracked(0, &rows, rounds, |row, last| fired.push((row, last)));
             fired.sort_unstable();
             last.sort_unstable();
             assert_eq!(fired, last, "threshold {threshold}");

@@ -231,6 +231,102 @@ proptest! {
         prop_assert_eq!(out, dense);
     }
 
+    /// Patched chunks (a filled chunk plus a few single-byte writes) behave
+    /// like a plain byte array: ops land on three chunks at a few dozen
+    /// offsets with values from a three-byte alphabet. Single-byte and bit
+    /// writes, two thirds of the ops, keep patching a fill, overflow the
+    /// patch cap and write back to the fill byte, between rarer partial
+    /// and whole-chunk fills and multi-byte writes. A clone written on either side leaves the other
+    /// unchanged, and the store equals one holding the same bytes
+    /// materialised.
+    #[test]
+    fn sparse_memory_patched_chunks_match_dense_model(
+        ops in prop::collection::vec(
+            (0u8..20, 0u64..3, 0u64..40, 0usize..3, 1u64..48), 1..200
+        )
+    ) {
+        const ALPHABET: [u8; 3] = [0x00, 0xFF, 0x5A];
+        let cap = 3 * 4096u64;
+        let mut sparse = SparseMemory::new(cap);
+        let mut dense = vec![0u8; cap as usize];
+        let check = |sparse: &SparseMemory, dense: &[u8]| -> Result<(), TestCaseError> {
+            let mut out = vec![0u8; dense.len()];
+            sparse.read(PhysAddr::new(0), &mut out);
+            prop_assert!(out == dense, "store diverged from its model");
+            Ok(())
+        };
+        for (kind, chunk, off, val, len) in ops {
+            // Offsets cluster at the chunk start; every fourth op lands at
+            // the chunk end, so reads and writes cross into the next chunk.
+            let at = chunk * 4096 + if off % 4 == 3 { 4095 - off } else { off };
+            let addr = PhysAddr::new(at);
+            let value = ALPHABET[val];
+            let len = len.min(cap - at);
+            match kind {
+                0..=9 => {
+                    sparse.write_byte(addr, value);
+                    dense[at as usize] = value;
+                }
+                10..=12 => {
+                    let bit = (off % 8) as u8;
+                    let set = val != 0;
+                    sparse.write_bit(addr, bit, set);
+                    let byte = &mut dense[at as usize];
+                    *byte = if set { *byte | 1 << bit } else { *byte & !(1 << bit) };
+                }
+                13 => {
+                    sparse.fill(addr, len, value);
+                    dense[at as usize..(at + len) as usize].fill(value);
+                }
+                14 | 15 => {
+                    let start = chunk * 4096;
+                    sparse.fill(PhysAddr::new(start), 4096, value);
+                    dense[start as usize..start as usize + 4096].fill(value);
+                }
+                16 => {
+                    let data: Vec<u8> = (0..len).map(|i| ALPHABET[(val + i as usize) % 3]).collect();
+                    sparse.write(addr, &data);
+                    dense[at as usize..(at + len) as usize].copy_from_slice(&data);
+                }
+                17 => {
+                    // Clone, then write a patch on each side in turn.
+                    let mut fork = sparse.clone();
+                    let mut fork_dense = dense.clone();
+                    let other = PhysAddr::new((at + len) % cap);
+                    fork.write_byte(addr, !sparse.read_byte(addr));
+                    fork_dense[at as usize] = !dense[at as usize];
+                    check(&sparse, &dense)?;
+                    check(&fork, &fork_dense)?;
+                    let flipped = sparse.read_byte(other) ^ 0x81;
+                    sparse.write_byte(other, flipped);
+                    dense[other.as_u64() as usize] = flipped;
+                    check(&fork, &fork_dense)?;
+                    check(&sparse, &dense)?;
+                }
+                _ => {
+                    prop_assert_eq!(sparse.read_byte(addr), dense[at as usize]);
+                    let mut buf = vec![0u8; len as usize];
+                    sparse.read(addr, &mut buf);
+                    prop_assert!(buf == dense[at as usize..(at + len) as usize]);
+                }
+            }
+        }
+        check(&sparse, &dense)?;
+        // The same bytes, each chunk written materialised (an all-zero one
+        // stays absent).
+        let mut materialised = SparseMemory::new(cap);
+        for start in (0..cap).step_by(4096) {
+            let s = start as usize;
+            materialised.write(PhysAddr::new(start), &dense[s..s + 4095]);
+            materialised.write(PhysAddr::new(start + 4095), &dense[s + 4095..s + 4096]);
+        }
+        prop_assert!(sparse == materialised);
+        prop_assert!(materialised == sparse);
+        let byte = materialised.read_byte(PhysAddr::new(7));
+        materialised.write_byte(PhysAddr::new(7), byte ^ 1);
+        prop_assert!(sparse != materialised);
+    }
+
     /// Hammering never corrupts data outside the aggressors' blast radius
     /// (±2 rows), and every reported flip is inside it.
     #[test]
