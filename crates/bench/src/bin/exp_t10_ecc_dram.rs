@@ -81,10 +81,10 @@ fn yield_trial(seed: u64, density: f64) -> YieldTrial {
         dev.fill(addr, u64::from(g.row_bytes), 0xFF);
         let a = dev.mapping().coord_to_phys(coord(row - 1));
         let b = dev.mapping().coord_to_phys(coord(row + 1));
-        let flips = dev
-            .hammer_rows(&[a, b], max_threshold + 16)
-            .expect("hammer")
-            .flips
+        let before = dev.flips().len();
+        dev.hammer_rows(&[a, b], max_threshold + 16)
+            .expect("hammer");
+        let flips = dev.flips()[before..]
             .iter()
             .filter(|f| f.coord.row == row)
             .count() as u64;

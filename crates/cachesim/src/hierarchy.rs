@@ -17,12 +17,6 @@ pub enum ServedBy {
 }
 
 impl ServedBy {
-    /// Returns `true` if the access reached DRAM (and therefore activates a
-    /// row — the hammering-relevant case).
-    pub const fn reaches_dram(self) -> bool {
-        matches!(self, ServedBy::Memory)
-    }
-
     /// Simulated latency of a cache hit in nanoseconds, or `None` when the
     /// access reaches DRAM and the device's command timing decides.
     ///

@@ -294,12 +294,7 @@ impl ExplFrame {
             }
             memo => memo,
         };
-        let pool = match (adaptive, memo) {
-            (true, Some((pre, memo))) => pipe.template_adaptive_memo_at(pre, escalate_to, memo)?,
-            (true, None) => pipe.template_adaptive(escalate_to)?,
-            (false, Some((pre, memo))) => pipe.template_memo_at(pre, memo)?,
-            (false, None) => pipe.template()?,
-        };
+        let pool = pipe.template_with(memo, adaptive.then_some(escalate_to))?;
         let mut remaining = pipe.select(&pool, cfg.victim);
         if remaining.is_empty() {
             return Ok(pipe.finish(AttackOutcome::NoUsableTemplates));

@@ -179,15 +179,6 @@ impl ExplFrameConfig {
         }
     }
 
-    /// Paper-scale setup: 1 GiB moderate machine, 256 MiB template buffer.
-    pub fn paper_scale(seed: u64) -> Self {
-        ExplFrameConfig {
-            machine: MachineConfig::medium(seed),
-            template_pages: 65_536, // 256 MiB
-            ..Self::small_demo(seed)
-        }
-    }
-
     /// Returns a copy with a different machine configuration.
     #[must_use]
     pub fn with_machine(mut self, machine: MachineConfig) -> Self {

@@ -25,9 +25,10 @@ pub trait Observer {
     /// Called once per emitted event, in emission order.
     fn on_event(&mut self, event: &PhaseEvent);
 
-    /// Called once per phase call with what it cost, after the phase ran.
-    /// `phase` is the [`Phase::name`](crate::Phase::name). The default
-    /// ignores it; [`PhaseLedger`](crate::PhaseLedger) sums it.
+    /// Called once per phase call with what it cost, after the phase ran,
+    /// memo hits included. `phase` is the phase's name (`mapping-probe`,
+    /// `template`, `release`, `steer`, `hammer`, `collect` or `analyze`).
+    /// The default ignores it; [`PhaseLedger`](crate::PhaseLedger) sums it.
     fn on_phase(&mut self, _phase: &'static str, _cost: &PhaseCost) {}
 }
 

@@ -1,11 +1,14 @@
-//! The composable attack pipeline driver.
+//! The attack pipeline: the paper's phases as [`Pipeline`] methods.
 //!
-//! A [`Pipeline`] strings [`Phase`]s together over one machine, one seeded
-//! attacker RNG, one set of [`Counters`], and one
-//! [`Observer`](crate::Observer) — and leaves the *order* of phases to the
-//! caller. [`ExplFrame::run`](crate::ExplFrame::run) is the paper's
-//! standard composition; scenarios the monolithic driver could not express
-//! are a few lines each:
+//! A [`Pipeline`] runs phases over one machine, one seeded attacker RNG,
+//! one set of [`Counters`], and one [`Observer`](crate::Observer) — and
+//! leaves the *order* of phases to the caller. Every phase call, a memo
+//! hit included, runs through one private choke point that reports the
+//! call's [`PhaseCost`] under the phase's name (`mapping-probe`,
+//! `template`, `release`, `steer`, `hammer`, `collect`, `analyze`).
+//! [`ExplFrame::run`](crate::ExplFrame::run) is the paper's standard
+//! composition; scenarios the monolithic driver could not express are a
+//! few lines each:
 //!
 //! * **template-once / steer-many** — release a vulnerable frame once, then
 //!   steer → hammer → collect → analyze across N victim restarts,
@@ -14,28 +17,57 @@
 //!   victims running *different* ciphers on the same machine
 //!   (`exp_t8_mixed_victims`).
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
-use dram::Nanos;
-use machine::{MachineSnapshot, MachineStats, SimMachine};
+use ciphers::{
+    present_sbox_image, BlockCipher, Present80, RamTableSource, TableImage, PRESENT_SBOX,
+};
+use dram::{MappingKind, Nanos};
+use fault::{PfaCollector, PresentPfa, TTablePfa, TableFault, TeFaultClass};
+use machine::{MachineError, MachineSnapshot, MachineStats, Pid, SimMachine, VirtAddr};
+use memsim::PAGE_SIZE;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::attack::{AttackOutcome, AttackReport};
 use crate::config::{ExplFrameConfig, HammerStrategy, VictimCipherKind};
 use crate::error::AttackError;
-use crate::events::{NullObserver, Observer, PhaseCost, PhaseEvent};
+use crate::events::{Observer, PhaseCost, PhaseEvent};
 use crate::phase::{
-    pick_template, AnalyzePhase, CollectPhase, Counters, FaultedCiphertexts, HammerPhase,
-    MappingProbePhase, Phase, PhaseCtx, RecoveredKey, RecoveredMapping, ReleasePhase,
-    ReleasedFrame, SteerPhase, SteeredVictim, TemplatePhase, TemplatePool,
+    pick_template, CollectOutcome, CollectorState, Counters, FaultedCiphertexts, RecoveredKey,
+    RecoveredMapping, ReleasedFrame, SteeredVictim, TemplatePool,
 };
-use crate::template::{FlipTemplate, TemplateMemo};
+use crate::template::{
+    same_bank_stride_pages, strategy_hammer, template_scan_with, FlipTemplate, TemplateMemo,
+};
 use crate::victim::{VictimCipherService, VictimKeys};
 
 /// Salt mixed into the configuration seed for the attacker RNG (matches the
 /// pre-pipeline driver, keeping reports byte-identical per seed).
 const ATTACK_RNG_SALT: u64 = 0xA77A_C4E2;
+
+/// Ciphertext budget of the ECC-aware pre-collection probe: enough
+/// encryptions that a live table fault almost surely touches the faulted
+/// word (surfacing in the corrected/detected telemetry), yet three orders
+/// of magnitude below what the missing-value statistics would burn to
+/// prove the same round hopeless.
+const ECC_PROBE_CIPHERTEXTS: u64 = 8;
+
+/// Page-table frames a walk-mode victim consumes from the frame-cache head
+/// *before* its table page's first touch: the spawn's root table and the
+/// first VMA's leaf table.
+const WALK_TABLE_POPS: u64 = 2;
+
+/// Whether a machine error is a walk-mode casualty: the segfault analog
+/// ([`MachineError::Unmapped`]) or a DRAM decode error, both reachable only
+/// when page tables live in DRAM and a collateral flip corrupted a live
+/// translation. Shadow-mode runs can never hit these mid-phase, so the
+/// graceful-degradation paths below are dead code there and the pinned
+/// shadow goldens are unaffected.
+fn walk_casualty(e: &MachineError) -> bool {
+    matches!(e, MachineError::Unmapped { .. } | MachineError::Dram(_))
+}
 
 /// A running attack pipeline: phases share the machine, the attacker RNG,
 /// the counters, and the observer through this driver.
@@ -82,14 +114,20 @@ pub struct Pipeline<'m, 'o> {
     machine: &'m mut SimMachine,
     rng: StdRng,
     observer: Option<&'o mut dyn Observer>,
-    null: NullObserver,
     keys: VictimKeys,
     counters: Counters,
     start_time: Nanos,
     hammer_start: u64,
     acts_start: u64,
-    analyzer: AnalyzePhase,
     strategy: HammerStrategy,
+    /// T-table recovery: the S-lane faults absorbed across rounds.
+    ttable: TTablePfa,
+    /// T-tables whose S-lane still lacks an absorbed fault (template
+    /// selection prefers templates landing in a still-needed table).
+    tables_needed: BTreeSet<usize>,
+    /// Set by a template call the memo served; [`Self::phase`] reports it
+    /// as a memo hit and clears it.
+    memo_hit: bool,
 }
 
 impl<'m, 'o> Pipeline<'m, 'o> {
@@ -114,14 +152,15 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             machine,
             rng,
             observer: None,
-            null: NullObserver,
             keys,
             counters: Counters::default(),
             start_time,
             hammer_start,
             acts_start,
-            analyzer: AnalyzePhase::new(),
             strategy,
+            ttable: TTablePfa::new(),
+            tables_needed: (0..4).collect(),
+            memo_hit: false,
         }
     }
 
@@ -133,39 +172,29 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         self
     }
 
-    /// Runs one phase against this pipeline's context.
+    /// Runs one call of the phase `name`.
     ///
-    /// This is the single choke point every phase passes through, so it is
-    /// also where the observer learns each call's [`PhaseCost`]. Without an
-    /// observer neither the host clock nor the machine's counters are read.
-    fn phase<P: Phase>(&mut self, phase: &mut P, input: P::In) -> Result<P::Out, AttackError> {
-        let Pipeline {
-            config,
-            machine,
-            rng,
-            observer,
-            null,
-            keys,
-            counters,
-            ..
-        } = self;
-        let start = observer.is_some().then(|| CostStart::read(machine));
-        let observer: &mut dyn Observer = match observer {
-            Some(o) => &mut **o,
-            None => null,
-        };
-        let mut ctx = PhaseCtx {
-            config,
-            machine,
-            rng,
-            observer,
-            counters,
-            keys: *keys,
-        };
-        let out = phase.run(&mut ctx, input);
-        if let Some(start) = start {
-            ctx.observer
-                .on_phase(phase.name(), &start.cost(ctx.machine));
+    /// This is the single choke point every phase call passes through, memo
+    /// hits included, so it is also where the observer learns each call's
+    /// [`PhaseCost`]. Without an observer neither the host clock nor the
+    /// machine's counters are read.
+    fn phase<T>(
+        &mut self,
+        name: &'static str,
+        body: impl FnOnce(&mut Self) -> Result<T, AttackError>,
+    ) -> Result<T, AttackError> {
+        let start = self
+            .observer
+            .is_some()
+            .then(|| CostStart::read(self.machine));
+        let out = body(self);
+        let memo_hits = u64::from(std::mem::take(&mut self.memo_hit));
+        if let (Some(start), Some(observer)) = (start, &mut self.observer) {
+            let cost = PhaseCost {
+                memo_hits,
+                ..start.cost(self.machine)
+            };
+            observer.on_phase(name, &cost);
         }
         out
     }
@@ -181,16 +210,131 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     // ------------------------------------------------------------------
 
     /// Phase 0 (optional) — mapping probe: recover the controller's bank
-    /// mapping from row-conflict latencies (see
-    /// [`MappingProbePhase`]). Runs a transient prober process; the
-    /// recovered kind and same-bank stride are reported via
+    /// mapping from access latencies, DRAMA-style. The recovered kind and
+    /// same-bank stride are reported via
     /// [`PhaseEvent::MappingProbed`](crate::PhaseEvent::MappingProbed).
+    ///
+    /// A transient prober process times pairs of its own addresses: for
+    /// each pair it alternates the two reads (flushing its cache lines so
+    /// every read reaches DRAM) and keeps the *second* iteration's latency
+    /// — by then the row buffers are warm, so a same-bank/different-row
+    /// pair pays a full row conflict on every access while any other pair
+    /// is served from an open row. Each candidate mapping
+    /// ([`MappingKind::Linear`], [`MappingKind::Xor`]) predicts which pairs
+    /// conflict; candidates that disagree with any measurement are
+    /// eliminated. The probe set includes a guaranteed non-conflict pair
+    /// (same row) and a guaranteed conflict pair (a row delta that keeps
+    /// the bank under *every* candidate), so the latency threshold
+    /// self-calibrates from the measured band.
+    ///
+    /// Translating the probe addresses to physical frames is the one
+    /// privileged step — the same lab-machine reverse engineering the
+    /// DRAMA paper performed once per controller; the *recovered function*
+    /// is what the unprivileged attack consumes afterwards.
     ///
     /// # Errors
     ///
     /// Returns [`AttackError::Machine`] for substrate failures.
     pub fn probe_mapping(&mut self) -> Result<RecoveredMapping, AttackError> {
-        self.phase(&mut MappingProbePhase, ())
+        self.phase("mapping-probe", |p| {
+            let start = p.machine.now();
+            let g = p.machine.config().dram.geometry;
+            // One row step in the linear layout (col | bank | rank |
+            // channel | row): the distance at which only the row field
+            // changes.
+            let row_stride = u64::from(g.row_bytes) * g.total_banks();
+            let banks = u64::from(g.banks);
+            let deltas = [
+                64,                     // same row: never a conflict
+                u64::from(g.row_bytes), // next bank field, same row
+                row_stride,             // row + 1: the Linear/Xor distinguisher
+                2 * row_stride,         // row + 2
+                3 * row_stride,         // row + 3
+                banks * row_stride,     // row + banks: conflict under both
+            ];
+            let span = deltas.iter().max().expect("non-empty probe set") + PAGE_SIZE;
+            let pages = span / PAGE_SIZE + 1;
+            AttackError::check_cpu(p.machine, p.config.attacker_cpu)?;
+            let prober = p.machine.spawn(p.config.attacker_cpu);
+            let base = p.machine.mmap(prober, pages)?;
+            p.machine.fill(prober, base, pages * PAGE_SIZE, 0)?;
+
+            // The buffer is resident right after the fill, but on a walk
+            // machine a collateral flip may already have detached a page —
+            // propagate the segfault analog instead of panicking the worker.
+            let pa_base = p
+                .machine
+                .translate(prober, base)
+                .ok_or(MachineError::Unmapped {
+                    pid: prober,
+                    addr: base,
+                })?;
+            let mut measured = Vec::with_capacity(deltas.len());
+            for &delta in &deltas {
+                let vb = base + delta;
+                let pb = p
+                    .machine
+                    .translate(prober, vb)
+                    .ok_or(MachineError::Unmapped {
+                        pid: prober,
+                        addr: vb,
+                    })?;
+                let latency = probe_pair(p.machine, prober, base, vb)?;
+                measured.push((pa_base, pb, latency));
+            }
+            p.machine.exit(prober)?;
+
+            // Self-calibrating threshold: conflicts sit in the top half of
+            // the measured latency band. A flat band means no conflicts at
+            // all.
+            let lo = measured.iter().map(|m| m.2).min().expect("probes ran");
+            let hi = measured.iter().map(|m| m.2).max().expect("probes ran");
+            let conflicts = |latency: Nanos| hi > lo && 2 * latency >= lo + hi;
+
+            let survivors: Vec<MappingKind> = [MappingKind::Linear, MappingKind::Xor]
+                .into_iter()
+                .filter(|kind| {
+                    let mapping = kind.build(g);
+                    measured.iter().all(|&(a, b, latency)| {
+                        let ca = mapping.phys_to_coord(a);
+                        let cb = mapping.phys_to_coord(b);
+                        let predicted = ca.channel == cb.channel
+                            && ca.rank == cb.rank
+                            && ca.bank == cb.bank
+                            && ca.row != cb.row;
+                        predicted == conflicts(latency)
+                    })
+                })
+                .collect();
+            let kind = match survivors[..] {
+                [only] => Some(only),
+                _ => None,
+            };
+
+            let row_pages = (u64::from(g.row_bytes) / PAGE_SIZE).max(1);
+            let stride_pages = match kind {
+                // Adjacent rows share the bank: one row step.
+                Some(MappingKind::Linear) => row_pages * g.total_banks(),
+                // The XOR folds the low row bits into the bank, so same-bank
+                // rows are `banks` row steps apart.
+                Some(MappingKind::Xor) => row_pages * g.total_banks() * banks,
+                None => 0,
+            };
+            let probes = measured.len() as u32;
+            let elapsed = p.machine.now() - start;
+            p.emit(PhaseEvent::MappingProbed {
+                kind: kind.map(MappingKind::label),
+                stride_pages,
+                probes,
+                elapsed,
+            });
+            Ok(RecoveredMapping {
+                kind,
+                stride_pages,
+                probes,
+                elapsed,
+            })
+        })
     }
 
     /// Phase 1 — template: spawn the attacker and sweep its buffer for
@@ -200,10 +344,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     ///
     /// Returns [`AttackError::Machine`] for substrate failures.
     pub fn template(&mut self) -> Result<TemplatePool, AttackError> {
-        let mut phase = TemplatePhase {
-            strategy: self.strategy,
-        };
-        self.phase(&mut phase, ())
+        self.template_with(None, None)
     }
 
     /// [`template`](Self::template) through a [`TemplateMemo`]: if the memo
@@ -234,51 +375,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         pre: &MachineSnapshot,
         memo: &mut TemplateMemo,
     ) -> Result<TemplatePool, AttackError> {
-        debug_assert!(
-            self.machine.snapshot() == *pre,
-            "caller snapshot must match the machine state at template time"
-        );
-        if let Some((post, pool)) = memo.lookup(&self.config, self.strategy, pre) {
-            // Only the hit reports its cost here: a miss runs `template()`,
-            // whose phase choke point reports it.
-            let start = self
-                .observer
-                .is_some()
-                .then(|| CostStart::read(self.machine));
-            let pool = pool.clone();
-            self.machine.restore(post);
-            self.counters.templates_found = pool.scan.templates.len();
-            self.emit(PhaseEvent::TemplateStarted {
-                pages: self.config.template_pages,
-            });
-            self.emit(PhaseEvent::TemplateFinished {
-                found: pool.scan.templates.len(),
-                rows_hammered: pool.scan.rows_hammered,
-                hammer_failures: pool.scan.hammer_failures,
-                elapsed: pool.scan.elapsed,
-            });
-            if let (Some(start), Some(observer)) = (start, &mut self.observer) {
-                let cost = start.cost(self.machine);
-                observer.on_phase(
-                    "template",
-                    &PhaseCost {
-                        memo_hits: 1,
-                        ..cost
-                    },
-                );
-            }
-            return Ok(pool);
-        }
-        let strategy = self.strategy;
-        let pool = self.template()?;
-        memo.insert(
-            &self.config,
-            strategy,
-            pre.clone(),
-            self.machine.snapshot(),
-            pool.clone(),
-        );
-        Ok(pool)
+        self.template_with(Some((pre, memo)), None)
     }
 
     /// [`template_adaptive`](Self::template_adaptive) through a
@@ -298,13 +395,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         escalate_to: HammerStrategy,
         memo: &mut TemplateMemo,
     ) -> Result<TemplatePool, AttackError> {
-        let pool = self.template_memo_at(pre, memo)?;
-        if !pool.scan.templates.is_empty() || escalate_to == self.strategy {
-            return Ok(pool);
-        }
-        self.escalate(escalate_to);
-        let post = self.machine.snapshot();
-        self.template_memo_at(&post, memo)
+        self.template_with(Some((pre, memo)), Some(escalate_to))
     }
 
     /// Adaptive templating: sweep with the current strategy; if the sweep
@@ -321,12 +412,93 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         &mut self,
         escalate_to: HammerStrategy,
     ) -> Result<TemplatePool, AttackError> {
-        let pool = self.template()?;
-        if !pool.scan.templates.is_empty() || escalate_to == self.strategy {
-            return Ok(pool);
+        self.template_with(None, Some(escalate_to))
+    }
+
+    /// The one templating path behind the four `template*` methods: one
+    /// sweep, served through `memo` when given, and with `escalate_to` a
+    /// second one at the escalated strategy if the first came back empty.
+    pub(crate) fn template_with(
+        &mut self,
+        mut memo: Option<(&MachineSnapshot, &mut TemplateMemo)>,
+        escalate_to: Option<HammerStrategy>,
+    ) -> Result<TemplatePool, AttackError> {
+        let pool = self.sweep(memo.as_mut().map(|(pre, memo)| (*pre, &mut **memo)))?;
+        match escalate_to {
+            Some(to) if pool.scan.templates.is_empty() && to != self.strategy => {
+                self.escalate(to);
+                // The re-sweep starts from the post-sweep state, which the
+                // caller cannot hold: key it on a fresh capture.
+                let post = memo.is_some().then(|| self.machine.snapshot());
+                self.sweep(post.as_ref().zip(memo.map(|(_, memo)| memo)))
+            }
+            _ => Ok(pool),
         }
-        self.escalate(escalate_to);
-        self.template()
+    }
+
+    /// One templating sweep at the current strategy: replayed from `memo`
+    /// when it holds a sweep from this exact state, otherwise run live and,
+    /// with a memo, cached in it.
+    fn sweep(
+        &mut self,
+        mut memo: Option<(&MachineSnapshot, &mut TemplateMemo)>,
+    ) -> Result<TemplatePool, AttackError> {
+        let strategy = self.strategy;
+        let hit = match &mut memo {
+            Some((pre, memo)) => {
+                debug_assert!(
+                    self.machine.snapshot() == **pre,
+                    "caller snapshot must match the machine state at template time"
+                );
+                memo.lookup(&self.config, strategy, pre)
+            }
+            None => None,
+        };
+        let missed = hit.is_none();
+        let pool = self.phase("template", |p| {
+            let pages = p.config.template_pages;
+            p.emit(PhaseEvent::TemplateStarted { pages });
+            let pool = match hit {
+                Some((post, pool)) => {
+                    p.machine.restore(post);
+                    p.memo_hit = true;
+                    pool.clone()
+                }
+                None => {
+                    let cfg = &p.config;
+                    AttackError::check_cpu(p.machine, cfg.attacker_cpu)?;
+                    let attacker = p.machine.spawn(cfg.attacker_cpu);
+                    let buffer = p.machine.mmap(attacker, pages)?;
+                    let scan = template_scan_with(
+                        p.machine,
+                        attacker,
+                        buffer,
+                        pages,
+                        cfg.hammer_pairs,
+                        cfg.reproducibility_rounds,
+                        strategy,
+                    )?;
+                    TemplatePool {
+                        attacker,
+                        buffer,
+                        scan,
+                    }
+                }
+            };
+            p.counters.templates_found = pool.scan.templates.len();
+            p.emit(PhaseEvent::TemplateFinished {
+                found: pool.scan.templates.len(),
+                rows_hammered: pool.scan.rows_hammered,
+                hammer_failures: pool.scan.hammer_failures,
+                elapsed: pool.scan.elapsed,
+            });
+            Ok(pool)
+        })?;
+        if let (true, Some((pre, memo))) = (missed, memo) {
+            let post = self.machine.snapshot();
+            memo.insert(&self.config, strategy, pre.clone(), post, pool.clone());
+        }
+        Ok(pool)
     }
 
     /// Switches the hammer strategy used by subsequent templating and
@@ -366,11 +538,23 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         remaining: &mut Vec<FlipTemplate>,
         kind: VictimCipherKind,
     ) -> Option<FlipTemplate> {
-        pick_template(remaining, kind, self.analyzer.tables_needed())
+        pick_template(remaining, kind, &self.tables_needed)
     }
 
     /// Phase 2 — release: `munmap` the template's page so its frame lands
-    /// at the head of the CPU's page frame cache.
+    /// at the head of the CPU's page frame cache. The attacker stays
+    /// active; sleeping would let the idle kernel drain the cache (§V).
+    ///
+    /// With DRAM-resident page tables the victim's arrival is not one
+    /// allocation but three: its spawn pops a root-table frame and its
+    /// table page's first touch pops a leaf-table frame *before* the
+    /// table-data frame. A bare release would land the templated frame
+    /// under the victim's root table — a self-defeating steer. The
+    /// walk-aware release therefore stages two fresh sacrificial pages
+    /// first (their faults' own allocations happen before any release, so
+    /// they cannot consume the template frame) and unmaps template-first,
+    /// so the frame-cache LIFO reads `[sac2, sac1, template]` and the
+    /// victim's pops are root ← sac2, leaf ← sac1, table data ← template.
     ///
     /// # Errors
     ///
@@ -380,7 +564,30 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         pool: &TemplatePool,
         template: FlipTemplate,
     ) -> Result<ReleasedFrame, AttackError> {
-        self.phase(&mut ReleasePhase, (pool.attacker, template))
+        let attacker = pool.attacker;
+        self.phase("release", |p| {
+            let pfn = p
+                .machine
+                .translate(attacker, template.page_va)
+                .map(|pa| pa.as_u64() / PAGE_SIZE);
+            let staged = if p.machine.config().dram_page_tables {
+                stage_walk_sacrifices(p.machine, attacker)?
+            } else {
+                None
+            };
+            p.machine.munmap(attacker, template.page_va, 1)?;
+            if let Some(sac) = staged {
+                // One page at a time, ascending, so the LIFO order is exact.
+                for i in 0..WALK_TABLE_POPS {
+                    p.machine.munmap(attacker, sac + i * PAGE_SIZE, 1)?;
+                }
+            }
+            p.emit(PhaseEvent::FrameReleased {
+                page_index: template.page_index,
+                pfn,
+            });
+            Ok(ReleasedFrame { template, pfn })
+        })
     }
 
     /// Releases the *entire* template buffer (the spray baseline's move —
@@ -406,7 +613,8 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 
     /// [`steer`](Self::steer) with an explicit victim cipher (mixed-cipher
-    /// compositions steer different victims onto different frames).
+    /// compositions steer different victims onto different frames). Also
+    /// collects one pre-fault known pair.
     ///
     /// # Errors
     ///
@@ -416,13 +624,52 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         released: &ReleasedFrame,
         kind: VictimCipherKind,
     ) -> Result<SteeredVictim, AttackError> {
-        self.phase(&mut SteerPhase, (*released, kind))
+        self.phase("steer", |p| {
+            AttackError::check_cpu(p.machine, p.config.victim_cpu)?;
+            p.counters.fault_rounds += 1;
+            let victim = VictimCipherService::start(p.machine, p.config.victim_cpu, kind, p.keys)?;
+            let victim_pfn = victim.table_pfn(p.machine).map(|pfn| pfn.0);
+            let steered = released.pfn.is_some() && victim_pfn == released.pfn;
+            if steered {
+                p.counters.steering_successes += 1;
+            }
+
+            // One pre-fault known pair (used by PRESENT master-key recovery).
+            let mut known_plain = vec![0u8; victim.block_bytes()];
+            p.rng.fill(&mut known_plain[..]);
+            let mut known_cipher = known_plain.clone();
+            if let Err(e) = victim.encrypt(p.machine, &mut known_cipher) {
+                // Walk mode: a collateral flip in the victim's freshly
+                // popped table frames can crash it on its very first
+                // encryption. Keep the garbage pair — collection will
+                // classify the round as crashed, and analysis only ever
+                // reads pairs from converged rounds.
+                if !walk_casualty(&e) {
+                    return Err(e.into());
+                }
+            }
+
+            p.emit(PhaseEvent::VictimSteered {
+                round: p.counters.fault_rounds,
+                kind,
+                steered,
+                victim_pfn,
+            });
+            Ok(SteeredVictim {
+                victim,
+                template: released.template,
+                steered,
+                known_plain,
+                known_cipher,
+            })
+        })
     }
 
     /// Phase 4 — hammer: re-hammer the retained aggressors around the
     /// steered frame with the pipeline's current [`HammerStrategy`].
     /// `Ok(false)` means the hammer primitive rejected the aggressor set
-    /// (fragmented buffer) and the round should be skipped.
+    /// (fragmented buffer) or a walk casualty detached one, and the round
+    /// should be skipped; any other machine error propagates.
     ///
     /// # Errors
     ///
@@ -432,24 +679,198 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         pool: &TemplatePool,
         steered: &SteeredVictim,
     ) -> Result<bool, AttackError> {
-        let mut phase = HammerPhase {
-            strategy: self.strategy,
-        };
-        self.phase(&mut phase, (pool.attacker, pool.buffer, steered.template))
+        let template = steered.template;
+        self.phase("hammer", |p| {
+            let pairs = p.config.rehammer_pairs;
+            let geometry = p.machine.config().dram.geometry;
+            let (ok, rows) = strategy_hammer(
+                p.machine,
+                pool.attacker,
+                p.strategy,
+                pool.buffer,
+                p.config.template_pages,
+                template.aggressor_above,
+                template.aggressor_below,
+                same_bank_stride_pages(&geometry),
+                pairs,
+            )?;
+            p.emit(PhaseEvent::HammerFinished {
+                round: p.counters.fault_rounds,
+                pairs,
+                rows,
+                ok,
+            });
+            Ok(ok)
+        })
     }
 
     /// Phase 5a — collect: query victim encryptions until the fault
-    /// statistics converge or the round proves hopeless.
+    /// statistics converge, prove no fault landed, or the ciphertext budget
+    /// runs out.
     ///
     /// # Errors
     ///
     /// Returns [`AttackError::Machine`] for substrate failures.
     pub fn collect(&mut self, steered: SteeredVictim) -> Result<FaultedCiphertexts, AttackError> {
-        self.phase(&mut CollectPhase, steered)
+        self.phase("collect", |p| {
+            let entry = steered.template.page_offset as usize;
+            let before = p.counters.ciphertexts_collected;
+            // The telemetry probe is pointless against a non-ECC DIMM (the
+            // counters can never move); don't spend encryptions on it.
+            if p.config.ecc_aware && p.machine.config().dram.ecc != dram::EccMode::Off {
+                if let Some(outcome) = p.ecc_probe(&steered)? {
+                    let collected = p.counters.ciphertexts_collected - before;
+                    p.emit(PhaseEvent::CiphertextsCollected {
+                        round: p.counters.fault_rounds,
+                        collected,
+                        outcome,
+                    });
+                    return Ok(FaultedCiphertexts {
+                        victim: steered,
+                        outcome,
+                        collected,
+                        data: CollectorState::Skipped,
+                    });
+                }
+            }
+            let (outcome, data) = match steered.victim.kind() {
+                VictimCipherKind::AesSbox => {
+                    let needed: Vec<usize> = (0..16).collect();
+                    let mut collector = PfaCollector::new();
+                    let outcome = p.collect_aes(&steered, &mut collector, &needed)?;
+                    (outcome, CollectorState::Aes(Box::new(collector)))
+                }
+                VictimCipherKind::AesTtable => {
+                    let fault = TableFault {
+                        offset: entry,
+                        bit: steered.template.bit,
+                    };
+                    match fault.classify_te() {
+                        TeFaultClass::SLane { positions, .. } => {
+                            let mut collector = PfaCollector::new();
+                            let outcome = p.collect_aes(&steered, &mut collector, &positions)?;
+                            (outcome, CollectorState::Aes(Box::new(collector)))
+                        }
+                        // Filtered by template selection; defensive.
+                        _ => (CollectOutcome::Skipped, CollectorState::Skipped),
+                    }
+                }
+                VictimCipherKind::Present => {
+                    let mut collector = PresentPfa::new();
+                    let mut session = steered.victim.session(p.machine);
+                    let outcome = loop {
+                        let mut block = [0u8; 8];
+                        p.rng.fill(&mut block[..]);
+                        match session.encrypt(&mut block) {
+                            Ok(()) => {}
+                            Err(e) if walk_casualty(&e) => break CollectOutcome::VictimCrashed,
+                            Err(e) => return Err(e.into()),
+                        }
+                        collector.observe(&block);
+                        p.counters.ciphertexts_collected += 1;
+                        if collector.total() % 32 == 0 || collector.all_positions_determined() {
+                            if collector.all_positions_determined() {
+                                break CollectOutcome::Converged;
+                            }
+                            if (0..16).any(|i| collector.unseen_count(i) == 0) {
+                                break CollectOutcome::NoFault;
+                            }
+                            if collector.total() >= p.config.max_ciphertexts {
+                                break CollectOutcome::Exhausted;
+                            }
+                        }
+                    };
+                    (outcome, CollectorState::Present(Box::new(collector)))
+                }
+            };
+            let collected = p.counters.ciphertexts_collected - before;
+            p.emit(PhaseEvent::CiphertextsCollected {
+                round: p.counters.fault_rounds,
+                collected,
+                outcome,
+            });
+            Ok(FaultedCiphertexts {
+                victim: steered,
+                outcome,
+                collected,
+                data,
+            })
+        })
+    }
+
+    /// The ECC-aware pre-collection probe: a few throwaway encryptions
+    /// while watching the machine's corrected/detected error telemetry (on
+    /// real hardware, the EDAC counters any unprivileged attacker can
+    /// read). A rising *corrected* count with no detection means the DIMM
+    /// is silently healing the fault on every read — the round can never
+    /// produce faulty ciphertexts and is discarded for the cost of the
+    /// probe. A rising *detected* count (or silence) hands over to normal
+    /// collection.
+    fn ecc_probe(
+        &mut self,
+        steered: &SteeredVictim,
+    ) -> Result<Option<CollectOutcome>, AttackError> {
+        let mut session = steered.victim.session(self.machine);
+        let baseline = session.machine().dram().ecc_stats();
+        for _ in 0..ECC_PROBE_CIPHERTEXTS {
+            let mut block = vec![0u8; steered.victim.block_bytes()];
+            self.rng.fill(&mut block[..]);
+            match session.encrypt(&mut block) {
+                Ok(()) => {}
+                Err(e) if walk_casualty(&e) => return Ok(Some(CollectOutcome::VictimCrashed)),
+                Err(e) => return Err(e.into()),
+            }
+            self.counters.ciphertexts_collected += 1;
+            let now = session.machine().dram().ecc_stats();
+            if now.detected > baseline.detected {
+                // Uncorrectable (multi-bit) fault live in the table: the
+                // statistics are worth collecting.
+                return Ok(None);
+            }
+            if now.corrected > baseline.corrected {
+                return Ok(Some(CollectOutcome::Corrected));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Collects AES ciphertexts until `needed` positions are determined, a
+    /// needed position proves unfaulted, or the budget runs out.
+    fn collect_aes(
+        &mut self,
+        steered: &SteeredVictim,
+        collector: &mut PfaCollector,
+        needed: &[usize],
+    ) -> Result<CollectOutcome, AttackError> {
+        let mut session = steered.victim.session(self.machine);
+        loop {
+            let mut block = [0u8; 16];
+            self.rng.fill(&mut block[..]);
+            match session.encrypt(&mut block) {
+                Ok(()) => {}
+                Err(e) if walk_casualty(&e) => return Ok(CollectOutcome::VictimCrashed),
+                Err(e) => return Err(e.into()),
+            }
+            collector.observe(&block);
+            self.counters.ciphertexts_collected += 1;
+            if collector.total() % 64 == 0 {
+                if needed.iter().all(|&p| collector.unseen_count(p) == 1) {
+                    return Ok(CollectOutcome::Converged);
+                }
+                if needed.iter().any(|&p| collector.unseen_count(p) == 0) {
+                    return Ok(CollectOutcome::NoFault);
+                }
+                if collector.total() >= self.config.max_ciphertexts {
+                    return Ok(CollectOutcome::Exhausted);
+                }
+            }
+        }
     }
 
     /// Phase 5b — analyze: feed the round's statistics to the cipher's
     /// persistent-fault analysis. `Some` once the full key is out.
+    /// T-table recovery accumulates S-lane faults across rounds until all
+    /// four tables are covered.
     ///
     /// # Errors
     ///
@@ -458,10 +879,64 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         &mut self,
         faulted: FaultedCiphertexts,
     ) -> Result<Option<RecoveredKey>, AttackError> {
-        let mut analyzer = std::mem::take(&mut self.analyzer);
-        let out = self.phase(&mut analyzer, faulted);
-        self.analyzer = analyzer;
-        out
+        self.phase("analyze", |p| {
+            let entry = faulted.victim.template.page_offset as usize;
+            let recovered = if faulted.outcome != CollectOutcome::Converged {
+                None
+            } else {
+                match (&faulted.data, faulted.victim.victim.kind()) {
+                    (CollectorState::Aes(collector), VictimCipherKind::AesSbox) => collector
+                        .analyze_known_fault(TableImage::sbox()[entry])
+                        .master_key()
+                        .map(RecoveredKey::from_aes),
+                    (CollectorState::Aes(collector), VictimCipherKind::AesTtable) => {
+                        let fault = TableFault {
+                            offset: entry,
+                            bit: faulted.victim.template.bit,
+                        };
+                        if p.ttable.absorb(fault, collector).is_some() {
+                            let (table, _, _) = TableImage::te_locate(entry);
+                            p.tables_needed.remove(&table);
+                        }
+                        p.ttable.master_key().map(RecoveredKey::from_aes)
+                    }
+                    (CollectorState::Present(collector), _) => {
+                        let v = PRESENT_SBOX[entry];
+                        let plain: [u8; 8] = faulted.victim.known_plain[..]
+                            .try_into()
+                            .expect("PRESENT block");
+                        let cipher: [u8; 8] = faulted.victim.known_cipher[..]
+                            .try_into()
+                            .expect("PRESENT block");
+                        collector
+                            .recover_master_key(v, |cand| {
+                                let mut b = plain;
+                                Present80::new(
+                                    cand,
+                                    RamTableSource::new(present_sbox_image().to_vec()),
+                                )
+                                .encrypt_block(&mut b);
+                                b == cipher
+                            })
+                            .map(RecoveredKey::from_present)
+                    }
+                    _ => None,
+                }
+            };
+            if let Some(key) = &recovered {
+                if let Some(aes) = key.aes {
+                    p.counters.recovered_aes_key = Some(aes);
+                }
+                if let Some(present) = key.present {
+                    p.counters.recovered_present_key = Some(present);
+                }
+            }
+            p.emit(PhaseEvent::RoundAnalyzed {
+                round: p.counters.fault_rounds,
+                key_recovered: recovered.is_some(),
+            });
+            Ok(recovered)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -606,6 +1081,42 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             elapsed,
             hammer_rate_headroom,
         }
+    }
+}
+
+/// Times one address pair: two flush-read-read rounds, returning the second
+/// round's latency for the second address (the row buffers are warm by
+/// then, so the value is purely the conflict/no-conflict signal).
+fn probe_pair(
+    machine: &mut SimMachine,
+    pid: Pid,
+    a: VirtAddr,
+    b: VirtAddr,
+) -> Result<Nanos, AttackError> {
+    let mut byte = [0u8];
+    let mut latency = 0;
+    for _ in 0..2 {
+        machine.clflush(pid, a)?;
+        machine.clflush(pid, b)?;
+        machine.read_timed(pid, a, &mut byte)?;
+        latency = machine.read_timed(pid, b, &mut byte)?;
+    }
+    Ok(latency)
+}
+
+/// Maps and touches the walk-mode sacrificial region (see
+/// [`Pipeline::release`]). Returns its base, or `None` when the attacker's
+/// own walk is corrupted — self-hazard is real on walk machines, and a
+/// failed staging should cost one degraded round, not the campaign.
+fn stage_walk_sacrifices(
+    machine: &mut SimMachine,
+    attacker: Pid,
+) -> Result<Option<VirtAddr>, AttackError> {
+    let sac = machine.mmap(attacker, WALK_TABLE_POPS)?;
+    match machine.fill(attacker, sac, WALK_TABLE_POPS * PAGE_SIZE, 0) {
+        Ok(()) => Ok(Some(sac)),
+        Err(e) if walk_casualty(&e) => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 

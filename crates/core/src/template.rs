@@ -1137,12 +1137,11 @@ mod tests {
                         })
                     };
                     let (above, below) = (aggressor(coord.row - 1), aggressor(coord.row + 1));
-                    let flips = m
-                        .dram_mut()
+                    let before = m.dram().flips().len();
+                    m.dram_mut()
                         .hammer_rows(&[above, below], cell.threshold_acts() + 16)
-                        .unwrap()
-                        .flips;
-                    let in_buffer = flips
+                        .unwrap();
+                    let in_buffer = m.dram().flips()[before..]
                         .iter()
                         .any(|f| frames.contains(&f.addr.align_down(PAGE_SIZE)));
                     if in_buffer && !m.dram().reads_are_raw() {

@@ -1,7 +1,8 @@
 //! The phase-ledger contract: a [`PhaseLedger`] attached as the pipeline's
-//! observer never changes the report, sees every phase with its own
-//! counters, counts a memo hit as one template call, and belongs to its
-//! run alone, so pipelines on different threads keep separate books.
+//! observer never changes the report, sees every phase under its name, in
+//! the order it first ran, with its own counters, counts a memo hit as one
+//! template call, and belongs to its run alone, so pipelines on different
+//! threads keep separate books.
 
 use explframe_core::{
     AttackReport, ExplFrame, ExplFrameConfig, PhaseLedger, Pipeline, RunOptions, TemplateMemo,
@@ -12,9 +13,8 @@ fn config(seed: u64) -> ExplFrameConfig {
     ExplFrameConfig::small_demo(seed).with_template_pages(512)
 }
 
-/// Runs the demo attack at `seed` on a fresh machine with a ledger.
-fn ledgered_run(seed: u64) -> (AttackReport, PhaseLedger) {
-    let cfg = config(seed);
+/// Runs the attack of `cfg` on a fresh machine with a ledger.
+fn ledgered_run(cfg: ExplFrameConfig) -> (AttackReport, PhaseLedger) {
     let mut machine = SimMachine::new(cfg.machine.clone());
     let mut ledger = PhaseLedger::new();
     let options = RunOptions {
@@ -29,31 +29,50 @@ fn ledgered_run(seed: u64) -> (AttackReport, PhaseLedger) {
 
 #[test]
 fn ledger_leaves_the_report_unchanged_and_sees_every_phase() {
-    let baseline = ExplFrame::new(config(7)).run().expect("baseline");
-    let (report, ledger) = ledgered_run(7);
-    assert_eq!(report, baseline, "attaching a ledger changed the run");
-    assert!(report.succeeded(), "seed 7 must recover the key");
+    let inputs: [(ExplFrameConfig, &[&str]); 2] = [
+        (
+            config(7),
+            &[
+                "template", "release", "steer", "hammer", "collect", "analyze",
+            ],
+        ),
+        (
+            config(7).with_probe_mapping(true),
+            &[
+                "mapping-probe",
+                "template",
+                "release",
+                "steer",
+                "hammer",
+                "collect",
+                "analyze",
+            ],
+        ),
+    ];
+    for (cfg, order) in inputs {
+        let baseline = ExplFrame::new(cfg.clone()).run().expect("baseline");
+        let (report, ledger) = ledgered_run(cfg);
+        assert_eq!(report, baseline, "attaching a ledger changed the run");
+        assert!(report.succeeded(), "seed 7 must recover the key");
 
-    for phase in [
-        "template", "release", "steer", "hammer", "collect", "analyze",
-    ] {
-        let totals = ledger
-            .get(phase)
-            .unwrap_or_else(|| panic!("{phase} missing"));
-        assert!(totals.calls > 0, "{phase} recorded no calls");
+        let names: Vec<&str> = ledger.phases().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, order, "phases in first-run order");
+        for (phase, totals) in ledger.phases() {
+            assert!(totals.calls > 0, "{phase} recorded no calls");
+        }
+        // Each machine op family has its own field: collect reads the
+        // victim's tables through the machine, hammer only hammers.
+        let collect = ledger.get("collect").unwrap();
+        assert!(collect.reads > 0, "collect counted no reads");
+        assert_eq!(collect.hammer_pairs, 0, "collect hammered nothing");
+        assert!(
+            ledger.get("hammer").unwrap().hammer_pairs > 0,
+            "hammer counted no pairs"
+        );
+        // The per-phase hammer pairs add up to what the report spent.
+        let pairs: u64 = ledger.phases().iter().map(|(_, t)| t.hammer_pairs).sum();
+        assert_eq!(pairs, report.hammer_pairs_spent);
     }
-    // Each machine op family has its own field: collect reads the victim's
-    // tables through the machine, hammer only hammers.
-    let collect = ledger.get("collect").unwrap();
-    assert!(collect.reads > 0, "collect counted no reads");
-    assert_eq!(collect.hammer_pairs, 0, "collect hammered nothing");
-    assert!(
-        ledger.get("hammer").unwrap().hammer_pairs > 0,
-        "hammer counted no pairs"
-    );
-    // The per-phase hammer pairs add up to what the report spent.
-    let pairs: u64 = ledger.phases().iter().map(|(_, t)| t.hammer_pairs).sum();
-    assert_eq!(pairs, report.hammer_pairs_spent);
 }
 
 #[test]
@@ -118,10 +137,10 @@ fn memoized_runs_report_the_direct_runs_ledger_but_for_memo_hits() {
 
 #[test]
 fn concurrent_pipelines_keep_the_ledgers_of_their_serial_runs() {
-    let serial = [ledgered_run(3), ledgered_run(4)];
+    let serial = [ledgered_run(config(3)), ledgered_run(config(4))];
     let concurrent = std::thread::scope(|scope| {
-        let a = scope.spawn(|| ledgered_run(3));
-        let b = scope.spawn(|| ledgered_run(4));
+        let a = scope.spawn(|| ledgered_run(config(3)));
+        let b = scope.spawn(|| ledgered_run(config(4)));
         [a.join().expect("thread a"), b.join().expect("thread b")]
     });
     for ((report, ledger), (serial_report, serial_ledger)) in concurrent.iter().zip(&serial) {

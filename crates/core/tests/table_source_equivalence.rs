@@ -352,9 +352,12 @@ fn flip_scene() -> FlipScene {
                 let start = w.snapshot();
                 let flips_after = |pairs: u64| {
                     let mut h = start.fork();
+                    let before = h.dram().flips().len();
                     let outcome = h.dram_mut().hammer_rows(&[aggressor, outer], pairs);
-                    let flips = outcome.expect("one bank").flips;
-                    flips.iter().any(|f| (f.addr, f.bit) == target)
+                    outcome.expect("one bank");
+                    h.dram().flips()[before..]
+                        .iter()
+                        .any(|f| (f.addr, f.bit) == target)
                 };
                 let (mut lo, mut hi) = (0, 2 * cell.threshold_acts());
                 if !flips_after(hi) {

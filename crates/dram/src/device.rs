@@ -260,11 +260,10 @@ fn refresh_rows_around(bank: &mut BankState, row: u32, radius: u32, rows: u32) {
     }
 }
 
-/// Result of a bulk hammer operation.
+/// Result of a bulk hammer operation. The flips it induced are the tail
+/// of [`DramDevice::flips`] past its length before the call.
 #[derive(Debug, Clone, Default)]
 pub struct HammerOutcome {
-    /// Flips induced during this hammer run.
-    pub flips: Vec<FlipEvent>,
     /// ACT commands issued.
     pub acts: u64,
     /// Simulated time consumed.
@@ -948,7 +947,6 @@ impl DramDevice {
         }
 
         let round_time = count as u64 * timing.t_rc;
-        let flips_before = self.flip_log.len();
         let start = self.now;
         self.bulk_rounds(bank_idx, first, agg_rows, victims, rounds, round_time);
 
@@ -958,7 +956,6 @@ impl DramDevice {
         self.stats.hammer_pairs += acts / 2;
 
         Ok(HammerOutcome {
-            flips: self.flip_log[flips_before..].to_vec(),
             acts,
             elapsed: self.now - start,
         })
@@ -1541,6 +1538,18 @@ mod tests {
         DramDevice::new(DramConfig::small().with_seed(seed))
     }
 
+    /// One [`DramDevice::hammer_rows`] call with the flips it added to the
+    /// device's flip log.
+    fn hammer_flips(
+        dev: &mut DramDevice,
+        rows: &[PhysAddr],
+        rounds: u64,
+    ) -> (HammerOutcome, Vec<FlipEvent>) {
+        let before = dev.flips().len();
+        let outcome = dev.hammer_rows(rows, rounds).unwrap();
+        (outcome, dev.flips()[before..].to_vec())
+    }
+
     /// Finds (victim_row, cell) with a weak cell in bank 0, away from edges.
     fn find_weak_row(dev: &mut DramDevice) -> (u32, WeakCell) {
         let g = dev.config().geometry;
@@ -1601,13 +1610,12 @@ mod tests {
         // Hammer with more than threshold pairs (double-sided → 2 ACTs of
         // near disturbance per pair on the sandwiched row).
         let pairs = cell.threshold_acts(); // 2 units/pair ⇒ pairs = acts/2... use full to be safe
-        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
+        let (_, flips) = hammer_flips(&mut dev, &[a, b], pairs);
         assert!(
-            outcome.flips.iter().any(|f| f.coord.row == row
+            flips.iter().any(|f| f.coord.row == row
                 && f.coord.col == cell.bit_in_row / 8
                 && f.bit == (cell.bit_in_row % 8) as u8),
-            "expected flip of known weak cell, got {:?}",
-            outcome.flips
+            "expected flip of known weak cell, got {flips:?}"
         );
         assert_eq!(dev.stats().flips as usize, dev.flips().len());
     }
@@ -1630,9 +1638,8 @@ mod tests {
             dev.config().geometry.row_bytes as u64,
             fill,
         );
-        let outcome = dev.hammer_rows(&[a, b], cell.threshold_acts()).unwrap();
-        assert!(outcome
-            .flips
+        let (_, flips) = hammer_flips(&mut dev, &[a, b], cell.threshold_acts());
+        assert!(flips
             .iter()
             .all(|f| !(f.coord.row == row && f.coord.col == cell.bit_in_row / 8)));
     }
@@ -1653,12 +1660,8 @@ mod tests {
         // below min_threshold/2 pairs keeps *every* possible cell below its
         // floor threshold, regardless of seed.
         let pairs = dev.config().cells.min_threshold_acts / 4;
-        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
-        assert!(
-            outcome.flips.is_empty(),
-            "unexpected flips: {:?}",
-            outcome.flips
-        );
+        let (_, flips) = hammer_flips(&mut dev, &[a, b], pairs);
+        assert!(flips.is_empty(), "unexpected flips: {flips:?}");
     }
 
     #[test]
@@ -1688,8 +1691,8 @@ mod tests {
         let chunk_pairs = dev.config().cells.min_threshold_acts / 4;
         let chunks = 1 + (cell.threshold_acts() * 4) / chunk_pairs;
         for _ in 0..chunks {
-            let outcome = dev.hammer_rows(&[a, b], chunk_pairs).unwrap();
-            assert!(outcome.flips.is_empty());
+            let (_, flips) = hammer_flips(&mut dev, &[a, b], chunk_pairs);
+            assert!(flips.is_empty());
             dev.advance(window); // idle a full window: every row refreshes
         }
     }
@@ -1719,7 +1722,7 @@ mod tests {
         };
 
         bulk.fill(victim, row_bytes, fill);
-        let bulk_flips = bulk.hammer_rows(&set, rounds).unwrap().flips;
+        let (_, bulk_flips) = hammer_flips(&mut bulk, &set, rounds);
 
         let mut step = DramDevice::new(config);
         step.fill(victim, row_bytes, fill);
@@ -1780,7 +1783,7 @@ mod tests {
         let mut observed = Vec::new();
         for _ in 0..3 {
             dev.fill(victim_addr, row_bytes, fill);
-            let flips = dev.hammer_rows(&[a, b], pairs).unwrap().flips;
+            let (_, flips) = hammer_flips(&mut dev, &[a, b], pairs);
             observed.push(
                 flips
                     .iter()
@@ -1807,9 +1810,8 @@ mod tests {
             0x00
         };
         dev.fill(victim, dev.config().geometry.row_bytes as u64, fill);
-        let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
-        outcome
-            .flips
+        let (_, flips) = hammer_flips(dev, &[a, b], pairs);
+        flips
             .iter()
             .any(|f| f.coord.row == row && f.coord.col == cell.bit_in_row / 8)
     }
@@ -1873,11 +1875,9 @@ mod tests {
             0x00
         };
         dev.fill(victim, dev.config().geometry.row_bytes as u64, fill);
-        let outcome = dev
-            .hammer_rows(&aggressors, cell.threshold_acts() + 64)
-            .unwrap();
+        let (_, flips) = hammer_flips(&mut dev, &aggressors, cell.threshold_acts() + 64);
         assert!(
-            outcome.flips.iter().any(|f| f.coord.row == row),
+            flips.iter().any(|f| f.coord.row == row),
             "many-sided burst failed to bypass the thrashed sampler"
         );
         assert_eq!(dev.trr_triggers(), 0, "a thrashed sampler must stay blind");
@@ -1889,10 +1889,8 @@ mod tests {
                 .with_trr(Some(trr.with_sampler_size(16))),
         );
         wide.fill(victim, wide.config().geometry.row_bytes as u64, fill);
-        let caught = wide
-            .hammer_rows(&aggressors, cell.threshold_acts() + 64)
-            .unwrap();
-        assert!(caught.flips.is_empty(), "oversized sampler should suppress");
+        let (_, caught) = hammer_flips(&mut wide, &aggressors, cell.threshold_acts() + 64);
+        assert!(caught.is_empty(), "oversized sampler should suppress");
         assert!(wide.trr_triggers() > 0);
     }
 
@@ -2168,11 +2166,10 @@ mod tests {
                 let pairs = x.threshold_acts().max(y.threshold_acts()) + 16;
                 let a = dev.mapping().coord_to_phys(coord(0, row - 1, 0));
                 let b = dev.mapping().coord_to_phys(coord(0, row + 1, 0));
-                let outcome = dev.hammer_rows(&[a, b], pairs).unwrap();
+                let (_, flips) = hammer_flips(&mut dev, &[a, b], pairs);
                 let word = |c: &WeakCell| c.bit_in_row / 64;
                 let flipped = |c: &WeakCell| {
-                    outcome
-                        .flips
+                    flips
                         .iter()
                         .any(|f| f.coord.col * 8 + u32::from(f.bit) == c.bit_in_row)
                 };
@@ -2241,26 +2238,26 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        let of = fast.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
+        let (of, of_flips) = hammer_flips(&mut fast, &[a, b], MULTI_WINDOW_PAIRS);
         assert_eq!(
             fast.analytic_rounds(),
             MULTI_WINDOW_PAIRS,
             "the kernel must serve the whole burst — the check would be vacuous"
         );
         assert_eq!(slow.analytic_rounds(), 0, "reference kernels stay literal");
-        assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
+        assert!(!of_flips.is_empty(), "the charged weak cell never flipped");
 
-        let os = slow.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
-        assert_eq!(of.flips, os.flips);
+        let (os, os_flips) = hammer_flips(&mut slow, &[a, b], MULTI_WINDOW_PAIRS);
+        assert_eq!(of_flips, os_flips);
         assert_eq!(of.elapsed, os.elapsed);
         assert_eq!(fast.now(), slow.now());
         assert_eq!(fast.stats(), slow.stats());
 
         // The kernel must leave per-victim refresh bookkeeping exact: a
         // follow-up hammer carries over in-window disturbance identically.
-        let of2 = fast.hammer_rows(&[a, b], 50_000).unwrap();
-        let os2 = slow.hammer_rows(&[a, b], 50_000).unwrap();
-        assert_eq!(of2.flips, os2.flips);
+        let (_, of2) = hammer_flips(&mut fast, &[a, b], 50_000);
+        let (_, os2) = hammer_flips(&mut slow, &[a, b], 50_000);
+        assert_eq!(of2, os2);
         assert_eq!(fast.now(), slow.now());
         assert_eq!(fast.stats(), slow.stats());
     }
@@ -2324,11 +2321,11 @@ mod tests {
         fast.fill(victim_addr, row_bytes, fill);
         slow.fill(victim_addr, row_bytes, fill);
 
-        let of = fast.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
-        let os = slow.hammer_rows(&[a, b], MULTI_WINDOW_PAIRS).unwrap();
+        let (of, of_flips) = hammer_flips(&mut fast, &[a, b], MULTI_WINDOW_PAIRS);
+        let (os, os_flips) = hammer_flips(&mut slow, &[a, b], MULTI_WINDOW_PAIRS);
         assert!(fast.analytic_rounds() > 0, "the kernel never engaged");
-        assert!(!of.flips.is_empty(), "the charged weak cell never flipped");
-        assert_eq!(of.flips, os.flips);
+        assert!(!of_flips.is_empty(), "the charged weak cell never flipped");
+        assert_eq!(of_flips, os_flips);
         assert_eq!(of.elapsed, os.elapsed);
         assert_eq!(fast.now(), slow.now());
         assert_eq!(fast.stats(), slow.stats());
@@ -2416,14 +2413,14 @@ mod tests {
         let b = dev.mapping().coord_to_phys(coord(0, 42, 0));
         dev.hammer_rows(&[a, b], 30_000).unwrap();
         let snap = dev.snapshot();
-        let cont = dev.hammer_rows(&[a, b], 30_000).unwrap();
-        let fork_cont = snap.to_device().hammer_rows(&[a, b], 30_000).unwrap();
-        assert_eq!(cont.flips, fork_cont.flips);
+        let (cont, cont_flips) = hammer_flips(&mut dev, &[a, b], 30_000);
+        let (fork_cont, fork_flips) = hammer_flips(&mut snap.to_device(), &[a, b], 30_000);
+        assert_eq!(cont_flips, fork_flips);
         assert_eq!(cont.elapsed, fork_cont.elapsed);
         dev.restore(&snap);
         assert_eq!(dev.snapshot(), snap, "restore is not byte-identical");
-        let replay = dev.hammer_rows(&[a, b], 30_000).unwrap();
-        assert_eq!(replay.flips, cont.flips);
+        let (replay, replay_flips) = hammer_flips(&mut dev, &[a, b], 30_000);
+        assert_eq!(replay_flips, cont_flips);
         assert_eq!(replay.elapsed, cont.elapsed);
     }
 }

@@ -25,8 +25,8 @@
 //! and the full snapshot, and again after a follow-up burst.
 
 use dram::{
-    DramConfig, DramCoord, DramDevice, DramTiming, EccMode, HammerOutcome, PhysAddr, TrrParams,
-    WeakCellParams,
+    DramConfig, DramCoord, DramDevice, DramTiming, EccMode, FlipEvent, HammerOutcome, PhysAddr,
+    TrrParams, WeakCellParams,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -246,17 +246,34 @@ fn addr(dev: &DramDevice, bank: u32, row: u32) -> PhysAddr {
     })
 }
 
-/// Hammers `rows` of `bank` for `rounds` rounds.
-fn hammer(dev: &mut DramDevice, bank: u32, rows: &[u32], rounds: u64) -> HammerOutcome {
-    let addrs: Vec<PhysAddr> = rows.iter().map(|&r| addr(dev, bank, r)).collect();
-    dev.hammer_rows(&addrs, rounds)
-        .expect("distinct same-bank rows")
+/// One burst's outcome and the flips it added to the device's flip log.
+struct Burst {
+    outcome: HammerOutcome,
+    flips: Vec<FlipEvent>,
 }
 
-fn same_outcome(fast: &HammerOutcome, reference: &HammerOutcome, what: &str) -> TestCaseResult {
+/// Hammers `rows` of `bank` for `rounds` rounds.
+fn hammer(dev: &mut DramDevice, bank: u32, rows: &[u32], rounds: u64) -> Burst {
+    let addrs: Vec<PhysAddr> = rows.iter().map(|&r| addr(dev, bank, r)).collect();
+    let before = dev.flips().len();
+    let outcome = dev
+        .hammer_rows(&addrs, rounds)
+        .expect("distinct same-bank rows");
+    Burst {
+        outcome,
+        flips: dev.flips()[before..].to_vec(),
+    }
+}
+
+fn same_outcome(fast: &Burst, reference: &Burst, what: &str) -> TestCaseResult {
     prop_assert_eq!(&fast.flips, &reference.flips, "{} flips", what);
-    prop_assert_eq!(fast.acts, reference.acts, "{} acts", what);
-    prop_assert_eq!(fast.elapsed, reference.elapsed, "{} elapsed", what);
+    prop_assert_eq!(fast.outcome.acts, reference.outcome.acts, "{} acts", what);
+    prop_assert_eq!(
+        fast.outcome.elapsed,
+        reference.outcome.elapsed,
+        "{} elapsed",
+        what
+    );
     Ok(())
 }
 

@@ -140,12 +140,11 @@ fn ecc_scene() -> Scene {
             })
         };
         let (above, below) = (aggressor(coord.row - 1), aggressor(coord.row + 1));
-        let flips = m
-            .dram_mut()
+        let before = m.dram().flips().len();
+        m.dram_mut()
             .hammer_rows(&[above, below], cell.threshold_acts() + 16)
-            .expect("hammer")
-            .flips;
-        let in_table = flips
+            .expect("hammer");
+        let in_table = m.dram().flips()[before..]
             .iter()
             .any(|f| f.addr.align_down(PAGE_SIZE) == table.align_down(PAGE_SIZE));
         if in_table && !m.dram().reads_are_raw() {

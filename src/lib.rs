@@ -12,10 +12,10 @@
 //! * [`ciphers`] — AES and PRESENT with externalized lookup tables.
 //! * [`fault`] — Persistent Fault Analysis and DFA key recovery.
 //! * [`attack`] (crate `explframe-core`) — the phase-pipeline attack API:
-//!   first-class phases (`Template`/`Release`/`Steer`/`Hammer`/`Collect`/
-//!   `Analyze`) over typed artifacts, composed by `Pipeline`, with
-//!   structured `PhaseEvent` traces; `ExplFrame` is the paper's standard
-//!   composition.
+//!   the phases (`template`/`release`/`steer`/`hammer`/`collect`/
+//!   `analyze`) are `Pipeline` methods over typed artifacts, with
+//!   structured `PhaseEvent` traces and per-call `PhaseCost`s; `ExplFrame`
+//!   is the paper's standard composition.
 //! * [`campaign`] — the deterministic parallel campaign engine driving the
 //!   `exp_*` experiment binaries (scenario matrices, SplitMix64 per-trial
 //!   seeding, thread-count-independent reduction, `results/summary.json`).

@@ -131,13 +131,14 @@ fn secded_hides_single_bit_table_faults_from_the_victim() {
                 col: 0,
                 ..coord
             });
-        let flips = m
-            .dram_mut()
+        let before = m.dram().flips().len();
+        m.dram_mut()
             .hammer_rows(&[above, below], cell.threshold_acts() + 16)
-            .expect("hammer")
-            .flips;
+            .expect("hammer");
         assert!(
-            flips.iter().any(|f| f.coord.row == coord.row),
+            m.dram().flips()[before..]
+                .iter()
+                .any(|f| f.coord.row == coord.row),
             "known weak cell failed to flip"
         );
 

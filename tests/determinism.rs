@@ -188,7 +188,8 @@ fn snapshot_forked_adaptive_attack_matches_fresh_boot_under_trr() {
         .run_adaptive()
         .expect("fresh adaptive run");
     let snapshot = SimMachine::new(cfg.machine.clone()).snapshot();
-    let forked = ExplFrame::new(cfg)
+    let attack = ExplFrame::new(cfg);
+    let forked = attack
         .run_adaptive_snapshot(&snapshot)
         .expect("forked adaptive run");
     assert_eq!(forked, fresh, "forked adaptive report diverged");
@@ -196,6 +197,23 @@ fn snapshot_forked_adaptive_attack_matches_fresh_boot_under_trr() {
         fresh.strategy_escalations, 1,
         "test must exercise the escalation path"
     );
+
+    // Through a template memo: the first run caches both sweeps (the empty
+    // double-sided one and the escalated re-sweep), the second replays both.
+    let mut memo = explframe::attack::TemplateMemo::new();
+    for run in 0..2u64 {
+        let options = RunOptions {
+            adaptive: true,
+            memo: Some((&snapshot, &mut memo)),
+            ..RunOptions::default()
+        };
+        let memoized = attack
+            .run_with(&mut snapshot.fork(), options)
+            .expect("memoized adaptive run");
+        assert_eq!(memoized, fresh, "memoized adaptive run {run} diverged");
+        assert_eq!(memo.len(), 2, "run {run}: one entry per sweep");
+        assert_eq!(memo.hits(), 2 * run, "run {run}: hits");
+    }
 }
 
 #[test]
