@@ -1,7 +1,5 @@
 //! Two-level inclusive cache hierarchy.
 
-use std::sync::Arc;
-
 use crate::cache::{Cache, Lookup};
 use crate::config::CacheConfig;
 
@@ -46,6 +44,20 @@ impl ServedBy {
 /// assert_eq!(h.access(0x2000), ServedBy::L1);
 /// h.clflush(0x2000);
 /// assert_eq!(h.access(0x2000), ServedBy::Memory);
+/// ```
+///
+/// A clone captures every resident line in both levels, their exact LRU
+/// order and the per-level counters, so it serves the same
+/// hit/miss/eviction sequence as the original:
+///
+/// ```
+/// use cachesim::{CacheHierarchy, ServedBy};
+/// let mut h = CacheHierarchy::tiny();
+/// h.access(0x40);
+/// let snap = h.clone();
+/// h.clflush(0x40);
+/// h.clone_from(&snap);
+/// assert_eq!(h.access(0x40), ServedBy::L1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheHierarchy {
@@ -134,77 +146,6 @@ impl CacheHierarchy {
     /// The last-level cache.
     pub fn llc(&self) -> &Cache {
         &self.llc
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures both levels' resident lines, LRU order, and counters as a
-    /// [`HierarchySnapshot`].
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        HierarchySnapshot {
-            inner: Arc::new(self.clone()),
-        }
-    }
-
-    /// Rewinds this hierarchy to `snapshot`'s state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a hierarchy with different level
-    /// geometry.
-    pub fn restore(&mut self, snapshot: &HierarchySnapshot) {
-        assert_eq!(
-            (self.l1.config(), self.llc.config()),
-            (snapshot.inner.l1.config(), snapshot.inner.llc.config()),
-            "snapshot is from a differently configured hierarchy"
-        );
-        *self = (*snapshot.inner).clone();
-    }
-}
-
-/// A point-in-time capture of a [`CacheHierarchy`]: every resident line in
-/// both levels, their exact LRU order, and the per-level counters. A
-/// restored or forked hierarchy serves the same hit/miss/eviction sequence
-/// as the original.
-///
-/// # Examples
-///
-/// ```
-/// use cachesim::{CacheHierarchy, ServedBy};
-/// let mut h = CacheHierarchy::tiny();
-/// h.access(0x40);
-/// let snap = h.snapshot();
-/// h.clflush(0x40);
-/// h.restore(&snap);
-/// assert_eq!(h.access(0x40), ServedBy::L1);
-/// let mut fork = snap.to_hierarchy();
-/// assert_eq!(fork.access(0x40), ServedBy::L1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierarchySnapshot {
-    // Shared immutably: cloning a snapshot (as machine fork/restore does in
-    // the inner trial loop) must not copy ~8k cache sets, and comparing two
-    // clones of one snapshot must not walk them either.
-    inner: Arc<CacheHierarchy>,
-}
-
-impl PartialEq for HierarchySnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        // Snapshots taken from the same capture share one allocation, so
-        // the common no-divergence comparison short-circuits on identity.
-        Arc::ptr_eq(&self.inner, &other.inner) || self.inner == other.inner
-    }
-}
-
-impl Eq for HierarchySnapshot {}
-
-impl HierarchySnapshot {
-    /// Builds a fresh, independent hierarchy in this snapshot's state (the
-    /// fork operation).
-    pub fn to_hierarchy(&self) -> CacheHierarchy {
-        (*self.inner).clone()
     }
 }
 

@@ -40,6 +40,6 @@ mod tlb;
 
 pub use cache::{Cache, Lookup};
 pub use config::CacheConfig;
-pub use hierarchy::{CacheHierarchy, HierarchySnapshot, ServedBy};
+pub use hierarchy::{CacheHierarchy, ServedBy};
 pub use stats::CacheStats;
 pub use tlb::{Tlb, TlbConfig, TlbEntry, TlbStats};

@@ -1,6 +1,6 @@
 //! Snapshot contract of the cache hierarchy, checked differentially: for a
 //! random interleaving of access/clflush/flush-all traffic,
-//! `snapshot → mutate arbitrarily → restore → replay suffix` must be
+//! `clone → mutate arbitrarily → clone_from → replay suffix` must be
 //! state-identical (resident lines, LRU order, counters) to a fresh boot
 //! replaying the same full sequence.
 
@@ -35,22 +35,28 @@ proptest! {
             &plan,
             boot,
             step,
-            CacheHierarchy::snapshot,
-            |caches, snap| caches.restore(snap),
+            CacheHierarchy::clone,
+            CacheHierarchy::clone_from,
         )?;
     }
 
     #[test]
     fn snapshot_fork_serves_identical_hit_miss_sequences(words in proptest::collection::vec(any::<u64>(), 1..100)) {
+        let (prefix, suffix) = words.split_at(words.len() / 2);
         let (mut original, ()) = boot();
-        for &w in &words[..words.len() / 2] {
+        let (mut witness, ()) = boot();
+        for &w in prefix {
             step(&mut original, &mut (), w);
+            step(&mut witness, &mut (), w);
         }
-        let mut fork = original.snapshot().to_hierarchy();
-        for &w in &words[words.len() / 2..] {
-            let addr = (w >> 8) % (1 << 16);
-            prop_assert_eq!(original.access(addr), fork.access(addr));
+        let mut fork = original.clone();
+        let addrs: Vec<u64> = suffix.iter().map(|w| (w >> 8) % (1 << 16)).collect();
+        let served: Vec<_> = addrs.iter().map(|&a| fork.access(a)).collect();
+        // The fork's traffic never reaches the original through shared state.
+        prop_assert_eq!(&original, &witness);
+        for (&addr, &by) in addrs.iter().zip(&served) {
+            prop_assert_eq!(original.access(addr), by);
         }
-        prop_assert_eq!(original.snapshot(), fork.snapshot());
+        prop_assert_eq!(&original, &fork);
     }
 }

@@ -113,8 +113,9 @@ pub struct RunOptions<'a> {
     /// machine's state when the run starts (checked under
     /// `debug_assertions`). Building the pipeline does not touch the
     /// machine and templating is the first phase, so the fork source *is*
-    /// the pre-sweep state, and memo hits compare against the caller's
-    /// capture by shared structure instead of re-snapshotting every trial.
+    /// the pre-sweep state, and a memo hit on the caller's snapshot is one
+    /// pointer compare (the memo holds a clone of that same `Arc`) instead
+    /// of a fresh capture every trial.
     pub memo: Option<(&'a MachineSnapshot, &'a mut TemplateMemo)>,
     /// Receives every [`PhaseEvent`](crate::PhaseEvent) and every phase
     /// call's [`PhaseCost`](crate::PhaseCost). Observers never change the

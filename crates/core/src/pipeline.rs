@@ -360,8 +360,8 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     /// from one shared snapshot and templates immediately, so the caller
     /// already holds the exact pre-sweep state — passing it in skips the
     /// per-trial snapshot, and, because the memo stores a clone of the same
-    /// capture, the hit comparison short-circuits on shared structure
-    /// instead of walking DRAM chunks and cache sets.
+    /// `Arc`-shared capture, the hit comparison is one pointer compare
+    /// instead of a walk over the machine's state.
     ///
     /// `pre` must equal the machine's current state byte-for-byte (checked
     /// under `debug_assertions`); a mismatched snapshot would replay a

@@ -416,8 +416,9 @@ struct MemoEntry {
 /// pool is returned — skipping the hammering entirely.
 ///
 /// **Exactness:** a hit requires the stored *pre-sweep* snapshot to compare
-/// equal to the current machine (DRAM data chunks stay `Arc`-shared across
-/// forks, so the comparison is pointer-fast on untouched banks). Replayed
+/// equal to the current machine. A clone of the caller's snapshot shares
+/// its `Arc`, so that comparison is one pointer compare; only a distinct
+/// capture is compared state by state. Replayed
 /// runs are therefore byte-identical to uncached runs — asserted by the
 /// `memoized_template_runs_match_uncached` tests.
 ///

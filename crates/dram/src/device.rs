@@ -1,5 +1,7 @@
 //! The DRAM device: data plane, activation plane and Rowhammer physics.
 
+use std::sync::Arc;
+
 use crate::bank::{next_refresh_time, BankState};
 use crate::cells::{
     CellPolarity, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
@@ -275,10 +277,33 @@ pub struct HammerOutcome {
 /// Owns the data array, per-bank row buffers, the weak-cell population and
 /// the simulated clock. All mutation is through `&mut self`; the device is
 /// deterministic given its [`DramConfig`].
-#[derive(Debug)]
+///
+/// A clone is a snapshot and a fork at once: it replays byte-identically
+/// to the device it came from, and each side diverges only as it is
+/// mutated. Clones are cheap. Data chunks are `Arc`-shared copy-on-write,
+/// and the address mapping (a pure function of the config) and the
+/// weak-cell memo are shared outright, so rows either side generates later
+/// serve both.
+///
+/// # Examples
+///
+/// ```
+/// use dram::{DramConfig, DramDevice, PhysAddr};
+/// let mut dev = DramDevice::new(DramConfig::small());
+/// dev.write(PhysAddr::new(0x1000), b"warm");
+/// let snap = dev.clone();
+/// dev.write(PhysAddr::new(0x1000), b"cold");
+/// assert_ne!(dev, snap);
+/// dev.clone_from(&snap);
+/// assert_eq!(dev, snap);
+/// let mut buf = [0u8; 4];
+/// dev.read(PhysAddr::new(0x1000), &mut buf);
+/// assert_eq!(&buf, b"warm");
+/// ```
+#[derive(Debug, Clone)]
 pub struct DramDevice {
     config: DramConfig,
-    mapping: Box<dyn AddressMapping>,
+    mapping: Arc<dyn AddressMapping>,
     banks: Vec<BankState>,
     mem: SparseMemory,
     cells: WeakCellMap,
@@ -291,20 +316,64 @@ pub struct DramDevice {
     para: Option<ParaEngine>,
     rfm: Option<RfmEngine>,
     /// Hammer rounds served by an analytic path instead of the chunked
-    /// walk. Diagnostic only: it is not device state, so snapshots neither
-    /// carry nor compare it.
+    /// walk. Diagnostic only: it is not device state, so equality ignores
+    /// it.
     analytic_rounds: u64,
     /// The burst kernel's flip list, kept between calls.
     kernel_flips: KernelFlips,
 }
 
+/// Two devices are equal when their state is: data, banks, flip log,
+/// clock, stats and every countermeasure engine. The mapping follows from
+/// the config, the weak-cell memo only records which rows were queried,
+/// and `analytic_rounds` and the kernel's scratch list are not state.
+impl PartialEq for DramDevice {
+    fn eq(&self, other: &Self) -> bool {
+        let DramDevice {
+            config,
+            mapping: _,
+            banks,
+            mem,
+            cells,
+            stats,
+            flip_log,
+            now,
+            trr,
+            ecc,
+            clock,
+            para,
+            rfm,
+            analytic_rounds: _,
+            kernel_flips: _,
+        } = self;
+        *config == other.config
+            && *now == other.now
+            && *stats == other.stats
+            && *banks == other.banks
+            && *cells == other.cells
+            && *trr == other.trr
+            && *ecc == other.ecc
+            && *clock == other.clock
+            && *para == other.para
+            && *rfm == other.rfm
+            && *flip_log == other.flip_log
+            && *mem == other.mem
+    }
+}
+
 /// The first crossings one [`DramDevice::burst_kernel`] call found, as
 /// `(chunk start, victim, cell index, cell)`. The list is empty between
 /// calls and kept only for its capacity, so a burst allocates nothing once
-/// it has grown. It is not device state: snapshots, `restore` and `Debug`
-/// leave it out.
+/// it has grown. It is not device state: a clone starts it empty, and
+/// equality and `Debug` leave it out.
 #[derive(Default)]
 struct KernelFlips(Vec<(u64, usize, usize, WeakCell)>);
+
+impl Clone for KernelFlips {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
 
 impl std::fmt::Debug for KernelFlips {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -324,7 +393,7 @@ impl DramDevice {
     /// Panics if the geometry is invalid (non-power-of-two dimensions) or the
     /// cell density is out of range.
     pub fn new(config: DramConfig) -> Self {
-        let mapping = config.mapping.build(config.geometry);
+        let mapping = config.mapping.build(config.geometry).into();
         let banks = vec![BankState::default(); config.geometry.total_banks() as usize];
         let mem = SparseMemory::new(config.geometry.capacity_bytes());
         let cells = WeakCellMap::new(
@@ -405,13 +474,31 @@ impl DramDevice {
         self.now += ns;
         if let Some(clock) = &mut self.clock {
             clock.drain_refreshes(self.now);
-            self.stats.refs = clock.refresh_commands();
         }
     }
 
-    /// Aggregate counters.
+    /// The same state under a different [`DramConfig::reference_kernels`]
+    /// setting. The switch picks an implementation, not a state, so this is
+    /// how a differential test compares a device against its reference
+    /// twin in full, or moves one device's state onto the other kernels.
+    #[must_use]
+    pub fn with_reference_kernels(mut self, reference: bool) -> Self {
+        self.config.reference_kernels = reference;
+        self
+    }
+
+    /// Aggregate counters. REF, PARA and RFM counts are read from their
+    /// engines.
     pub fn stats(&self) -> DramStats {
-        self.stats
+        DramStats {
+            refs: self
+                .clock
+                .as_ref()
+                .map_or(0, CommandClock::refresh_commands),
+            para_refreshes: self.para_refreshes(),
+            rfm_commands: self.rfm_commands(),
+            ..self.stats
+        }
     }
 
     /// Every flip induced so far, in order.
@@ -456,8 +543,8 @@ impl DramDevice {
 
     /// Bulk-hammer rounds this device served by the event kernel rather
     /// than by walking refresh and TRR boundaries. Counts from 0 when the
-    /// device is built or forked; [`Self::restore`] leaves it alone. Tests
-    /// use it to prove an equivalence check actually exercised a fast path.
+    /// device is built; a clone carries it on. Tests use it to prove an
+    /// equivalence check actually exercised a fast path.
     pub fn analytic_rounds(&self) -> u64 {
         self.analytic_rounds
     }
@@ -701,7 +788,6 @@ impl DramDevice {
                     "command clock stalled the sequential miss path"
                 );
                 clock.drain_refreshes(self.now);
-                self.stats.refs = clock.refresh_commands();
             }
             // Activating a row restores its own cells' charge.
             self.banks[bank_idx].clear_disturbance(coord.row);
@@ -719,7 +805,6 @@ impl DramDevice {
                 }
                 if hit {
                     self.refresh_neighbour_rows(bank_idx, coord, 1);
-                    self.stats.para_refreshes = self.para_refreshes();
                 }
             }
             let fired = self
@@ -731,7 +816,6 @@ impl DramDevice {
                 for row in rows {
                     self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..coord }, radius);
                 }
-                self.stats.rfm_commands = self.rfm_commands();
             }
             self.config.timing.t_rc
         } else {
@@ -742,7 +826,6 @@ impl DramDevice {
                 let issued = clock.column_read(clock_rank, clock_bank, start);
                 debug_assert_eq!(issued, start, "command clock stalled a row-buffer hit");
                 clock.drain_refreshes(self.now);
-                self.stats.refs = clock.refresh_commands();
             }
             self.config.timing.t_row_hit
         }
@@ -1046,7 +1129,6 @@ impl DramDevice {
             self.now += chunk * round_time;
             if let Some(clock) = &mut self.clock {
                 clock.drain_refreshes(self.now);
-                self.stats.refs = clock.refresh_commands();
             }
             remaining -= chunk;
             if let Some(Burst::After(_)) = plan {
@@ -1073,7 +1155,6 @@ impl DramDevice {
                     let row = agg_rows[(off % fan) as usize];
                     self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, 1);
                 }
-                self.stats.para_refreshes = self.para_refreshes();
             }
             let fired = self
                 .rfm
@@ -1084,7 +1165,6 @@ impl DramDevice {
                 for row in rows {
                     self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, radius);
                 }
-                self.stats.rfm_commands = self.rfm_commands();
             }
         }
     }
@@ -1283,7 +1363,6 @@ impl DramDevice {
         if let Some(clock) = &mut self.clock {
             clock.bulk_acts(clock_rank, clock_bank, t, rounds * agg_rows.len() as u64);
             clock.drain_refreshes(self.now);
-            self.stats.refs = clock.refresh_commands();
         }
         // Each aggressor that fired, with the round of its last trigger.
         let (mut inline_fired, mut spilled_fired) = ([(0u32, 0u64); INLINE_ROWS], Vec::new());
@@ -1321,63 +1400,6 @@ impl DramDevice {
     }
 
     // ------------------------------------------------------------------
-    // Snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures the complete device state as a [`DramSnapshot`].
-    ///
-    /// The data array is captured as a copy-on-write overlay: materialised
-    /// chunks are `Arc`-shared with the live device, so the snapshot costs
-    /// O(touched chunks) pointer copies and untouched banks are never
-    /// duplicated. The device and the snapshot diverge lazily as either
-    /// side is written.
-    pub fn snapshot(&self) -> DramSnapshot {
-        DramSnapshot {
-            config: self.config,
-            banks: self.banks.clone(),
-            mem: self.mem.clone(),
-            cells: self.cells.clone(),
-            stats: self.stats,
-            flip_log: self.flip_log.clone(),
-            now: self.now,
-            trr: self.trr.clone(),
-            ecc: self.ecc.clone(),
-            clock: self.clock.clone(),
-            para: self.para.clone(),
-            rfm: self.rfm.clone(),
-        }
-    }
-
-    /// Rewinds this device to `snapshot`'s state.
-    ///
-    /// After the call the device replays byte-identically to the device the
-    /// snapshot was taken from: same data, same row buffers and disturbance
-    /// counters, same clock, same TRR/ECC state, same flip log and stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a device with a different
-    /// configuration (the address mapping is derived from the config and is
-    /// not re-built here).
-    pub fn restore(&mut self, snapshot: &DramSnapshot) {
-        assert_eq!(
-            self.config, snapshot.config,
-            "snapshot is from a differently configured device"
-        );
-        self.banks = snapshot.banks.clone();
-        self.mem = snapshot.mem.clone();
-        self.cells = snapshot.cells.clone();
-        self.stats = snapshot.stats;
-        self.flip_log = snapshot.flip_log.clone();
-        self.now = snapshot.now;
-        self.trr = snapshot.trr.clone();
-        self.ecc = snapshot.ecc.clone();
-        self.clock = snapshot.clock.clone();
-        self.para = snapshot.para.clone();
-        self.rfm = snapshot.rfm.clone();
-    }
-
-    // ------------------------------------------------------------------
     // Introspection (experiment ground truth — not attacker-visible)
     // ------------------------------------------------------------------
 
@@ -1392,8 +1414,8 @@ impl DramDevice {
     }
 
     /// Rows whose weak-cell populations have been generated so far. The
-    /// memo is shared by every snapshot, fork and restore of one booted
-    /// device, so this counts each row once across all of them.
+    /// memo is shared by every clone of one booted device, so this counts
+    /// each row once across all of them.
     pub fn weak_rows_generated(&self) -> usize {
         self.cells.cached_rows()
     }
@@ -1428,93 +1450,6 @@ impl DramDevice {
             row_start = row_start + row_bytes;
         }
         out
-    }
-}
-
-/// A point-in-time capture of a [`DramDevice`], cheap enough to take per
-/// campaign trial.
-///
-/// **Captured:** the data array (as a copy-on-write `Arc` overlay over the
-/// sparse chunk store — untouched banks are shared, never copied), per-bank
-/// row buffers and disturbance counters, the simulated clock, aggregate
-/// stats, the flip log, and the full Target-Row-Refresh sampler and ECC
-/// tracker state.
-///
-/// **Not captured:** the address mapping (a pure function of the config,
-/// re-built by [`DramSnapshot::to_device`]) and the weak-cell memo's
-/// *contents*. The population is a pure function of the seed, so the
-/// snapshot shares the device's memo instead of copying it: rows either
-/// side generates later serve both. The memo is excluded from snapshot
-/// equality.
-///
-/// # Examples
-///
-/// ```
-/// use dram::{DramConfig, DramDevice, PhysAddr};
-/// let mut dev = DramDevice::new(DramConfig::small());
-/// dev.write(PhysAddr::new(0x1000), b"warm");
-/// let snap = dev.snapshot();
-/// dev.write(PhysAddr::new(0x1000), b"cold");
-/// dev.restore(&snap);
-/// let mut buf = [0u8; 4];
-/// dev.read(PhysAddr::new(0x1000), &mut buf);
-/// assert_eq!(&buf, b"warm");
-/// // Forking builds an independent device from the same state.
-/// let fork = snap.to_device();
-/// assert_eq!(fork.snapshot(), snap);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct DramSnapshot {
-    config: DramConfig,
-    banks: Vec<BankState>,
-    mem: SparseMemory,
-    cells: WeakCellMap,
-    stats: DramStats,
-    flip_log: Vec<FlipEvent>,
-    now: Nanos,
-    trr: Option<TrrEngine>,
-    ecc: Option<EccTracker>,
-    clock: Option<CommandClock>,
-    para: Option<ParaEngine>,
-    rfm: Option<RfmEngine>,
-}
-
-impl DramSnapshot {
-    /// The configuration of the device this snapshot came from.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
-    /// The same state under a different [`DramConfig::reference_kernels`]
-    /// setting. The switch picks an implementation, not a state, so this is
-    /// how a differential test compares a device against its reference
-    /// twin in full, or forks one device's state onto the other kernels.
-    #[must_use]
-    pub fn with_reference_kernels(mut self, reference: bool) -> Self {
-        self.config.reference_kernels = reference;
-        self
-    }
-
-    /// Builds a fresh, independent device in this snapshot's state (the
-    /// fork operation). Shared data chunks are unshared lazily on write.
-    pub fn to_device(&self) -> DramDevice {
-        DramDevice {
-            config: self.config,
-            mapping: self.config.mapping.build(self.config.geometry),
-            banks: self.banks.clone(),
-            mem: self.mem.clone(),
-            cells: self.cells.clone(),
-            stats: self.stats,
-            flip_log: self.flip_log.clone(),
-            now: self.now,
-            trr: self.trr.clone(),
-            ecc: self.ecc.clone(),
-            clock: self.clock.clone(),
-            para: self.para.clone(),
-            rfm: self.rfm.clone(),
-            analytic_rounds: 0,
-            kernel_flips: KernelFlips::default(),
-        }
     }
 }
 
@@ -2402,6 +2337,70 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_equality_covers_every_state_family() {
+        let cfg = DramConfig::small()
+            .with_trr(Some(TrrParams::ddr4_like()))
+            .with_ecc(EccMode::Secded)
+            .with_timing_engine(true)
+            .with_para(Some(ParaParams::para_2014()))
+            .with_rfm(Some(RfmParams::ddr5_like()));
+        let mut dev = DramDevice::new(cfg);
+        let (row, cell) = find_weak_row(&mut dev);
+        type Mutation = fn(&mut DramDevice);
+        let families: [(&str, Mutation); 12] = [
+            ("config", |d| d.config.reference_kernels = true),
+            ("data byte", |d| d.mem.write_byte(PhysAddr::new(0x40), 0x5A)),
+            ("open row", |d| assert!(d.banks[1].activate(7))),
+            ("disturbance", |d| {
+                d.banks[2].add_disturbance(9, 1, 0, &DramTiming::ddr3_1600());
+            }),
+            ("flip log", |d| {
+                d.flip_log.push(FlipEvent {
+                    addr: PhysAddr::new(0),
+                    bit: 0,
+                    coord: DramCoord::default(),
+                    polarity: CellPolarity::True,
+                    time: 0,
+                })
+            }),
+            ("now", |d| d.now += 1),
+            ("stats", |d| d.stats.reads += 1),
+            ("TRR sampler", |d| {
+                d.trr.as_mut().unwrap().record_act(0, 7);
+            }),
+            ("SECDED tracker", |d| {
+                d.ecc.as_mut().unwrap().note_flip(3, 0)
+            }),
+            ("command clock", |d| {
+                d.clock.as_mut().unwrap().drain_refreshes(1 << 30);
+            }),
+            ("PARA", |d| d.para.as_mut().unwrap().advance(1, |_| {})),
+            ("RFM", |d| {
+                d.rfm.as_mut().unwrap().record_acts(0, &[3], 1);
+            }),
+        ];
+        for (family, mutate) in families {
+            let mut clone = dev.clone();
+            assert!(clone == dev, "a fresh clone differs ({family})");
+            mutate(&mut clone);
+            assert!(clone != dev, "equality misses the {family}");
+        }
+
+        // Clones share the weak-cell memo: a row one generates, all see.
+        let clone = dev.clone();
+        let generated = dev.weak_rows_generated();
+        clone.weak_cells_at(dev.mapping().coord_to_phys(coord(3, row, 0)));
+        assert_eq!(dev.weak_rows_generated(), generated + 1);
+
+        // The diagnostic counter and the kernel's scratch list are not state.
+        let mut clone = dev.clone();
+        clone.analytic_rounds += 5;
+        clone.kernel_flips.0.push((0, 0, 0, cell));
+        assert!(clone == dev);
+        assert!(clone.clone().kernel_flips.0.is_empty());
+    }
+
+    #[test]
     fn timed_snapshot_roundtrips_countermeasure_state() {
         let cfg = DramConfig::small()
             .with_seed(9)
@@ -2412,13 +2411,13 @@ mod tests {
         let a = dev.mapping().coord_to_phys(coord(0, 40, 0));
         let b = dev.mapping().coord_to_phys(coord(0, 42, 0));
         dev.hammer_rows(&[a, b], 30_000).unwrap();
-        let snap = dev.snapshot();
+        let snap = dev.clone();
         let (cont, cont_flips) = hammer_flips(&mut dev, &[a, b], 30_000);
-        let (fork_cont, fork_flips) = hammer_flips(&mut snap.to_device(), &[a, b], 30_000);
+        let (fork_cont, fork_flips) = hammer_flips(&mut snap.clone(), &[a, b], 30_000);
         assert_eq!(cont_flips, fork_flips);
         assert_eq!(cont.elapsed, fork_cont.elapsed);
-        dev.restore(&snap);
-        assert_eq!(dev.snapshot(), snap, "restore is not byte-identical");
+        dev.clone_from(&snap);
+        assert!(dev == snap, "restore is not byte-identical");
         let (replay, replay_flips) = hammer_flips(&mut dev, &[a, b], 30_000);
         assert_eq!(replay_flips, cont_flips);
         assert_eq!(replay.elapsed, cont.elapsed);

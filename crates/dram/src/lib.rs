@@ -85,7 +85,7 @@ mod trr;
 pub use cells::{
     CellPolarity, RowEval, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
 };
-pub use device::{DramConfig, DramDevice, DramSnapshot, FlipEvent, HammerOutcome, PageDiff};
+pub use device::{DramConfig, DramDevice, FlipEvent, HammerOutcome, PageDiff};
 pub use ecc::{decode_secded, encode_secded, EccMode, EccStats, SecdedDecode};
 pub use error::DramError;
 pub use geometry::{DramCoord, DramGeometry, PhysAddr};

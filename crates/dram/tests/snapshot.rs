@@ -2,7 +2,7 @@
 //! random interleaving of data traffic, activations, bulk hammering and
 //! idle time — against a module with both TRR and SECDED ECC enabled, so
 //! the countermeasure state is captured too —
-//! `snapshot → mutate arbitrarily → restore → replay suffix` must be
+//! `clone → mutate arbitrarily → clone_from → replay suffix` must be
 //! state-identical (data array, row buffers, disturbance counters, clock,
 //! TRR sampler tables, ECC tracker, stats, flip log) to a fresh boot
 //! replaying the same full sequence.
@@ -108,27 +108,34 @@ proptest! {
             &plan,
             boot,
             step,
-            DramDevice::snapshot,
-            |dev, snap| dev.restore(snap),
+            DramDevice::clone,
+            DramDevice::clone_from,
         )?;
     }
 
     #[test]
     fn snapshot_fork_induces_identical_flips(words in proptest::collection::vec(any::<u64>(), 1..40)) {
+        let (prefix, suffix) = words.split_at(words.len() / 2);
         let (mut original, ()) = boot();
-        for &w in &words[..words.len() / 2] {
+        let (mut witness, ()) = boot();
+        for &w in prefix {
             step(&mut original, &mut (), w);
+            step(&mut witness, &mut (), w);
         }
-        let mut fork = original.snapshot().to_device();
-        for &w in &words[words.len() / 2..] {
-            step(&mut original, &mut (), w);
+        let mut fork = original.clone();
+        for &w in suffix {
             step(&mut fork, &mut (), w);
+        }
+        // The fork's traffic never reaches the original through shared state.
+        prop_assert_eq!(&original, &witness);
+        for &w in suffix {
+            step(&mut original, &mut (), w);
         }
         prop_assert_eq!(original.flips(), fork.flips());
         prop_assert_eq!(original.stats(), fork.stats());
         prop_assert_eq!(original.trr_triggers(), fork.trr_triggers());
         prop_assert_eq!(original.ecc_stats(), fork.ecc_stats());
-        prop_assert_eq!(original.snapshot(), fork.snapshot());
+        prop_assert_eq!(&original, &fork);
     }
 
     #[test]
@@ -137,27 +144,34 @@ proptest! {
             &plan,
             boot_timed,
             step,
-            DramDevice::snapshot,
-            |dev, snap| dev.restore(snap),
+            DramDevice::clone,
+            DramDevice::clone_from,
         )?;
     }
 
     #[test]
     fn timed_snapshot_fork_induces_identical_flips(words in proptest::collection::vec(any::<u64>(), 1..40)) {
+        let (prefix, suffix) = words.split_at(words.len() / 2);
         let (mut original, ()) = boot_timed();
-        for &w in &words[..words.len() / 2] {
+        let (mut witness, ()) = boot_timed();
+        for &w in prefix {
             step(&mut original, &mut (), w);
+            step(&mut witness, &mut (), w);
         }
-        let mut fork = original.snapshot().to_device();
-        for &w in &words[words.len() / 2..] {
-            step(&mut original, &mut (), w);
+        let mut fork = original.clone();
+        for &w in suffix {
             step(&mut fork, &mut (), w);
+        }
+        // The fork's traffic never reaches the original through shared state.
+        prop_assert_eq!(&original, &witness);
+        for &w in suffix {
+            step(&mut original, &mut (), w);
         }
         prop_assert_eq!(original.flips(), fork.flips());
         prop_assert_eq!(original.stats(), fork.stats());
         prop_assert_eq!(original.para_refreshes(), fork.para_refreshes());
         prop_assert_eq!(original.rfm_commands(), fork.rfm_commands());
         prop_assert_eq!(original.command_clock(), fork.command_clock());
-        prop_assert_eq!(original.snapshot(), fork.snapshot());
+        prop_assert_eq!(&original, &fork);
     }
 }

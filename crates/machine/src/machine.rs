@@ -35,7 +35,10 @@ pub(crate) struct ScalarRead {
 /// All operations are deterministic; simulated time only advances through
 /// explicit operations (memory traffic, faults, sleeps). See the crate-level
 /// documentation for an end-to-end example.
-#[derive(Debug)]
+///
+/// A clone is an independent machine in the same state that replays
+/// byte-identically; [`SimMachine::snapshot`] freezes one behind an `Arc`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimMachine {
     pub(crate) config: MachineConfig,
     pub(crate) dram: DramDevice,

@@ -1,17 +1,19 @@
 //! Machine snapshot / restore / fork.
 //!
-//! A [`MachineSnapshot`] captures the *entire* simulated system at one point
-//! in simulated time, cheaply enough to take per campaign trial:
+//! A [`MachineSnapshot`] is a frozen clone of the *entire* simulated system
+//! at one point in simulated time, cheap enough to take per campaign trial:
 //!
-//! * **DRAM** — data array (copy-on-write `Arc` overlay: untouched banks are
+//! * **DRAM** — data array (copy-on-write `Arc` chunks: untouched banks are
 //!   shared, never copied), row buffers, disturbance counters, the simulated
-//!   clock, TRR sampler tables and ECC tracker state ([`dram::DramSnapshot`]).
+//!   clock, the flip log, TRR sampler tables, ECC tracker state and the
+//!   command clock with PARA and RFM (see [`dram::DramDevice`]'s `Clone`).
 //! * **Caches** — every CPU's L1 + LLC contents, LRU order and counters.
 //! * **Allocator** — buddy free lists, allocated-block metadata, per-CPU
 //!   page frame caches in LIFO order, watermarks and the event trace.
 //! * **Processes** — the full process table (VMAs, page tables, CPU pins,
 //!   scheduling states) and the next-pid counter, so a restored machine
 //!   hands out the same pids and virtual addresses.
+//! * **TLB** — entries, LRU order and counters.
 //!
 //! The contract is **byte-identical replay**: any operation sequence applied
 //! to a restored (or forked) machine produces exactly the state, reports and
@@ -21,33 +23,20 @@
 //! carries, so a forked trial re-derives the same streams a fresh boot
 //! would. Nothing in the machine draws from an unseeded source.
 
-use std::collections::BTreeMap;
-
-use cachesim::{HierarchySnapshot, Tlb};
-use dram::DramSnapshot;
-use memsim::AllocatorSnapshot;
+use std::sync::Arc;
 
 use crate::config::MachineConfig;
 use crate::machine::SimMachine;
-use crate::process::{Pid, Process};
-use crate::stats::MachineStats;
 
-/// A point-in-time capture of a whole [`SimMachine`].
+/// A point-in-time capture of a whole [`SimMachine`]: one frozen clone
+/// behind an `Arc`.
 ///
-/// **Captured:** the DRAM data array (as a copy-on-write `Arc` overlay —
-/// untouched banks are shared, never copied), per-bank row buffers and
-/// disturbance counters, the simulated clock, TRR sampler tables and ECC
-/// tracker state, every CPU's L1 + LLC contents with exact LRU order and
-/// counters, the allocator's buddy free lists, allocated-block metadata and
-/// per-CPU page frame caches in LIFO order, the allocation event trace, the
-/// TLB (entries, LRU order and counters), and the full process table (VMAs,
-/// page tables — including table-frame ownership for DRAM-resident walks —
-/// CPU pins, scheduling states, next-pid counter).
-///
-/// **Not captured:** the DRAM address mapping (a pure function of the
-/// configuration, re-built on fork) and the weak-cell memo cache contents
-/// (also pure; carried only as a warm-start optimisation). Attacker-side
-/// RNGs live *outside* the machine and are re-derived from the seed in the
+/// Cloning a snapshot (as a template memo does) shares that one machine,
+/// and two clones of one capture compare equal in O(1) by identity. Only
+/// snapshots of distinct captures are compared state by state. The weak-cell
+/// memo and the address mapping are shared by the snapshot and every
+/// fork; both are pure functions of the configuration. Attacker-side RNGs
+/// live *outside* the machine and are re-derived from the seed in the
 /// configuration, which is captured.
 ///
 /// # Examples
@@ -65,22 +54,19 @@ use crate::stats::MachineStats;
 /// let pb = b.spawn(CpuId(0));
 /// assert_eq!(pa, pb); // same pids, same frames, same everything
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineSnapshot {
-    pub(crate) config: MachineConfig,
-    pub(crate) dram: DramSnapshot,
-    pub(crate) caches: Vec<HierarchySnapshot>,
-    pub(crate) alloc: AllocatorSnapshot,
-    pub(crate) procs: BTreeMap<Pid, Process>,
-    pub(crate) next_pid: u32,
-    pub(crate) stats: MachineStats,
-    pub(crate) tlb: Tlb,
+#[derive(Debug, Clone)]
+pub struct MachineSnapshot(Arc<SimMachine>);
+
+impl PartialEq for MachineSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
 }
 
 impl MachineSnapshot {
     /// The configuration of the machine this snapshot came from.
     pub fn config(&self) -> &MachineConfig {
-        &self.config
+        &self.0.config
     }
 
     /// Builds a fresh, independent machine in this snapshot's state — the
@@ -88,39 +74,14 @@ impl MachineSnapshot {
     /// (and every other fork) until written, so forking is O(touched state
     /// metadata), not O(memory).
     pub fn fork(&self) -> SimMachine {
-        SimMachine {
-            config: self.config.clone(),
-            dram: self.dram.to_device(),
-            caches: self
-                .caches
-                .iter()
-                .map(HierarchySnapshot::to_hierarchy)
-                .collect(),
-            alloc: self.alloc.to_allocator(),
-            procs: self.procs.clone(),
-            next_pid: self.next_pid,
-            stats: self.stats,
-            // Deterministic replay extends to the TLB: a fork resumes with
-            // the exact translation-cache state (and counters) the original
-            // had, so replays stay byte-identical.
-            tlb: self.tlb.clone(),
-        }
+        (*self.0).clone()
     }
 }
 
 impl SimMachine {
     /// Captures the whole machine as a [`MachineSnapshot`].
     pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            config: self.config.clone(),
-            dram: self.dram.snapshot(),
-            caches: self.caches.iter().map(|c| c.snapshot()).collect(),
-            alloc: self.alloc.snapshot(),
-            procs: self.procs.clone(),
-            next_pid: self.next_pid,
-            stats: self.stats,
-            tlb: self.tlb.clone(),
-        }
+        MachineSnapshot(Arc::new(self.clone()))
     }
 
     /// Rewinds this machine to `snapshot`'s state. Subsequent operations
@@ -132,20 +93,30 @@ impl SimMachine {
     /// configuration.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
         assert_eq!(
-            self.config, snapshot.config,
+            self.config, snapshot.0.config,
             "snapshot is from a differently configured machine"
         );
-        self.dram.restore(&snapshot.dram);
-        for (cache, snap) in self.caches.iter_mut().zip(&snapshot.caches) {
-            cache.restore(snap);
-        }
-        self.alloc.restore(&snapshot.alloc);
-        self.procs = snapshot.procs.clone();
-        self.next_pid = snapshot.next_pid;
-        self.stats = snapshot.stats;
-        // Live mappings may differ from the snapshot's; adopt its TLB
-        // wholesale so replay matches the original byte-for-byte.
-        self.tlb = snapshot.tlb.clone();
+        // Layer by layer, so each layer's old state is freed before the
+        // next is cloned: one whole-machine clone before the drop doubles
+        // the live heap and makes the allocator slow down the restore.
+        let SimMachine {
+            config: _,
+            dram,
+            caches,
+            alloc,
+            procs,
+            next_pid,
+            stats,
+            tlb,
+        } = self;
+        let from = &*snapshot.0;
+        dram.clone_from(&from.dram);
+        caches.clone_from(&from.caches);
+        alloc.clone_from(&from.alloc);
+        procs.clone_from(&from.procs);
+        *next_pid = from.next_pid;
+        *stats = from.stats;
+        tlb.clone_from(&from.tlb);
     }
 }
 

@@ -107,6 +107,21 @@ fn zone_layout(total_pages: u64) -> Vec<(ZoneKind, PfnRange)> {
 /// This is the simulator's equivalent of the structure in the paper's
 /// Figure 2: one node holding `ZONE_DMA`/`ZONE_DMA32`/`ZONE_NORMAL`, each
 /// zone pairing a buddy allocator with per-CPU page frame caches.
+///
+/// A clone captures every zone's buddy free lists and allocated-block
+/// metadata, each CPU's page frame cache in LIFO order, watermarks,
+/// counters and the event trace, so it serves the same frame sequence as
+/// the original:
+///
+/// ```
+/// use memsim::{CpuId, MemConfig, Order, ZonedAllocator};
+/// let mut a = ZonedAllocator::new(MemConfig::small_256mib());
+/// let p = a.alloc_pages(CpuId(0), Order(0)).unwrap();
+/// a.free_pages(CpuId(0), p).unwrap();
+/// let mut fork = a.clone();
+/// // Both replay the LIFO reuse identically.
+/// assert_eq!(a.alloc_pages(CpuId(0), Order(0)), fork.alloc_pages(CpuId(0), Order(0)));
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZonedAllocator {
     config: MemConfig,
@@ -362,68 +377,6 @@ impl ZonedAllocator {
             .iter()
             .find(|z| z.contains(pfn))
             .map(|z| z.kind())
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures the complete allocator state — buddy free lists, allocated
-    /// block orders, per-CPU page lists, zone watermarks, stats, and the
-    /// event trace — as an [`AllocatorSnapshot`].
-    pub fn snapshot(&self) -> AllocatorSnapshot {
-        AllocatorSnapshot {
-            inner: self.clone(),
-        }
-    }
-
-    /// Rewinds this allocator to `snapshot`'s state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from an allocator with a different
-    /// configuration.
-    pub fn restore(&mut self, snapshot: &AllocatorSnapshot) {
-        assert_eq!(
-            self.config, snapshot.inner.config,
-            "snapshot is from a differently configured allocator"
-        );
-        *self = snapshot.inner.clone();
-    }
-}
-
-/// A point-in-time capture of a [`ZonedAllocator`]: every zone's buddy free
-/// lists and allocated-block metadata, each CPU's page frame cache in LIFO
-/// order, watermarks, counters, and the allocation event trace. Restored or
-/// forked allocators serve the exact same frame sequence as the original.
-///
-/// # Examples
-///
-/// ```
-/// use memsim::{CpuId, MemConfig, Order, ZonedAllocator};
-/// let mut a = ZonedAllocator::new(MemConfig::small_256mib());
-/// let p = a.alloc_pages(CpuId(0), Order(0)).unwrap();
-/// a.free_pages(CpuId(0), p).unwrap();
-/// let snap = a.snapshot();
-/// let mut fork = snap.to_allocator();
-/// // Both replay the LIFO reuse identically.
-/// assert_eq!(a.alloc_pages(CpuId(0), Order(0)), fork.alloc_pages(CpuId(0), Order(0)));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocatorSnapshot {
-    inner: ZonedAllocator,
-}
-
-impl AllocatorSnapshot {
-    /// The configuration of the allocator this snapshot came from.
-    pub fn config(&self) -> &MemConfig {
-        &self.inner.config
-    }
-
-    /// Builds a fresh, independent allocator in this snapshot's state (the
-    /// fork operation).
-    pub fn to_allocator(&self) -> ZonedAllocator {
-        self.inner.clone()
     }
 }
 

@@ -54,7 +54,7 @@ mod trace;
 mod types;
 mod zone;
 
-pub use allocator::{AllocatorSnapshot, MemConfig, ZonedAllocator};
+pub use allocator::{MemConfig, ZonedAllocator};
 pub use buddy::{BuddyAllocator, BuddyStats};
 pub use error::AllocError;
 pub use gfp::GfpFlags;

@@ -1,6 +1,6 @@
 //! Snapshot contract of the zoned allocator, checked differentially: for a
 //! random interleaving of alloc/free/drain/reclaim traffic,
-//! `snapshot → mutate arbitrarily → restore → replay suffix` must be
+//! `clone → mutate arbitrarily → clone_from → replay suffix` must be
 //! state-identical (buddy free lists, pcp LIFO order, stats, event trace)
 //! to a fresh boot replaying the same full sequence.
 
@@ -58,25 +58,31 @@ proptest! {
             &plan,
             boot,
             step,
-            ZonedAllocator::snapshot,
-            |alloc, snap| alloc.restore(snap),
+            ZonedAllocator::clone,
+            ZonedAllocator::clone_from,
         )?;
     }
 
     #[test]
     fn snapshot_fork_serves_identical_frame_sequences(words in proptest::collection::vec(any::<u64>(), 1..60)) {
+        let (prefix, suffix) = words.split_at(words.len() / 2);
         let (mut original, mut live) = boot();
-        for &w in &words[..words.len() / 2] {
+        let (mut witness, mut witness_live) = boot();
+        for &w in prefix {
             step(&mut original, &mut live, w);
+            step(&mut witness, &mut witness_live, w);
         }
-        let snap = original.snapshot();
-        let mut fork = snap.to_allocator();
+        let mut fork = original.clone();
         let mut fork_live = live.clone();
-        for &w in &words[words.len() / 2..] {
-            step(&mut original, &mut live, w);
+        for &w in suffix {
             step(&mut fork, &mut fork_live, w);
         }
-        prop_assert_eq!(original.snapshot(), fork.snapshot());
+        // The fork's traffic never reaches the original through shared state.
+        prop_assert_eq!(&original, &witness);
+        for &w in suffix {
+            step(&mut original, &mut live, w);
+        }
+        prop_assert_eq!(&original, &fork);
         prop_assert_eq!(live, fork_live);
     }
 }

@@ -1,7 +1,9 @@
 //! Shared snapshot-equivalence harness for the substrate proptests.
 //!
-//! Every snapshot-capable layer (allocator, DRAM device, cache hierarchy,
-//! whole machine) must satisfy the same contract:
+//! Every snapshot-capable layer must satisfy the same contract. For the
+//! allocator, the DRAM device and the cache hierarchy a snapshot is a
+//! `clone` and a restore is `clone_from`; the whole machine freezes its
+//! clone in a `MachineSnapshot`:
 //!
 //! > `snapshot → mutate arbitrarily → restore → replay suffix` is
 //! > state-identical to a fresh boot replaying the same full sequence.
