@@ -48,7 +48,10 @@ impl ServedBy {
 ///
 /// A clone captures every resident line in both levels, their exact LRU
 /// order and the per-level counters, so it serves the same
-/// hit/miss/eviction sequence as the original:
+/// hit/miss/eviction sequence as the original. Each level keeps its sets
+/// in copy-on-write blocks (see [`Cache`]): clones of a snapshot share
+/// every block until they write one, and `clone_from` re-points only the
+/// blocks that differ from the source:
 ///
 /// ```
 /// use cachesim::{CacheHierarchy, ServedBy};
@@ -59,10 +62,24 @@ impl ServedBy {
 /// h.clone_from(&snap);
 /// assert_eq!(h.access(0x40), ServedBy::L1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CacheHierarchy {
     l1: Cache,
     llc: Cache,
+}
+
+impl Clone for CacheHierarchy {
+    fn clone(&self) -> Self {
+        CacheHierarchy {
+            l1: self.l1.clone(),
+            llc: self.llc.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.l1.clone_from(&source.l1);
+        self.llc.clone_from(&source.llc);
+    }
 }
 
 impl CacheHierarchy {

@@ -2,6 +2,7 @@
 
 use cachesim::{Cache, CacheConfig, CacheHierarchy, Lookup};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 
 /// A trivially-correct LRU model: a vector of resident lines, MRU first.
 #[derive(Default)]
@@ -54,26 +55,64 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Address in one of eight sets spread from the first copy-on-write set
+/// block of a 256-set cache to its last, with twelve lines per set so
+/// every set overflows.
+fn wide_addr(word: u64) -> u64 {
+    const SETS: [u64; 8] = [0, 1, 63, 64, 100, 128, 191, 255];
+    let set = SETS[(word % 8) as usize];
+    let tag = (word / 8) % 12;
+    tag * 256 * 64 + set * 64 + (word / 96) % 64
+}
+
+fn wide_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            any::<u64>().prop_map(|w| Op::Access(wide_addr(w))),
+            any::<u64>().prop_map(|w| Op::Flush(wide_addr(w))),
+        ],
+        1..300,
+    )
+}
+
+/// Runs `schedule` on a `cfg` cache and the naive model side by side.
+fn check_against_naive(cfg: CacheConfig, schedule: Vec<Op>) -> TestCaseResult {
+    let mut cache = Cache::new(cfg);
+    let mut model = NaiveLru::default();
+    for op in schedule {
+        match op {
+            Op::Access(a) => {
+                let hit = matches!(cache.access(a), Lookup::Hit);
+                prop_assert_eq!(hit, model.access(&cfg, a), "divergence at {:#x}", a);
+            }
+            Op::Flush(a) => {
+                cache.flush_line(a);
+                model.flush(&cfg, a);
+            }
+        }
+        prop_assert_eq!(cache.resident_lines(), model.lines.len());
+    }
+    Ok(())
+}
+
 proptest! {
     /// Hit/miss decisions match the naive LRU model exactly.
     #[test]
     fn cache_matches_naive_lru(schedule in ops()) {
-        let cfg = CacheConfig::tiny();
-        let mut cache = Cache::new(cfg);
-        let mut model = NaiveLru::default();
-        for op in schedule {
-            match op {
-                Op::Access(a) => {
-                    let hit = matches!(cache.access(a), Lookup::Hit);
-                    prop_assert_eq!(hit, model.access(&cfg, a), "divergence at {:#x}", a);
-                }
-                Op::Flush(a) => {
-                    cache.flush_line(a);
-                    model.flush(&cfg, a);
-                }
-            }
-            prop_assert_eq!(cache.resident_lines(), model.lines.len());
-        }
+        check_against_naive(CacheConfig::tiny(), schedule)?;
+    }
+
+    /// The same on a 256-set, 4-way cache, which spans several set blocks.
+    #[test]
+    fn cache_matches_naive_lru_across_blocks(schedule in wide_ops()) {
+        check_against_naive(
+            CacheConfig {
+                sets: 256,
+                ways: 4,
+                line_bytes: 64,
+            },
+            schedule,
+        )?;
     }
 
     /// The hierarchy never reports a hit for a line that was clflushed and

@@ -7,7 +7,10 @@
 //!   shared, never copied), row buffers, disturbance counters, the simulated
 //!   clock, the flip log, TRR sampler tables, ECC tracker state and the
 //!   command clock with PARA and RFM (see [`dram::DramDevice`]'s `Clone`).
-//! * **Caches** — every CPU's L1 + LLC contents, LRU order and counters.
+//! * **Caches** — every CPU's L1 + LLC contents, LRU order and counters
+//!   (copy-on-write blocks of 64 sets: forks of a snapshot share every
+//!   block, and a write copies out only the block it lands in; see
+//!   [`cachesim::Cache`]).
 //! * **Allocator** — buddy free lists, allocated-block metadata, per-CPU
 //!   page frame caches in LIFO order, watermarks and the event trace.
 //! * **Processes** — the full process table (VMAs, page tables, CPU pins,
@@ -70,9 +73,11 @@ impl MachineSnapshot {
     }
 
     /// Builds a fresh, independent machine in this snapshot's state — the
-    /// fork operation. DRAM data chunks stay `Arc`-shared with the snapshot
-    /// (and every other fork) until written, so forking is O(touched state
-    /// metadata), not O(memory).
+    /// fork operation. DRAM data chunks and cache set blocks stay
+    /// `Arc`-shared with the snapshot (and every other fork) until written,
+    /// so a fork copies the DRAM chunk map, one pointer per cache set block
+    /// and the allocator, process and TLB metadata, never memory contents
+    /// or cache sets.
     pub fn fork(&self) -> SimMachine {
         (*self.0).clone()
     }
