@@ -321,6 +321,14 @@ impl Cache {
         self.position(line, b, s).is_some()
     }
 
+    /// Returns `true` if the line containing `addr` is its set's
+    /// most-recently-used line, so an [`Self::access`] would hit without
+    /// reordering anything (no LRU update, no stats).
+    pub fn is_mru(&self, addr: u64) -> bool {
+        let (line, b, s) = self.locate(addr);
+        self.position(line, b, s) == Some(0)
+    }
+
     /// Removes the line containing `addr` (the `clflush` primitive).
     /// Returns `true` if it was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {

@@ -118,19 +118,48 @@ impl CacheHierarchy {
 
     /// Performs a load/store lookup, installing the line on miss.
     pub fn access(&mut self, addr: u64) -> ServedBy {
+        self.access_evicting(addr).0
+    }
+
+    /// [`Self::access`], also returning the line-aligned address of the
+    /// line a full miss evicted from the LLC (and so back-invalidated from
+    /// the L1), if any. The accessed line is its L1 set's most-recently-used
+    /// afterwards whatever the outcome, and the evicted line is the only
+    /// line of another L1 set the access can have removed — enough for a
+    /// caller to keep track of which lines sit at the front of their sets.
+    pub fn access_evicting(&mut self, addr: u64) -> (ServedBy, Option<u64>) {
         if matches!(self.l1.access(addr), Lookup::Hit) {
-            return ServedBy::L1;
+            return (ServedBy::L1, None);
         }
         match self.llc.access(addr) {
-            Lookup::Hit => ServedBy::Llc,
+            Lookup::Hit => (ServedBy::Llc, None),
             Lookup::Miss { evicted } => {
                 if let Some(line) = evicted {
                     // Inclusive hierarchy: back-invalidate the L1 copy.
                     self.l1.flush_line(line);
                 }
-                ServedBy::Memory
+                (ServedBy::Memory, evicted)
             }
         }
+    }
+
+    /// Where an [`Self::access`] of `addr` would be served from, without
+    /// changing any line, LRU order or counter.
+    pub fn served_by(&self, addr: u64) -> ServedBy {
+        if self.l1.contains(addr) {
+            ServedBy::L1
+        } else if self.llc.contains(addr) {
+            ServedBy::Llc
+        } else {
+            ServedBy::Memory
+        }
+    }
+
+    /// Whether the line containing `addr` is its L1 set's most-recently-used
+    /// line: an [`Self::access`] of it would then be an L1 hit that changes
+    /// nothing but the hit counters. No state changes.
+    pub fn is_l1_mru(&self, addr: u64) -> bool {
+        self.l1.is_mru(addr)
     }
 
     /// Counts `n` L1 hits on lines the caller knows are their L1 sets'
@@ -239,6 +268,33 @@ mod tests {
         h.flush_all();
         assert_eq!(h.l1().resident_lines(), 0);
         assert_eq!(h.llc().resident_lines(), 0);
+    }
+
+    #[test]
+    fn served_by_and_is_l1_mru_predict_access_without_changing_state() {
+        // Lines colliding in the tiny L1 and LLC sets, revisited often
+        // enough to exercise L1 hits (at the front and behind it), LLC hits
+        // and full misses with back-invalidations.
+        let mut h = CacheHierarchy::tiny();
+        let mut x = 7u64;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let addr = (x >> 33) % 48 * 256 + (x >> 20) % 64;
+            let before = h.clone();
+            let predicted = h.served_by(addr);
+            let front = h.is_l1_mru(addr);
+            assert!(h == before, "a query changed the hierarchy");
+            let (served, evicted) = h.access_evicting(addr);
+            assert_eq!(served, predicted);
+            if front {
+                assert_eq!(served, ServedBy::L1);
+            }
+            if let Some(line) = evicted {
+                assert_eq!(served, ServedBy::Memory);
+                assert!(!h.l1().contains(line) && !h.llc().contains(line));
+            }
+            assert!(h.is_l1_mru(addr), "an access leaves its line at the front");
+        }
     }
 
     #[test]

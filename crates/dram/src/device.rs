@@ -300,7 +300,7 @@ pub struct HammerOutcome {
 /// dev.read(PhysAddr::new(0x1000), &mut buf);
 /// assert_eq!(&buf, b"warm");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DramDevice {
     config: DramConfig,
     mapping: Arc<dyn AddressMapping>,
@@ -321,6 +321,64 @@ pub struct DramDevice {
     analytic_rounds: u64,
     /// The burst kernel's flip list, kept between calls.
     kernel_flips: KernelFlips,
+}
+
+/// `clone_from` (the restore path) hands every field its own `clone_from`,
+/// so the chunk map, bank and flip-log allocations are reused.
+impl Clone for DramDevice {
+    fn clone(&self) -> Self {
+        DramDevice {
+            config: self.config,
+            mapping: Arc::clone(&self.mapping),
+            banks: self.banks.clone(),
+            mem: self.mem.clone(),
+            cells: self.cells.clone(),
+            stats: self.stats,
+            flip_log: self.flip_log.clone(),
+            now: self.now,
+            trr: self.trr.clone(),
+            ecc: self.ecc.clone(),
+            clock: self.clock.clone(),
+            para: self.para.clone(),
+            rfm: self.rfm.clone(),
+            analytic_rounds: self.analytic_rounds,
+            kernel_flips: self.kernel_flips.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let DramDevice {
+            config,
+            mapping,
+            banks,
+            mem,
+            cells,
+            stats,
+            flip_log,
+            now,
+            trr,
+            ecc,
+            clock,
+            para,
+            rfm,
+            analytic_rounds,
+            kernel_flips: _,
+        } = self;
+        *config = source.config;
+        mapping.clone_from(&source.mapping);
+        banks.clone_from(&source.banks);
+        mem.clone_from(&source.mem);
+        cells.clone_from(&source.cells);
+        *stats = source.stats;
+        flip_log.clone_from(&source.flip_log);
+        *now = source.now;
+        trr.clone_from(&source.trr);
+        ecc.clone_from(&source.ecc);
+        clock.clone_from(&source.clock);
+        para.clone_from(&source.para);
+        rfm.clone_from(&source.rfm);
+        *analytic_rounds = source.analytic_rounds;
+    }
 }
 
 /// Two devices are equal when their state is: data, banks, flip log,

@@ -234,11 +234,28 @@ impl ChunkData {
 ///
 /// Cloning is the snapshot/fork path: the clone shares every patched and
 /// materialised chunk with the original until either side writes into it.
-#[derive(Debug, Clone)]
+/// `clone_from` (the restore path) also reuses the chunk map's allocation.
+#[derive(Debug)]
 pub struct SparseMemory {
     capacity: u64,
     default_byte: u8,
     chunks: FastMap<u64, ChunkData>,
+}
+
+impl Clone for SparseMemory {
+    fn clone(&self) -> Self {
+        SparseMemory {
+            capacity: self.capacity,
+            default_byte: self.default_byte,
+            chunks: self.chunks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.capacity = source.capacity;
+        self.default_byte = source.default_byte;
+        self.chunks.clone_from(&source.chunks);
+    }
 }
 
 /// Equality is over *effective contents*: an absent chunk, a `Uniform`

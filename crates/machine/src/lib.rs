@@ -65,6 +65,7 @@ mod process;
 mod readrun;
 mod snapshot;
 mod stats;
+mod walkmemo;
 
 pub use config::{IdleDrainPolicy, MachineConfig};
 pub use error::MachineError;

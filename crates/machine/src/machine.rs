@@ -11,6 +11,7 @@ use crate::error::MachineError;
 use crate::pagetable::{self, Pte};
 use crate::process::{Pid, ProcState, Process, VirtAddr, HUGE_PAGES, MMAP_BASE};
 use crate::stats::MachineStats;
+use crate::walkmemo::{WalkCtx, WalkMemo};
 
 /// Cost of a demand-paging fault (allocation + zeroing + PTE install).
 const FAULT_NS: Nanos = 1_200;
@@ -18,6 +19,11 @@ const FAULT_NS: Nanos = 1_200;
 const CLFLUSH_NS: Nanos = 5;
 /// Buddy order of a 2 MiB huge chunk (`2^9` pages = [`HUGE_PAGES`]).
 const HUGE_ORDER: u8 = 9;
+/// What an L1 hit charges the clock (the hierarchy's flat hit latency).
+pub(crate) const L1_HIT_NS: Nanos = match ServedBy::L1.hit_nanos() {
+    Some(ns) => ns,
+    None => panic!("an L1 hit has a flat latency"),
+};
 
 /// What one [`SimMachine::read_byte_scalar`] did besides returning the
 /// byte — enough for a [`crate::ReadRun`] to tell which memos still hold.
@@ -57,6 +63,10 @@ pub struct SimMachine {
     /// consecutive byte reads, so hits skip the B-tree lookups (and, with
     /// DRAM page tables on, the PTE fetches).
     pub(crate) tlb: Tlb,
+    /// What page walks remember between operations (see
+    /// [`crate::walkmemo`]); not state, so equality ignores it and clones
+    /// start without it.
+    pub(crate) walk: WalkMemo,
 }
 
 impl SimMachine {
@@ -85,6 +95,7 @@ impl SimMachine {
             tlb: Tlb::new(config.tlb),
             config,
             stats: MachineStats::default(),
+            walk: WalkMemo::default(),
         }
     }
 
@@ -113,8 +124,10 @@ impl SimMachine {
         &self.dram
     }
 
-    /// Mutable DRAM access (experiment oracles).
+    /// Mutable DRAM access (experiment oracles). The caller may change any
+    /// cell, so page walks stop trusting their table copies.
     pub fn dram_mut(&mut self) -> &mut DramDevice {
+        self.walk.forget_tables();
         &mut self.dram
     }
 
@@ -156,8 +169,7 @@ impl SimMachine {
                 .alloc
                 .alloc_pages_kind(cpu, Order(0), FrameKind::PageTable)
                 .expect("out of memory allocating a root page table");
-            self.dram
-                .fill(PhysAddr::new(root.phys_addr()), PAGE_SIZE, 0);
+            self.store_fill(PhysAddr::new(root.phys_addr()), PAGE_SIZE, 0);
             self.procs
                 .get_mut(&pid)
                 .expect("just inserted")
@@ -194,6 +206,9 @@ impl SimMachine {
         // Pids are never reused, so dropping exactly this pid's entries is a
         // complete shootdown; other processes keep their translations.
         self.tlb.invalidate_pid(u64::from(pid.0));
+        // Its table frames go back to the allocator.
+        self.walk.forget_process();
+        self.walk.forget_tables();
         let proc = self
             .procs
             .remove(&pid)
@@ -311,6 +326,7 @@ impl SimMachine {
         // bugs behind over-invalidation.
         self.tlb
             .invalidate_range(u64::from(pid.0), addr.vpn(), pages);
+        self.walk.forget_process();
         let proc = self.process(pid)?;
         let cpu = proc.cpu();
         let huge = proc.vma_of(addr.vpn()).is_some_and(|(_, vma)| vma.huge);
@@ -364,7 +380,7 @@ impl SimMachine {
         }
         slots.dedup();
         for slot in slots {
-            self.dram.write(PhysAddr::new(slot), &Pte(0).to_bytes());
+            self.write_pte(slot, Pte(0));
         }
     }
 
@@ -380,13 +396,20 @@ impl SimMachine {
     }
 
     /// The *hardware's* view of a translation: with DRAM-resident page
-    /// tables on, walks the live PTE bytes (no timing, no cache traffic,
-    /// no faulting — a pure probe) and decodes whatever they say now. A
-    /// divergence from [`Self::translate`]'s shadow pagemap is the PTE-flip
-    /// attack signal: the walk has been redirected to a frame the kernel
-    /// never granted. Returns `None` for non-present entries and for
+    /// tables on, walks the live PTE bytes and decodes whatever they say
+    /// now. A divergence from [`Self::translate`]'s shadow pagemap is the
+    /// PTE-flip attack signal: the walk has been redirected to a frame the
+    /// kernel never granted. Returns `None` for non-present entries and for
     /// corrupt entries decoding outside DRAM. Feature-off it falls back to
     /// the shadow map (both views are the same structure then).
+    ///
+    /// It is not a pure probe. Each PTE it reads is one
+    /// [`DramDevice::read`]: it counts in `DramStats::reads` and goes
+    /// through the SECDED filter, which corrects or detects a latent fault
+    /// in the entry and counts it in [`DramDevice::ecc_stats`] — the EDAC
+    /// telemetry a PTE-flip campaign reads. It leaves the caches, the TLB,
+    /// the clock, the machine counters and the page tables untouched, and
+    /// faults nothing in.
     ///
     /// # Errors
     ///
@@ -479,15 +502,56 @@ impl SimMachine {
     /// physical address (demand paging: allocate order-0 on this CPU, zero
     /// the frame, install the PTE).
     ///
+    /// With DRAM-resident page tables the walk is memoized (see
+    /// [`Self::touch_reference`], its oracle): process, VMA and decoded
+    /// table frames come from what the last walk found while nothing has
+    /// changed them, and every PTE fetch is still charged in full.
+    ///
     /// # Errors
     ///
     /// * [`MachineError::NoSuchProcess`] — unknown pid.
     /// * [`MachineError::Unmapped`] — `addr` outside every VMA.
     /// * [`MachineError::Alloc`] — out of physical memory.
     pub fn touch(&mut self, pid: Pid, addr: VirtAddr) -> Result<PhysAddr, MachineError> {
+        let mut pending = 0;
+        let phys = self.touch_pending(pid, addr, &mut pending);
+        self.settle(&mut pending);
+        phys
+    }
+
+    /// [`Self::touch`] without the walk memo, one fetch at a time: every
+    /// walk looks the process and its VMA up, every PTE fetch makes
+    /// its own cache lookup, clock advance and SECDED-filtered DRAM read.
+    /// The oracle of the memoized walk; state, counters, clock and result
+    /// are identical.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::touch`].
+    pub fn touch_reference(&mut self, pid: Pid, addr: VirtAddr) -> Result<PhysAddr, MachineError> {
         if self.config.dram_page_tables {
-            return self.touch_walk(pid, addr);
+            return self.touch_walk_reference(pid, addr);
         }
+        self.touch_shadow(pid, addr)
+    }
+
+    /// [`Self::touch`], adding the flat latency of the L1 hits its PTE
+    /// fetches make to `pending` instead of the clock. `pending` is settled
+    /// before anything that reads the clock (a DRAM command, a fault).
+    fn touch_pending(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        pending: &mut Nanos,
+    ) -> Result<PhysAddr, MachineError> {
+        if self.config.dram_page_tables {
+            return self.touch_walk(pid, addr, pending);
+        }
+        self.touch_shadow(pid, addr)
+    }
+
+    /// [`Self::touch`] on the shadow page table.
+    fn touch_shadow(&mut self, pid: Pid, addr: VirtAddr) -> Result<PhysAddr, MachineError> {
         let proc = self.process(pid)?;
         // A resident page lies in a live VMA: `munmap` drops its frame.
         if let Some(pfn) = proc.frame_of(addr) {
@@ -502,20 +566,89 @@ impl SimMachine {
         }
         let pfn = self.alloc.alloc_pages(cpu, Order(0))?;
         // Anonymous pages are zero-filled by the kernel.
-        self.dram.fill(PhysAddr::new(pfn.phys_addr()), PAGE_SIZE, 0);
+        self.store_fill(PhysAddr::new(pfn.phys_addr()), PAGE_SIZE, 0);
         self.process_mut(pid)?.install(addr.vpn(), pfn);
         self.stats.page_faults += 1;
         self.advance(FAULT_NS);
         Ok(PhysAddr::new(pfn.phys_addr() + addr.page_offset()))
     }
 
+    /// The walk context of `pid` at `addr`: from the memo if its last walk
+    /// was in the same VMA, otherwise looked up and memoized.
+    fn walk_ctx(&mut self, pid: Pid, addr: VirtAddr) -> Result<WalkCtx, MachineError> {
+        if let Some(ctx) = self.walk.ctx(pid, addr.vpn()) {
+            return Ok(ctx);
+        }
+        let proc = self.process(pid)?;
+        let root = proc
+            .root_table()
+            .expect("dram_page_tables processes always own a root table");
+        let Some((start, vma)) = proc.vma_of(addr.vpn()) else {
+            return Err(MachineError::Unmapped { pid, addr });
+        };
+        let ctx = WalkCtx {
+            pid,
+            cpu: proc.cpu(),
+            root,
+            vma_start: start,
+            vma_end: start + vma.pages,
+            huge: vma.huge,
+        };
+        self.walk.set_ctx(ctx);
+        Ok(ctx)
+    }
+
     /// [`Self::touch`] with DRAM-resident page tables: resolves `addr`
     /// through the 2-level radix walk, reading PTE bytes from simulated
     /// DRAM (and charging cache-modelled fetch traffic for them), faulting
-    /// absent levels in on demand. Because the PTE fetch reads the *live*
-    /// DRAM cells, a Rowhammer flip in a table frame redirects this path
-    /// immediately — the escalation primitive `exp_t15_ptflip` builds on.
-    fn touch_walk(&mut self, pid: Pid, addr: VirtAddr) -> Result<PhysAddr, MachineError> {
+    /// absent levels in on demand. Because the PTE fetch reads what the
+    /// cells hold *now*, a Rowhammer flip in a table frame redirects this
+    /// path immediately — the escalation primitive `exp_t15_ptflip` builds
+    /// on. The memo (see [`crate::walkmemo`]) supplies the process context,
+    /// the PTE words while DRAM reads are raw, and L1 hits it knows are at
+    /// the front of their sets; [`Self::touch_walk_reference`] is the
+    /// oracle.
+    fn touch_walk(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        pending: &mut Nanos,
+    ) -> Result<PhysAddr, MachineError> {
+        let ctx = self.walk_ctx(pid, addr)?;
+        let rel = pagetable::rel_vpn(addr.vpn()).ok_or(MachineError::AddressOverflow { pid })?;
+        let root_idx = pagetable::root_index(rel);
+        let leaf_idx = pagetable::leaf_index(rel);
+        let root_slot = pagetable::pte_addr(ctx.root, root_idx);
+        let root_pte = Pte(self.fetch_pte(ctx.cpu, root_slot, pending));
+        if root_pte.present() && root_pte.is_huge() {
+            let phys = root_pte.frame().phys_addr() + leaf_idx * PAGE_SIZE + addr.page_offset();
+            return self.guard_phys(pid, addr, phys);
+        }
+        if ctx.huge {
+            self.settle(pending);
+            return self.fault_huge_chunk(pid, addr, ctx.cpu, Some(root_slot));
+        }
+        let leaf_table = if root_pte.present() {
+            let t = root_pte.frame();
+            self.guard_phys(pid, addr, t.phys_addr() + PAGE_SIZE - 1)?;
+            t
+        } else {
+            self.settle(pending);
+            self.fault_leaf_table(pid, ctx.cpu, root_idx, root_slot)?
+        };
+        let leaf_slot = pagetable::pte_addr(leaf_table, leaf_idx);
+        let leaf_pte = Pte(self.fetch_pte(ctx.cpu, leaf_slot, pending));
+        if leaf_pte.present() {
+            let phys = leaf_pte.frame().phys_addr() + addr.page_offset();
+            return self.guard_phys(pid, addr, phys);
+        }
+        self.settle(pending);
+        self.fault_leaf_page(pid, addr, ctx.cpu, leaf_slot)
+    }
+
+    /// [`Self::touch_walk`] without the memo: one lookup and one
+    /// [`Self::walk_read_pte`] at a time.
+    fn touch_walk_reference(&mut self, pid: Pid, addr: VirtAddr) -> Result<PhysAddr, MachineError> {
         let proc = self.process(pid)?;
         let cpu = proc.cpu();
         let root = proc
@@ -545,13 +678,7 @@ impl SimMachine {
             self.guard_phys(pid, addr, t.phys_addr() + PAGE_SIZE - 1)?;
             t
         } else {
-            let t = self
-                .alloc
-                .alloc_pages_kind(cpu, Order(0), FrameKind::PageTable)?;
-            self.dram.fill(PhysAddr::new(t.phys_addr()), PAGE_SIZE, 0);
-            self.write_pte(root_slot, Pte::table(t));
-            self.process_mut(pid)?.set_leaf_table(root_idx, t);
-            t
+            self.fault_leaf_table(pid, cpu, root_idx, root_slot)?
         };
         let leaf_slot = pagetable::pte_addr(leaf_table, leaf_idx);
         let leaf_pte = Pte(self.walk_read_pte(cpu, leaf_slot));
@@ -559,8 +686,37 @@ impl SimMachine {
             let phys = leaf_pte.frame().phys_addr() + addr.page_offset();
             return self.guard_phys(pid, addr, phys);
         }
+        self.fault_leaf_page(pid, addr, cpu, leaf_slot)
+    }
+
+    /// Allocates and zeroes the leaf table behind root slot `root_idx` and
+    /// points the slot at it.
+    fn fault_leaf_table(
+        &mut self,
+        pid: Pid,
+        cpu: CpuId,
+        root_idx: u64,
+        root_slot: u64,
+    ) -> Result<Pfn, MachineError> {
+        let t = self
+            .alloc
+            .alloc_pages_kind(cpu, Order(0), FrameKind::PageTable)?;
+        self.store_fill(PhysAddr::new(t.phys_addr()), PAGE_SIZE, 0);
+        self.write_pte(root_slot, Pte::table(t));
+        self.process_mut(pid)?.set_leaf_table(root_idx, t);
+        Ok(t)
+    }
+
+    /// Demand-faults the base page at `addr` behind leaf slot `leaf_slot`.
+    fn fault_leaf_page(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        cpu: CpuId,
+        leaf_slot: u64,
+    ) -> Result<PhysAddr, MachineError> {
         let pfn = self.alloc.alloc_pages(cpu, Order(0))?;
-        self.dram.fill(PhysAddr::new(pfn.phys_addr()), PAGE_SIZE, 0);
+        self.store_fill(PhysAddr::new(pfn.phys_addr()), PAGE_SIZE, 0);
         self.write_pte(leaf_slot, Pte::leaf(pfn));
         self.process_mut(pid)?.install(addr.vpn(), pfn);
         self.stats.page_faults += 1;
@@ -582,8 +738,7 @@ impl SimMachine {
         // lands on the chunk base.
         let chunk_start = addr.vpn() & !(HUGE_PAGES - 1);
         let block = self.alloc.alloc_pages(cpu, Order(HUGE_ORDER))?;
-        self.dram
-            .fill(PhysAddr::new(block.phys_addr()), HUGE_PAGES * PAGE_SIZE, 0);
+        self.store_fill(PhysAddr::new(block.phys_addr()), HUGE_PAGES * PAGE_SIZE, 0);
         if let Some(slot) = root_slot {
             self.write_pte(slot, Pte::huge(block));
         }
@@ -604,7 +759,24 @@ impl SimMachine {
     /// contents — a hammered flip is visible on the very next walk).
     fn walk_read_pte(&mut self, cpu: CpuId, slot: u64) -> u64 {
         let pa = PhysAddr::new(slot);
-        self.cached_access(cpu, pa);
+        self.cached_access_reference(cpu, pa);
+        let mut bytes = [0u8; 8];
+        self.dram.read(pa, &mut bytes);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// [`Self::walk_read_pte`] through the memo: the same access (an L1 hit
+    /// on a known front line counted without a lookup, its latency added to
+    /// `pending`) and the same counted read, whose word comes from the
+    /// memo's copy of the table frame while DRAM reads are raw and through
+    /// the SECDED filter otherwise.
+    fn fetch_pte(&mut self, cpu: CpuId, slot: u64, pending: &mut Nanos) -> u64 {
+        let pa = PhysAddr::new(slot);
+        self.access_line(cpu, pa, pending);
+        if self.dram.reads_are_raw() {
+            self.dram.count_reads(1);
+            return self.walk.pte(&self.dram, slot);
+        }
         let mut bytes = [0u8; 8];
         self.dram.read(pa, &mut bytes);
         u64::from_le_bytes(bytes)
@@ -612,7 +784,22 @@ impl SimMachine {
 
     /// Stores a PTE's wire bytes at physical `slot`.
     fn write_pte(&mut self, slot: u64, pte: Pte) {
+        self.walk.pte_stored(slot, pte.0);
         self.dram.write(PhysAddr::new(slot), &pte.to_bytes());
+    }
+
+    /// Fills `len` bytes at `phys` with `value` — every data store of the
+    /// machine goes through here or [`Self::store_write`], so the walk memo
+    /// sees a store into a table frame it holds a copy of.
+    fn store_fill(&mut self, phys: PhysAddr, len: u64, value: u8) {
+        self.walk.data_stored(phys.as_u64(), len);
+        self.dram.fill(phys, len, value);
+    }
+
+    /// Writes `data` at `phys`; see [`Self::store_fill`].
+    fn store_write(&mut self, phys: PhysAddr, data: &[u8]) {
+        self.walk.data_stored(phys.as_u64(), data.len() as u64);
+        self.dram.write(phys, data);
     }
 
     /// Bounds-checks a walk-decoded physical byte address against DRAM
@@ -633,13 +820,37 @@ impl SimMachine {
     /// the traffic a hardware TLB hides.
     #[inline]
     fn touch_cached(&mut self, pid: Pid, va: VirtAddr) -> Result<(PhysAddr, CpuId), MachineError> {
+        let phys = self.touch_tlb(pid, va)?;
+        Ok((phys, self.process(pid)?.cpu()))
+    }
+
+    /// The translation half of [`Self::touch_cached`]: a TLB lookup, and on
+    /// a miss [`Self::touch`] and an insert.
+    #[inline]
+    fn touch_tlb(&mut self, pid: Pid, va: VirtAddr) -> Result<PhysAddr, MachineError> {
+        let vpn = va.vpn();
+        if let Some(base) = self.tlb.lookup(u64::from(pid.0), vpn) {
+            return Ok(PhysAddr::new(base + va.page_offset()));
+        }
+        let phys = self.touch(pid, va)?;
+        self.tlb
+            .insert(u64::from(pid.0), vpn, phys.as_u64() - va.page_offset());
+        Ok(phys)
+    }
+
+    /// [`Self::touch_cached`] over [`Self::touch_reference`].
+    fn touch_cached_reference(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+    ) -> Result<(PhysAddr, CpuId), MachineError> {
         let vpn = va.vpn();
         if let Some(base) = self.tlb.lookup(u64::from(pid.0), vpn) {
             let cpu = self.process(pid)?.cpu();
             return Ok((PhysAddr::new(base + va.page_offset()), cpu));
         }
         let cpu = self.process(pid)?.cpu();
-        let phys = self.touch(pid, va)?;
+        let phys = self.touch_reference(pid, va)?;
         self.tlb
             .insert(u64::from(pid.0), vpn, phys.as_u64() - va.page_offset());
         Ok((phys, cpu))
@@ -652,7 +863,16 @@ impl SimMachine {
     /// row conflict once the timing engine is on — the signal the mapping
     /// probe measures).
     fn cached_access(&mut self, cpu: CpuId, phys: PhysAddr) -> ServedBy {
-        let served = self.caches[cpu.0 as usize].access(phys.as_u64());
+        let mut pending = 0;
+        let served = self.access_line(cpu, phys, &mut pending);
+        self.settle(&mut pending);
+        served
+    }
+
+    /// [`Self::cached_access`] with a lookup every time (it still tells the
+    /// memo what it did).
+    fn cached_access_reference(&mut self, cpu: CpuId, phys: PhysAddr) -> ServedBy {
+        let served = self.lookup_line(cpu, phys);
         match served.hit_nanos() {
             Some(ns) => self.advance(ns),
             None => {
@@ -660,6 +880,67 @@ impl SimMachine {
             }
         }
         served
+    }
+
+    /// [`Self::cached_access`], adding a hit's latency to `pending` (settled
+    /// first if the access reaches DRAM). A line the memo knows is its L1
+    /// set's front is an L1 hit that changes nothing but the hit counters,
+    /// so it is counted without a lookup.
+    #[inline]
+    fn access_line(&mut self, cpu: CpuId, phys: PhysAddr, pending: &mut Nanos) -> ServedBy {
+        let c = cpu.0 as usize;
+        let line = phys.as_u64() >> self.config.l1.line_bytes.trailing_zeros();
+        if self.walk.l1_is_front(c, self.config.l1.sets, line) {
+            debug_assert!(self.caches[c].is_l1_mru(phys.as_u64()));
+            debug_assert_eq!(self.caches[c].served_by(phys.as_u64()), ServedBy::L1);
+            self.caches[c].record_l1_mru_hits(1);
+            *pending += L1_HIT_NS;
+            return ServedBy::L1;
+        }
+        let served = self.lookup_line(cpu, phys);
+        match served.hit_nanos() {
+            Some(ns) => *pending += ns,
+            None => {
+                self.settle(pending);
+                self.dram.access(phys);
+            }
+        }
+        served
+    }
+
+    /// The cache lookup of one access, reported to the memo's L1 fronts.
+    #[inline]
+    fn lookup_line(&mut self, cpu: CpuId, phys: PhysAddr) -> ServedBy {
+        let c = cpu.0 as usize;
+        let shift = self.config.l1.line_bytes.trailing_zeros();
+        let (served, evicted) = self.caches[c].access_evicting(phys.as_u64());
+        self.walk.l1_accessed(
+            self.caches.len(),
+            c,
+            self.config.l1.sets,
+            phys.as_u64() >> shift,
+            evicted.map(|line| line >> shift),
+        );
+        served
+    }
+
+    /// `clflush` of `phys`'s line from `cpu`'s hierarchy, reported to the
+    /// memo's L1 fronts.
+    fn flush_line(&mut self, cpu: CpuId, phys: PhysAddr) {
+        let c = cpu.0 as usize;
+        self.caches[c].clflush(phys.as_u64());
+        let line = phys.as_u64() >> self.config.l1.line_bytes.trailing_zeros();
+        self.walk.l1_flushed(c, self.config.l1.sets, line);
+    }
+
+    /// Charges the hit latency gathered in `pending` to the clock. One
+    /// advance by a sum equals advances by its parts: the command clock
+    /// retires refreshes in closed form.
+    #[inline]
+    fn settle(&mut self, pending: &mut Nanos) {
+        if *pending > 0 {
+            self.advance(std::mem::take(pending));
+        }
     }
 
     /// The one scalar single-byte read: translate through the TLB, one
@@ -722,7 +1003,8 @@ impl SimMachine {
     /// themselves are skipped only while [`DramDevice::reads_are_raw`]
     /// holds; otherwise they go through the SECDED filter first. See
     /// [`DramDevice::read_diff`] for how `out` and the [`PageDiff`] are
-    /// filled.
+    /// filled. A TLB miss takes the memoized walk; [`Self::read_diff_reference`]
+    /// is the oracle.
     ///
     /// # Errors
     ///
@@ -742,6 +1024,31 @@ impl SimMachine {
         self.stats.reads += 1;
         let (phys, cpu) = self.touch_cached(pid, addr)?;
         self.cached_access(cpu, phys);
+        Ok(self.dram.read_diff(phys, pattern, out))
+    }
+
+    /// [`Self::read_diff`] without the walk memo: translation by
+    /// [`Self::touch_reference`] and a cache lookup for every access. The
+    /// oracle of [`Self::read_diff`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::touch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not page-aligned.
+    pub fn read_diff_reference(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        pattern: u8,
+        out: &mut Vec<(u16, u8)>,
+    ) -> Result<PageDiff, MachineError> {
+        assert_eq!(addr.page_offset(), 0, "read_diff reads one aligned page");
+        self.stats.reads += 1;
+        let (phys, cpu) = self.touch_cached_reference(pid, addr)?;
+        self.cached_access_reference(cpu, phys);
         Ok(self.dram.read_diff(phys, pattern, out))
     }
 
@@ -765,7 +1072,7 @@ impl SimMachine {
             let n = in_page.min(data.len() - off);
             let (phys, cpu) = self.touch_cached(pid, va)?;
             self.cached_access(cpu, phys);
-            self.dram.write(phys, &data[off..off + n]);
+            self.store_write(phys, &data[off..off + n]);
             off += n;
         }
         Ok(())
@@ -793,10 +1100,49 @@ impl SimMachine {
 
     /// Fills `len` bytes at `addr` with `value` (page-wise `memset`).
     ///
+    /// The run is served page by page with each page's TLB lookup (and, on
+    /// a miss, walk and insert), cache access and DRAM fill exactly as
+    /// [`Self::fill_reference`] does them. The process is looked up once
+    /// per run, and a walk-mode miss takes the memoized walk.
+    ///
     /// # Errors
     ///
     /// Same as [`Self::touch`].
     pub fn fill(
+        &mut self,
+        pid: Pid,
+        addr: VirtAddr,
+        len: u64,
+        value: u8,
+    ) -> Result<(), MachineError> {
+        // An unknown pid fails where the reference loop fails, after its
+        // first TLB lookup.
+        let Ok(cpu) = self.process(pid).map(Process::cpu) else {
+            return self.fill_reference(pid, addr, len, value);
+        };
+        self.stats.writes += 1;
+        let mut off = 0u64;
+        while off < len {
+            let va = addr
+                .checked_add(off)
+                .ok_or(MachineError::AddressOverflow { pid })?;
+            let n = (PAGE_SIZE - va.page_offset()).min(len - off);
+            let phys = self.touch_tlb(pid, va)?;
+            self.cached_access(cpu, phys);
+            self.store_fill(phys, n, value);
+            off += n;
+        }
+        Ok(())
+    }
+
+    /// [`Self::fill`] page by page without the walk memo: each page looks
+    /// the process up again and translates through [`Self::touch_reference`],
+    /// and every cache access is a lookup. The oracle of [`Self::fill`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::touch`].
+    pub fn fill_reference(
         &mut self,
         pid: Pid,
         addr: VirtAddr,
@@ -815,9 +1161,9 @@ impl SimMachine {
                 .ok_or(MachineError::AddressOverflow { pid })?;
             let in_page = PAGE_SIZE - va.page_offset();
             let n = in_page.min(len - off);
-            let (phys, cpu) = self.touch_cached(pid, va)?;
-            self.cached_access(cpu, phys);
-            self.dram.fill(phys, n, value);
+            let (phys, cpu) = self.touch_cached_reference(pid, va)?;
+            self.cached_access_reference(cpu, phys);
+            self.store_fill(phys, n, value);
             off += n;
         }
         Ok(())
@@ -831,7 +1177,7 @@ impl SimMachine {
     /// `clflush` needs a valid translation).
     pub fn clflush(&mut self, pid: Pid, addr: VirtAddr) -> Result<(), MachineError> {
         let (phys, cpu) = self.touch_cached(pid, addr)?;
-        self.caches[cpu.0 as usize].clflush(phys.as_u64());
+        self.flush_line(cpu, phys);
         self.stats.flushes += 1;
         self.advance(CLFLUSH_NS);
         Ok(())
@@ -851,6 +1197,15 @@ impl SimMachine {
     /// activation cost (`rounds * aggressors / 2`), keeping hammer budgets
     /// comparable across strategies.
     ///
+    /// Each aggressor is resolved by a page walk ([`Self::touch`]), not
+    /// through the TLB: the walk deliberately bypasses it, and with
+    /// DRAM-resident page tables every aggressor's PTE fetches are charged
+    /// to the caches and DRAM on every call. Resolving through the TLB
+    /// would be a different model that moves every pinned report, not a
+    /// speed-up. The walk is memoized like any other ([`Self::touch`]), so
+    /// a flip in a table frame still redirects the very next call;
+    /// [`Self::hammer_rows_virt_reference`] is the oracle.
+    ///
     /// # Errors
     ///
     /// * Address resolution errors as in [`Self::touch`].
@@ -862,6 +1217,34 @@ impl SimMachine {
         aggressors: &[VirtAddr],
         rounds: u64,
     ) -> Result<HammerOutcome, MachineError> {
+        self.hammer_rows_with(pid, aggressors, rounds, false)
+    }
+
+    /// [`Self::hammer_rows_virt`] with every aggressor resolved by
+    /// [`Self::touch_reference`]. The oracle of the memoized aggressor
+    /// walks.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::hammer_rows_virt`].
+    pub fn hammer_rows_virt_reference(
+        &mut self,
+        pid: Pid,
+        aggressors: &[VirtAddr],
+        rounds: u64,
+    ) -> Result<HammerOutcome, MachineError> {
+        self.hammer_rows_with(pid, aggressors, rounds, true)
+    }
+
+    /// [`Self::hammer_rows_virt`], resolving aggressors with
+    /// [`Self::touch_reference`] if `reference` is set.
+    fn hammer_rows_with(
+        &mut self,
+        pid: Pid,
+        aggressors: &[VirtAddr],
+        rounds: u64,
+        reference: bool,
+    ) -> Result<HammerOutcome, MachineError> {
         let cpu = self.process(pid)?.cpu();
         // Sets of up to eight rows resolve without heap memory.
         let mut inline = [PhysAddr::new(0); 8];
@@ -872,11 +1255,25 @@ impl SimMachine {
             spilled.resize(aggressors.len(), PhysAddr::new(0));
             &mut spilled
         };
+        // The walks' L1 hit latency is charged once, after the last walk.
+        let mut pending = 0;
         for (pa, &va) in phys.iter_mut().zip(aggressors) {
-            *pa = self.touch(pid, va)?;
+            let resolved = if reference {
+                self.touch_reference(pid, va)
+            } else {
+                self.touch_pending(pid, va, &mut pending)
+            };
+            match resolved {
+                Ok(p) => *pa = p,
+                Err(e) => {
+                    self.settle(&mut pending);
+                    return Err(e);
+                }
+            }
         }
+        self.settle(&mut pending);
         for &pa in phys.iter() {
-            self.caches[cpu.0 as usize].clflush(pa.as_u64());
+            self.flush_line(cpu, pa);
         }
         let outcome = self.dram.hammer_rows(phys, rounds)?;
         self.stats.hammer_pairs += outcome.acts / 2;
@@ -1483,6 +1880,30 @@ mod tests {
         let mut buf = [0u8; 4];
         m.read(p, va, &mut buf).unwrap();
         assert_eq!(&buf, b"BBBB");
+    }
+
+    #[test]
+    fn translate_walk_counts_dram_reads_and_leaves_caches_tlb_and_clock_alone() {
+        let mut m = walk_machine();
+        let p = m.spawn(CpuId(0));
+        let va = m.mmap(p, 2).unwrap();
+        m.write(p, va, b"walked").unwrap();
+        let caches = m.caches.clone();
+        let tlb = m.tlb.clone();
+        let (now, stats, reads) = (m.now(), m.stats(), m.dram().stats().reads);
+        let pa = m.translate(p, va);
+        assert_eq!(m.translate_walk(p, va).unwrap(), pa);
+        // One counted DRAM read per PTE level, through the SECDED filter...
+        assert_eq!(m.dram().stats().reads, reads + 2);
+        // ...and nothing else: no cache traffic, no TLB lookup or fill, no
+        // simulated time, no machine counter.
+        assert!(m.caches == caches, "translate_walk touched the caches");
+        assert!(m.tlb == tlb, "translate_walk touched the TLB");
+        assert_eq!(m.now(), now);
+        assert_eq!(m.stats(), stats);
+        // An untouched page is not faulted in.
+        assert_eq!(m.translate_walk(p, va + PAGE_SIZE).unwrap(), None);
+        assert_eq!(m.process(p).unwrap().resident_pages(), 1);
     }
 
     #[test]

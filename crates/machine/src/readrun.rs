@@ -21,22 +21,16 @@
 use std::ops::Range;
 
 use cachesim::{CacheConfig, ServedBy};
-use dram::{DramDevice, Nanos, PhysAddr};
+use dram::{DramDevice, PhysAddr};
 use memsim::{CpuId, PAGE_SIZE};
 
 use crate::error::MachineError;
-use crate::machine::{ScalarRead, SimMachine};
+use crate::machine::{ScalarRead, SimMachine, L1_HIT_NS};
 use crate::process::{Pid, VirtAddr};
 
 /// An L1 set whose most-recently-used line the run does not know (no
 /// physical line number reaches it).
 const UNKNOWN_LINE: u64 = u64::MAX;
-
-/// What an L1 hit charges the clock (the hierarchy's flat hit latency).
-const L1_HIT_NS: Nanos = match ServedBy::L1.hit_nanos() {
-    Some(ns) => ns,
-    None => panic!("an L1 hit has a flat latency"),
-};
 
 /// The memo of one run of single-byte reads by one process — for a victim,
 /// every encryption of one collect. Build one per run with

@@ -113,6 +113,7 @@ impl SimMachine {
             next_pid,
             stats,
             tlb,
+            walk,
         } = self;
         let from = &*snapshot.0;
         dram.clone_from(&from.dram);
@@ -122,6 +123,7 @@ impl SimMachine {
         *next_pid = from.next_pid;
         *stats = from.stats;
         tlb.clone_from(&from.tlb);
+        walk.clear();
     }
 }
 
