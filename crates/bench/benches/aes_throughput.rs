@@ -1,8 +1,9 @@
-//! Criterion: throughput of the three AES shapes and PRESENT.
+//! Criterion: throughput of the three AES shapes, the word-table kernel
+//! their warm victim sessions run, and PRESENT.
 
 use ciphers::{
-    present_sbox_image, BlockCipher, Present80, RamTableSource, ReferenceAes, SboxAes, TTableAes,
-    TableImage,
+    expand_key, present_sbox_image, words_aes_encrypt, AesKeySize, AesWordTables, BlockCipher,
+    Present80, RamTableSource, ReferenceAes, SboxAes, TTableAes, TableImage,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -31,6 +32,15 @@ fn bench_ciphers(c: &mut Criterion) {
         let mut block = [0u8; 16];
         b.iter(|| {
             ttable.encrypt_block(black_box(&mut block));
+        })
+    });
+
+    let keys = expand_key(&key, AesKeySize::Aes128);
+    let words = AesWordTables::from_sbox(&TableImage::sbox());
+    group.bench_function("aes128_words", |b| {
+        let mut block = [0u8; 16];
+        b.iter(|| {
+            words_aes_encrypt(&keys, &words, black_box(&mut block));
         })
     });
 

@@ -5,6 +5,8 @@
 //!   through a [`crate::TableSource`] (the PFA paper's target shape).
 //! * [`ttable`] — OpenSSL-shape T-table implementation; the four `Te` tables
 //!   occupy exactly one 4 KiB page (the ExplFrame victim page).
+//! * [`words`] — either table shape's arithmetic over word tables prepared
+//!   once from its image, for encryptions whose table cannot change.
 //!
 //! All shapes share the [`keyschedule`] and the generated [`tables`]; every
 //! combination is cross-checked against FIPS-197 vectors in tests.
@@ -15,3 +17,4 @@ pub mod sbox;
 pub mod sbox_aes;
 pub mod tables;
 pub mod ttable;
+pub mod words;

@@ -147,7 +147,7 @@ fn xtime(w: u32) -> u32 {
 
 /// MixColumns on one big-endian column word: row `r` becomes
 /// `2·a[r] ^ 3·a[r+1] ^ a[r+2] ^ a[r+3]`.
-fn mix_column(w: u32) -> u32 {
+pub(crate) fn mix_column(w: u32) -> u32 {
     let next = w.rotate_left(8);
     xtime(w ^ next) ^ next ^ w.rotate_left(16) ^ w.rotate_left(24)
 }

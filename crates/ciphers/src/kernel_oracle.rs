@@ -7,6 +7,9 @@
 //! exact sequence of table reads — offsets, widths and order. The proptest
 //! drives both through a recording source over a table with one to three
 //! flipped bits (the persistent faults the attack plants).
+//!
+//! The word-table kernel reads no table source; its oracle is the kernel
+//! over the image its tables came from, in ciphertext.
 
 use proptest::prelude::*;
 
@@ -14,6 +17,7 @@ use crate::aes::keyschedule::{expand_key, AesKeySize, RoundKeys};
 use crate::aes::sbox::gf_mul;
 use crate::aes::tables::TableImage;
 use crate::aes::ttable::TE_TABLE_BYTES;
+use crate::aes::words::AesWordTables;
 use crate::present::{p_layer, present80_round_keys, present_sbox_image};
 use crate::source::TableSource;
 
@@ -257,5 +261,29 @@ proptest! {
             |t, b| crate::present::encrypt(&round_keys, t, b),
             |t, b| present80_reference(&key, t, b),
         )?;
+    }
+
+    /// Word tables prepared from an S-box or Te image with zero to three
+    /// flipped bits: the same ciphertext as the kernel over that image.
+    #[test]
+    fn word_kernel_matches_table_source_kernels(
+        pick in 0usize..3,
+        key in any::<[u8; 32]>(),
+        plain in any::<[u8; 16]>(),
+        te in any::<bool>(),
+        flips in proptest::collection::vec(0usize..4096 * 8, 0..4),
+    ) {
+        let keys = aes_keys(pick, &key);
+        let (mut a, mut b) = (plain, plain);
+        if te {
+            let image = Recording::faulted(TableImage::te_tables(), &flips).bytes;
+            crate::aes::words::encrypt(&keys, &AesWordTables::from_te(&image), &mut a);
+            crate::aes::ttable::encrypt(&keys, &mut &image[..], &mut b);
+        } else {
+            let image = Recording::faulted(TableImage::sbox().to_vec(), &flips).bytes;
+            crate::aes::words::encrypt(&keys, &AesWordTables::from_sbox(&image), &mut a);
+            crate::aes::sbox_aes::encrypt(&keys, &mut &image[..], &mut b);
+        }
+        prop_assert_eq!(a, b);
     }
 }

@@ -54,6 +54,9 @@ const ATTACK_RNG_SALT: u64 = 0xA77A_C4E2;
 /// prove the same round hopeless.
 const ECC_PROBE_CIPHERTEXTS: u64 = 8;
 
+/// Every ciphertext byte position: an S-box fault reaches all sixteen.
+const ALL_POSITIONS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
 /// Page-table frames a walk-mode victim consumes from the frame-cache head
 /// *before* its table page's first touch: the spawn's root table and the
 /// first VMA's leaf table.
@@ -735,9 +738,8 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             }
             let (outcome, data) = match steered.victim.kind() {
                 VictimCipherKind::AesSbox => {
-                    let needed: Vec<usize> = (0..16).collect();
                     let mut collector = PfaCollector::new();
-                    let outcome = p.collect_aes(&steered, &mut collector, &needed)?;
+                    let outcome = p.collect_aes(&steered, &mut collector, &ALL_POSITIONS)?;
                     (outcome, CollectorState::Aes(Box::new(collector)))
                 }
                 VictimCipherKind::AesTtable => {
@@ -812,10 +814,11 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     ) -> Result<Option<CollectOutcome>, AttackError> {
         let mut session = steered.victim.session(self.machine);
         let baseline = session.machine().dram().ecc_stats();
+        let mut buf = [0u8; 16];
+        let block = &mut buf[..steered.victim.block_bytes()];
         for _ in 0..ECC_PROBE_CIPHERTEXTS {
-            let mut block = vec![0u8; steered.victim.block_bytes()];
-            self.rng.fill(&mut block[..]);
-            match session.encrypt(&mut block) {
+            self.rng.fill(&mut *block);
+            match session.encrypt(block) {
                 Ok(()) => {}
                 Err(e) if walk_casualty(&e) => return Ok(Some(CollectOutcome::VictimCrashed)),
                 Err(e) => return Err(e.into()),

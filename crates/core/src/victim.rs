@@ -3,8 +3,8 @@
 
 use ciphers::{
     expand_key, present80_encrypt, present80_round_keys, sbox_aes_byte_reads, sbox_aes_encrypt,
-    ttable_aes_byte_reads, ttable_aes_encrypt, AesKeySize, RoundKeys, TableSource,
-    PRESENT80_BYTE_READS,
+    ttable_aes_byte_reads, ttable_aes_encrypt, words_aes_encrypt, AesKeySize, AesWordTables,
+    RoundKeys, TableSource, PRESENT80_BYTE_READS,
 };
 use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 use memsim::{CpuId, Pfn, PAGE_SIZE};
@@ -138,6 +138,7 @@ impl VictimCipherService {
             cipher,
             machine,
             run: ReadRun::new(self.pid, self.base, self.kind.image_len()),
+            words: None,
             warm_encryptions: 0,
         }
     }
@@ -188,6 +189,30 @@ impl KeyedCipher {
         }
     }
 
+    /// The encryption [`Self::encrypt`] computes over the fixed table
+    /// `image`: for AES over word tables prepared from `image` into `words`
+    /// on the first call, which later calls must pass the same `image`.
+    /// With `verify`, debug builds check that they do.
+    fn encrypt_fixed(
+        &self,
+        words: &mut Option<Box<AesWordTables>>,
+        image: &[u8],
+        block: &mut [u8],
+        verify: bool,
+    ) {
+        let (keys, prepare): (_, fn(&[u8]) -> AesWordTables) = match self {
+            KeyedCipher::AesSbox(keys) => (keys, AesWordTables::from_sbox),
+            KeyedCipher::AesTtable(keys) => (keys, AesWordTables::from_te),
+            KeyedCipher::Present(_) => return self.encrypt(&mut &*image, block),
+        };
+        let tables = words.get_or_insert_with(|| Box::new(prepare(image)));
+        debug_assert!(
+            !verify || **tables == prepare(image),
+            "word tables of another image"
+        );
+        words_aes_encrypt(keys, tables, aes_block(block));
+    }
+
     /// The table bytes [`Self::encrypt`] reads per block, whatever the
     /// block and the table bytes.
     fn byte_reads(&self) -> u64 {
@@ -198,6 +223,12 @@ impl KeyedCipher {
         }
     }
 }
+
+/// One warm encryption in this many, the first of a session included,
+/// checks in debug builds that the session's word tables are those of the
+/// table copy it runs on. Re-deriving the tables for every block would
+/// double the debug run time of a collect.
+const WORDS_CHECK_PERIOD: u64 = 64;
 
 fn aes_block(block: &mut [u8]) -> &mut [u8; 16] {
     block.try_into().expect("AES blocks are 16 bytes")
@@ -214,17 +245,32 @@ fn aes_block(block: &mut [u8]) -> &mut [u8; 16] {
 ///   [`SimMachine::read_byte_in`]. This is also the warm-up: it teaches the
 ///   run which table lines are most-recently-used in their L1 sets.
 /// * **closed form** — once the run is warm (the whole table is
-///   most-recently-used in L1 and its bytes are raw), the cipher runs on
-///   the run's raw table copy and [`SimMachine::read_warm`] charges its
-///   reads in one step. Every kernel reads a fixed number of table bytes
-///   per block, whatever the block and the table bytes, so the session
-///   charges that number instead of counting.
+///   most-recently-used in L1 and its bytes are raw),
+///   [`SimMachine::read_warm`] hands the session the run's raw table copy
+///   and charges its reads in one step. Every kernel reads a fixed number
+///   of table bytes per block, whatever the block and the table bytes, so
+///   the session charges that number instead of counting. The simulated
+///   victim still makes those byte reads; only the host's arithmetic
+///   differs. PRESENT runs its kernel on the copy. AES runs
+///   [`words_aes_encrypt`] over [`AesWordTables`] prepared from the copy at
+///   the session's first warm encryption and kept for the rest of it:
+///   the same ciphertexts, at T-table speed for the S-box victim too.
+///
+/// The prepared tables need no invalidation. A [`ReadRun`] keeps its warm
+/// verdict, and the copy its bytes, until its next scalar read, and the
+/// session makes scalar reads only while the run is not warm. So once a
+/// session is warm it stays warm, over the same bytes, to its end. Debug
+/// builds check the tables against the copy on one warm encryption in 64,
+/// the first included.
 #[derive(Debug)]
 pub struct VictimSession<'m> {
     block_bytes: usize,
     cipher: KeyedCipher,
     machine: &'m mut SimMachine,
     run: ReadRun,
+    /// The AES word tables of the warm table copy, from the first warm
+    /// encryption on.
+    words: Option<Box<AesWordTables>>,
     warm_encryptions: u64,
 }
 
@@ -246,9 +292,10 @@ impl VictimSession<'_> {
     /// Panics if `block.len()` differs from the service's block size.
     pub fn encrypt(&mut self, block: &mut [u8]) -> Result<(), MachineError> {
         assert_eq!(block.len(), self.block_bytes, "block size mismatch");
-        let cipher = &self.cipher;
-        let warm = self.machine.read_warm(&mut self.run, |mut table| {
-            cipher.encrypt(&mut table, block);
+        let (cipher, words) = (&self.cipher, &mut self.words);
+        let verify = self.warm_encryptions % WORDS_CHECK_PERIOD == 0;
+        let warm = self.machine.read_warm(&mut self.run, |table| {
+            cipher.encrypt_fixed(words, table, block, verify);
             ((), cipher.byte_reads())
         });
         if warm.is_some() {
@@ -327,6 +374,31 @@ mod tests {
         )
         .encrypt_block(&mut expect);
         assert_eq!(block, expect);
+    }
+
+    #[test]
+    fn word_tables_are_prepared_once_and_only_when_warm() {
+        for kind in [VictimCipherKind::AesSbox, VictimCipherKind::AesTtable] {
+            let mut m = machine();
+            let svc = VictimCipherService::start(&mut m, CpuId(0), kind, VictimKeys::from_seed(6))
+                .unwrap();
+            let mut session = svc.session(&mut m);
+            session.encrypt(&mut [0u8; 16]).unwrap();
+            assert!(
+                session.words.is_none(),
+                "{kind:?}: a cold block prepared tables"
+            );
+            let mut prepared = None;
+            for i in 0..64u8 {
+                session.encrypt(&mut [i.wrapping_mul(37); 16]).unwrap();
+                let at = session.words.as_deref().map(|t| t as *const AesWordTables);
+                if session.warm_encryptions() > 0 {
+                    assert!(at.is_some(), "{kind:?}: a warm block ran without tables");
+                    assert_eq!(*prepared.get_or_insert(at), at, "{kind:?}: tables rebuilt");
+                }
+            }
+            assert!(prepared.is_some(), "{kind:?}: the session never went warm");
+        }
     }
 
     #[test]

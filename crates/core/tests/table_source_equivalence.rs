@@ -8,11 +8,14 @@
 //! `SimMachine::read`. For every cipher, the same encryptions on two forks
 //! of one machine must yield identical ciphertexts, identical errors and
 //! identical machine snapshots — also when a victim read inside one held
-//! session flips a bit of the table it is reading.
+//! session flips a bit of the table it is reading, and when the table was
+//! faulted before the session opened: the closed form runs AES on word
+//! tables prepared from the session's table copy, so it must carry the
+//! fault exactly as the byte reads do.
 
 use ciphers::{
     expand_key, ttable_aes_encrypt, AesKeySize, BlockCipher, Present80, ReferenceAes, SboxAes,
-    TTableAes, TableSource,
+    TTableAes, TableImage, TableSource, FINAL_ROUND_S_LANE,
 };
 use dram::{DramCoord, DramGeometry, PhysAddr, WeakCellParams};
 use explframe_core::{VictimCipherKind, VictimCipherService, VictimKeys};
@@ -110,33 +113,70 @@ fn assert_equivalent(config: MachineConfig, kind: VictimCipherKind, blocks: u8) 
     );
 }
 
+/// What one held session did, block by block.
+struct SessionRun {
+    /// Encryptions the closed form served.
+    warm: u64,
+    /// Closed-form ciphertexts that differ from `ReferenceAes` (AES only).
+    faulty_warm: usize,
+}
+
 /// Encrypts `blocks` plaintexts through one `VictimSession` on one fork —
 /// back to back, nothing else touching the machine, as in collect — and
 /// through the scalar oracle on another, checking every output and the
-/// final snapshot. Returns how many encryptions the closed form served.
-fn assert_session_equivalent(config: MachineConfig, kind: VictimCipherKind, blocks: u8) -> u64 {
+/// final snapshot. With a `fault`, bit `fault.1` of table byte `fault.0`
+/// is flipped in DRAM before the forks are taken. Once the closed form
+/// serves a block it must serve every later one.
+fn assert_session_equivalent(
+    config: MachineConfig,
+    kind: VictimCipherKind,
+    blocks: u8,
+    fault: Option<(u64, u8)>,
+) -> SessionRun {
     let mut warm = warm_boot(config, CpuId(0), WARMUP_PAGES);
     let svc = VictimCipherService::start(&mut warm, CpuId(0), kind, VictimKeys::from_seed(8))
         .expect("victim start");
+    if let Some((offset, bit)) = fault {
+        let pa = warm.translate(svc.pid(), svc.table_base() + offset);
+        let pa = pa.expect("table mapped");
+        let byte = warm.dram_mut().read_byte(pa);
+        warm.dram_mut().write_byte(pa, byte ^ (1 << bit));
+    }
     let snapshot = warm.snapshot();
     let (mut fast_machine, mut oracle) = (snapshot.fork(), snapshot.fork());
+    let mut reference = ReferenceAes::new_128(&svc.keys().aes);
+    let mut faulty_warm = 0;
     let mut session = svc.session(&mut fast_machine);
     for i in 0..blocks {
         let plain: Vec<u8> = (0..svc.block_bytes() as u8)
             .map(|j| i.wrapping_mul(29) ^ j.wrapping_mul(7))
             .collect();
-        let (mut fast, mut slow) = (plain.clone(), plain);
+        let (mut fast, mut slow) = (plain.clone(), plain.clone());
+        let warm_before = session.warm_encryptions();
         let fast_result = session.encrypt(&mut fast);
         let slow_result = encrypt_scalar(&svc, &mut oracle, &mut slow);
         assert_eq!(fast_result, slow_result, "{kind:?} block {i}");
         assert_eq!(fast, slow, "{kind:?} block {i}");
+        let served_warm = session.warm_encryptions() > warm_before;
+        assert!(
+            served_warm || warm_before == 0,
+            "{kind:?} block {i}: the session went cold after {warm_before} warm blocks"
+        );
+        if served_warm && kind != VictimCipherKind::Present {
+            let mut clean = plain;
+            reference.encrypt_block(&mut clean);
+            faulty_warm += usize::from(fast != clean);
+        }
     }
     let warm_encryptions = session.warm_encryptions();
     assert!(
         fast_machine.snapshot() == oracle.snapshot(),
         "{kind:?}: machine state diverged"
     );
-    warm_encryptions
+    SessionRun {
+        warm: warm_encryptions,
+        faulty_warm,
+    }
 }
 
 fn timed(seed: u64) -> MachineConfig {
@@ -178,13 +218,46 @@ fn session_encryptions_match_scalar_reads_and_go_closed_form() {
     ];
     for (name, config) in configs {
         for kind in KINDS {
-            let warm = assert_session_equivalent(config.clone(), kind, 24);
+            let warm = assert_session_equivalent(config.clone(), kind, 24, None).warm;
             assert!(
                 warm > 0,
                 "{name}/{kind:?}: the closed form never engaged in 24 encryptions"
             );
         }
     }
+}
+
+/// A held session over a table with one bit flipped before it opens: the
+/// closed form must engage and carry the fault into its ciphertexts.
+fn assert_faulted_session(kind: VictimCipherKind, offset: usize, bit: u8) {
+    let run = assert_session_equivalent(
+        MachineConfig::small(17),
+        kind,
+        96,
+        Some((offset as u64, bit)),
+    );
+    assert!(run.warm > 0, "{kind:?}: the closed form never engaged");
+    assert!(
+        run.faulty_warm > 0,
+        "{kind:?}: no closed-form ciphertext showed the fault at byte {offset:#x}"
+    );
+}
+
+#[test]
+fn faulted_sbox_session_matches_scalar_reads() {
+    assert_faulted_session(VictimCipherKind::AesSbox, 0x3a, 2);
+}
+
+#[test]
+fn faulted_ttable_s_lane_session_matches_scalar_reads() {
+    let offset = TableImage::te_entry_offset(1, 0x5c) + FINAL_ROUND_S_LANE[1];
+    assert_faulted_session(VictimCipherKind::AesTtable, offset, 5);
+}
+
+#[test]
+fn faulted_ttable_non_s_lane_session_matches_scalar_reads() {
+    let offset = TableImage::te_entry_offset(3, 0x91) + (FINAL_ROUND_S_LANE[3] + 1) % 4;
+    assert_faulted_session(VictimCipherKind::AesTtable, offset, 0);
 }
 
 #[test]

@@ -14,8 +14,9 @@ use ciphers::{invert_last_round_key_128, ReferenceAes};
 /// See the crate-level example for a full run.
 #[derive(Debug, Clone)]
 pub struct PfaCollector {
-    seen: [[bool; 256]; 16],
     unseen_counts: [u16; 16],
+    /// Per position, how often each value appeared: a value is seen iff
+    /// its count is nonzero.
     counts: [[u32; 256]; 16],
     total: u64,
 }
@@ -24,7 +25,6 @@ impl PfaCollector {
     /// Creates an empty collector.
     pub fn new() -> Self {
         PfaCollector {
-            seen: [[false; 256]; 16],
             unseen_counts: [256; 16],
             counts: [[0; 256]; 16],
             total: 0,
@@ -34,12 +34,15 @@ impl PfaCollector {
     /// Records one faulty ciphertext.
     pub fn observe(&mut self, ciphertext: &[u8; 16]) {
         self.total += 1;
-        for (i, &b) in ciphertext.iter().enumerate() {
-            self.counts[i][b as usize] += 1;
-            if !self.seen[i][b as usize] {
-                self.seen[i][b as usize] = true;
-                self.unseen_counts[i] -= 1;
-            }
+        for ((counts, unseen), &b) in self
+            .counts
+            .iter_mut()
+            .zip(&mut self.unseen_counts)
+            .zip(ciphertext)
+        {
+            let count = &mut counts[usize::from(b)];
+            *unseen -= u16::from(*count == 0);
+            *count += 1;
         }
     }
 
@@ -73,12 +76,12 @@ impl PfaCollector {
     /// The unique missing value per position, where determined.
     pub fn missing_values(&self) -> [Option<u8>; 16] {
         let mut out = [None; 16];
-        for (o, (unseen, seen)) in out
+        for (o, (unseen, counts)) in out
             .iter_mut()
-            .zip(self.unseen_counts.iter().zip(&self.seen))
+            .zip(self.unseen_counts.iter().zip(&self.counts))
         {
             if *unseen == 1 {
-                *o = seen.iter().position(|&s| !s).map(|v| v as u8);
+                *o = counts.iter().position(|&c| c == 0).map(|v| v as u8);
             }
         }
         out

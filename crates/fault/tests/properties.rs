@@ -5,6 +5,7 @@ use fault::{encrypt_with_round10_input_fault, DfaAttack, PfaCollector, TableFaul
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -101,5 +102,41 @@ proptest! {
             *b = (register >> (8 * (9 - i))) as u8;
         }
         prop_assert_eq!(fault::invert_present80_schedule(k), master);
+    }
+}
+
+proptest! {
+    /// The collector's histograms against a set-of-seen-values model: a
+    /// sweep over every value but `skip[i]` at position `i` (whole, or
+    /// stopped after `sweep` ciphertexts), then `extra` random ciphertexts,
+    /// so positions end with many, one or no values unseen.
+    #[test]
+    fn pfa_collector_matches_a_seen_set_model(
+        whole in any::<bool>(),
+        sweep in 0usize..256,
+        skip in any::<[u8; 16]>(),
+        extra in prop::collection::vec(any::<[u8; 16]>(), 0..48),
+    ) {
+        let sweep = if whole { 256 } else { sweep };
+        let swept = (0..sweep).map(|v| skip.map(|s| if v as u8 == s { s ^ 1 } else { v as u8 }));
+        let ciphertexts: Vec<[u8; 16]> = swept.chain(extra).collect();
+        let mut collector = PfaCollector::new();
+        for ct in &ciphertexts {
+            collector.observe(ct);
+        }
+        prop_assert_eq!(collector.total(), ciphertexts.len() as u64);
+        let missing = collector.missing_values();
+        let argmax = collector.argmax_values();
+        for i in 0..16 {
+            let seen: HashSet<u8> = ciphertexts.iter().map(|ct| ct[i]).collect();
+            let unseen = 256 - seen.len();
+            prop_assert_eq!(usize::from(collector.unseen_count(i)), unseen);
+            let expect_missing = (0..=255u8).find(|v| !seen.contains(v)).filter(|_| unseen == 1);
+            prop_assert_eq!(missing[i], expect_missing);
+            // The most frequent value, the largest one on a tie.
+            let count = |v: u8| ciphertexts.iter().filter(|ct| ct[i] == v).count();
+            let expect_argmax = (0..=255u8).max_by_key(|&v| (count(v), v));
+            prop_assert_eq!(Some(argmax[i]), expect_argmax);
+        }
     }
 }
