@@ -2,10 +2,11 @@
 
 use std::sync::Arc;
 
-use crate::bank::{next_refresh_time, BankState};
+use crate::bank::{BankState, Refresh};
 use crate::cells::{
     CellPolarity, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
 };
+use crate::divisor::Divisor;
 use crate::ecc::{decode_secded, EccMode, EccStats, EccTracker, SecdedDecode};
 use crate::error::DramError;
 use crate::geometry::{DramCoord, DramGeometry, PhysAddr};
@@ -253,15 +254,6 @@ fn diff_words(page: &[u8; CHUNK], pattern: u8, out: &mut Vec<(u16, u8)>) {
     }
 }
 
-/// A countermeasure refresh in `bank` of the rows within `radius` of
-/// `row`, out of `rows` rows: their leaked charge is restored.
-fn refresh_rows_around(bank: &mut BankState, row: u32, radius: u32, rows: u32) {
-    let (lo, hi) = (row.saturating_sub(radius), row.saturating_add(radius));
-    for n in (lo..=hi.min(rows - 1)).filter(|&n| n != row) {
-        bank.clear_disturbance(n);
-    }
-}
-
 /// Result of a bulk hammer operation. The flips it induced are the tail
 /// of [`DramDevice::flips`] past its length before the call.
 #[derive(Debug, Clone, Default)]
@@ -304,6 +296,8 @@ pub struct HammerOutcome {
 pub struct DramDevice {
     config: DramConfig,
     mapping: Arc<dyn AddressMapping>,
+    /// The refresh schedule, a function of the config's timing.
+    refresh: Refresh,
     banks: Vec<BankState>,
     mem: SparseMemory,
     cells: WeakCellMap,
@@ -330,6 +324,7 @@ impl Clone for DramDevice {
         DramDevice {
             config: self.config,
             mapping: Arc::clone(&self.mapping),
+            refresh: self.refresh,
             banks: self.banks.clone(),
             mem: self.mem.clone(),
             cells: self.cells.clone(),
@@ -350,6 +345,7 @@ impl Clone for DramDevice {
         let DramDevice {
             config,
             mapping,
+            refresh,
             banks,
             mem,
             cells,
@@ -366,6 +362,7 @@ impl Clone for DramDevice {
         } = self;
         *config = source.config;
         mapping.clone_from(&source.mapping);
+        *refresh = source.refresh;
         banks.clone_from(&source.banks);
         mem.clone_from(&source.mem);
         cells.clone_from(&source.cells);
@@ -382,14 +379,16 @@ impl Clone for DramDevice {
 }
 
 /// Two devices are equal when their state is: data, banks, flip log,
-/// clock, stats and every countermeasure engine. The mapping follows from
-/// the config, the weak-cell memo only records which rows were queried,
-/// and `analytic_rounds` and the kernel's scratch list are not state.
+/// clock, stats and every countermeasure engine. The mapping and the
+/// refresh schedule follow from the config, the weak-cell memo only
+/// records which rows were queried, and `analytic_rounds` and the kernel's
+/// scratch list are not state.
 impl PartialEq for DramDevice {
     fn eq(&self, other: &Self) -> bool {
         let DramDevice {
             config,
             mapping: _,
+            refresh: _,
             banks,
             mem,
             cells,
@@ -448,11 +447,12 @@ impl DramDevice {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (non-power-of-two dimensions) or the
-    /// cell density is out of range.
+    /// Panics if the geometry is invalid (non-power-of-two dimensions), the
+    /// cell density is out of range, or the refresh window is zero.
     pub fn new(config: DramConfig) -> Self {
         let mapping = config.mapping.build(config.geometry).into();
-        let banks = vec![BankState::default(); config.geometry.total_banks() as usize];
+        let banks =
+            vec![BankState::new(config.geometry.rows); config.geometry.total_banks() as usize];
         let mem = SparseMemory::new(config.geometry.capacity_bytes());
         let cells = WeakCellMap::new(
             config.seed,
@@ -491,6 +491,7 @@ impl DramDevice {
         DramDevice {
             config,
             mapping,
+            refresh: Refresh::new(&config.timing),
             banks,
             mem,
             cells,
@@ -902,7 +903,7 @@ impl DramDevice {
     /// `radius` of `aggressor`, restoring their leaked charge.
     fn refresh_neighbour_rows(&mut self, bank_idx: usize, aggressor: DramCoord, radius: u32) {
         let rows = self.config.geometry.rows;
-        refresh_rows_around(&mut self.banks[bank_idx], aggressor.row, radius, rows);
+        self.banks[bank_idx].refresh_around(aggressor.row, radius, rows);
     }
 
     /// Applies the disturbance of `acts` activations of `aggressor` to its
@@ -919,9 +920,9 @@ impl DramDevice {
     /// any weak cells whose thresholds were crossed.
     fn disturb_row(&mut self, victim: DramCoord, units: u64) {
         let geometry = self.config.geometry;
-        let timing = self.config.timing;
         let bank_idx = geometry.bank_index(victim.channel, victim.rank, victim.bank);
-        let delta = self.banks[bank_idx].add_disturbance(victim.row, units, self.now, &timing);
+        let delta =
+            self.banks[bank_idx].add_disturbance(victim.row, units, self.now, &self.refresh);
         if delta.old_units == delta.new_units {
             return;
         }
@@ -1087,12 +1088,12 @@ impl DramDevice {
             self.banks[bank_idx].clear_disturbance(row);
         }
 
-        let round_time = count as u64 * timing.t_rc;
+        let round_time = Divisor::new(count as u64 * timing.t_rc);
         let start = self.now;
         self.bulk_rounds(bank_idx, first, agg_rows, victims, rounds, round_time);
 
         let acts = rounds * count as u64;
-        self.banks[bank_idx].set_open_row(agg_rows[count - 1], acts);
+        self.banks[bank_idx].set_open_row(agg_rows[count - 1]);
         self.stats.acts += acts;
         self.stats.hammer_pairs += acts / 2;
 
@@ -1120,9 +1121,8 @@ impl DramDevice {
         agg_rows: &[u32],
         victims: &[(u32, u64)],
         rounds: u64,
-        round_time: Nanos,
+        round_time: Divisor,
     ) {
-        let timing = self.config.timing;
         let kernel = !self.config.reference_kernels && self.para.is_none() && self.rfm.is_none();
         let fan = agg_rows.len() as u64;
         let (clock_rank, clock_bank) = self.clock_coords(template);
@@ -1154,10 +1154,10 @@ impl DramDevice {
             // accumulates and only the TRR bound applies.
             let mut chunk = victims
                 .iter()
-                .map(|&(row, _)| next_refresh_time(row, t, &timing))
+                .map(|&(row, _)| self.refresh.next_refresh_time(row, t))
                 .min()
                 .map_or(remaining, |boundary| {
-                    remaining.min(((boundary - t) / round_time).max(1))
+                    remaining.min(round_time.div(boundary - t).max(1))
                 });
             if let Some(Burst::After(n)) = plan {
                 chunk = chunk.min(n);
@@ -1184,7 +1184,7 @@ impl DramDevice {
             if let Some(clock) = &mut self.clock {
                 clock.bulk_acts(clock_rank, clock_bank, t, chunk * fan);
             }
-            self.now += chunk * round_time;
+            self.now += chunk * round_time.get();
             if let Some(clock) = &mut self.clock {
                 clock.drain_refreshes(self.now);
             }
@@ -1194,7 +1194,7 @@ impl DramDevice {
                 let radius = self.config.trr.map_or(0, |p| p.radius);
                 let rows = self.config.geometry.rows;
                 let bank = &mut self.banks[bank_idx];
-                let refresh = |row| refresh_rows_around(bank, row, radius, rows);
+                let refresh = |row| bank.refresh_around(row, radius, rows);
                 if trr.all_tracked(bank_idx, agg_rows) {
                     trr.advance_tracked(bank_idx, agg_rows, chunk, refresh);
                 } else {
@@ -1266,11 +1266,13 @@ impl DramDevice {
         agg_rows: &[u32],
         victims: &[(u32, u64)],
         rounds: u64,
-        round_time: Nanos,
+        round_time: Divisor,
     ) {
-        let timing = self.config.timing;
         let geometry = self.config.geometry;
-        let w = timing.refresh_window();
+        let schedule = self.refresh;
+        let window = schedule.window();
+        let w = window.get();
+        let rt = round_time.get();
         let t = self.now;
         let radius = self.config.trr.map_or(0, |p| p.radius);
         // With every row tracked, aggressor `row` triggers after round
@@ -1279,7 +1281,7 @@ impl DramDevice {
             .trr
             .as_ref()
             .filter(|trr| trr.all_tracked(bank_idx, agg_rows));
-        let period = tracked.map_or(1, TrrEngine::period);
+        let period = Divisor::new(tracked.map_or(1, TrrEngine::period));
         let (mut inline_triggers, mut spilled_triggers) = ([(0u32, 0u64); INLINE_ROWS], Vec::new());
         let triggers: &[(u32, u64)] = match tracked {
             None => &[],
@@ -1288,7 +1290,7 @@ impl DramDevice {
                     perf::scratch(&mut inline_triggers, &mut spilled_triggers, agg_rows.len());
                 for (slot, &row) in slots.iter_mut().zip(agg_rows) {
                     let acts = trr.tracked_acts(bank_idx, row).expect("all tracked");
-                    *slot = (row, period - acts);
+                    *slot = (row, period.get() - acts);
                 }
                 slots
             }
@@ -1302,34 +1304,35 @@ impl DramDevice {
         );
         let refresh = perf::scratch(&mut inline_refresh, &mut spilled_refresh, victims.len());
         for (slot, &(row, _)) in refresh.iter_mut().zip(victims) {
-            let b = next_refresh_time(row, t, &timing) - t;
-            *slot = (b, b / round_time, b % round_time != 0);
+            let b = schedule.next_refresh_time(row, t) - t;
+            let (last, gap) = round_time.div_rem(b);
+            *slot = (b, last, gap != 0);
         }
         let refresh = &*refresh;
         // Round index at which the chunk holding round `r` starts.
         let chunk_start = |r: u64| {
             let mut start = 0;
             for &(b, last, straddles) in refresh {
-                if let Some(x) = ((r + 1) * round_time).checked_sub(b + 1) {
+                if let Some(x) = ((r + 1) * rt).checked_sub(b + 1) {
                     // The last boundary before round `r` ends; the first
                     // one's round is precomputed.
                     let (last, straddles) = if x < w {
                         (last, straddles)
                     } else {
-                        let boundary = b + x / w * w;
-                        (boundary / round_time, boundary % round_time != 0)
+                        let (last, gap) = round_time.div_rem(b + window.div(x) * w);
+                        (last, gap != 0)
                     };
                     start = start.max(last + u64::from(straddles && last < r));
                 }
             }
             for &(_, n) in triggers {
                 if let Some(x) = r.checked_sub(n) {
-                    start = start.max(n + x / period * period);
+                    start = start.max(n + period.div(x) * period.get());
                 }
             }
             start
         };
-        let rounds_per_window = w.div_ceil(round_time);
+        let rounds_per_window = round_time.div_ceil(w);
         // (chunk start, victim, cell index, cell) of every first crossing,
         // in a list kept between calls.
         let mut flips = std::mem::take(&mut self.kernel_flips.0);
@@ -1348,13 +1351,13 @@ impl DramDevice {
                     .iter()
                     .filter(|&&(agg, _)| row.abs_diff(agg) <= radius)
             };
-            let mut first = rounds.min(b.div_ceil(round_time));
+            let mut first = rounds.min(round_time.div_ceil(b));
             let mut later = rounds.min(rounds_per_window);
             for &(_, n) in near() {
                 first = first.min(n);
-                later = later.min(period);
+                later = later.min(period.get());
             }
-            let carried = self.banks[bank_idx].disturbance(row, t, &timing);
+            let carried = self.banks[bank_idx].disturbance(row, t, &schedule);
             let reach_first = carried.saturating_add(units.saturating_mul(first));
             let reach_later = units.saturating_mul(later);
             if reach_first.max(reach_later) < eval.min_threshold() {
@@ -1364,12 +1367,12 @@ impl DramDevice {
             // resets from the first round starting at or after it, a
             // trigger from the round after it.
             let next_reset = |s: u64| {
-                let k = (s * round_time).checked_sub(b).map_or(0, |x| x / w + 1);
-                near().fold((b + k * w).div_ceil(round_time), |next, &(_, n)| {
+                let k = (s * rt).checked_sub(b).map_or(0, |x| window.div(x) + 1);
+                near().fold(round_time.div_ceil(b + k * w), |next, &(_, n)| {
                     next.min(if s < n {
                         n
                     } else {
-                        n + ((s - n) / period + 1) * period
+                        n + (period.div(s - n) + 1) * period.get()
                     })
                 })
             };
@@ -1411,13 +1414,13 @@ impl DramDevice {
                 col: 0,
                 ..template
             };
-            self.try_flip(victim, &cell, t + chunk * round_time);
+            self.try_flip(victim, &cell, t + chunk * rt);
         }
         flips.clear();
         self.kernel_flips.0 = flips;
 
         let (clock_rank, clock_bank) = self.clock_coords(template);
-        self.now += rounds * round_time;
+        self.now += rounds * rt;
         if let Some(clock) = &mut self.clock {
             clock.bulk_acts(clock_rank, clock_bank, t, rounds * agg_rows.len() as u64);
             clock.drain_refreshes(self.now);
@@ -1448,9 +1451,9 @@ impl DramDevice {
                 self.banks[bank_idx].credit_rounds(
                     row,
                     units,
-                    (t + from * round_time, t + (rounds - 1) * round_time),
+                    (t + from * rt, t + (rounds - 1) * rt),
                     round_time,
-                    &timing,
+                    &schedule,
                 );
             }
         }
@@ -2410,7 +2413,7 @@ mod tests {
             ("data byte", |d| d.mem.write_byte(PhysAddr::new(0x40), 0x5A)),
             ("open row", |d| assert!(d.banks[1].activate(7))),
             ("disturbance", |d| {
-                d.banks[2].add_disturbance(9, 1, 0, &DramTiming::ddr3_1600());
+                d.banks[2].add_disturbance(9, 1, 0, &Refresh::new(&DramTiming::ddr3_1600()));
             }),
             ("flip log", |d| {
                 d.flip_log.push(FlipEvent {

@@ -73,6 +73,7 @@
 mod bank;
 mod cells;
 mod device;
+mod divisor;
 mod ecc;
 mod error;
 mod geometry;

@@ -16,6 +16,8 @@
 //! only exist in this time domain: probabilistic adjacent-row refresh and
 //! DDR5-style Refresh Management with per-bank rolling activation counters.
 
+use crate::divisor::Divisor;
+
 /// Simulated time in nanoseconds.
 pub type Nanos = u64;
 
@@ -184,6 +186,8 @@ impl FawRing {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandClock {
     timing: DramTiming,
+    /// `timing.t_refi`, for the per-access refresh drain.
+    refi: Divisor,
     banks_per_rank: u32,
     now: Nanos,
     banks: Vec<BankCmd>,
@@ -199,11 +203,12 @@ impl CommandClock {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension or `timing.t_refi` is zero.
     pub fn new(timing: DramTiming, ranks: u32, banks_per_rank: u32) -> Self {
         assert!(ranks > 0 && banks_per_rank > 0, "empty module");
         CommandClock {
             timing,
+            refi: Divisor::new(timing.t_refi),
             banks_per_rank,
             now: 0,
             banks: vec![BankCmd::default(); (ranks * banks_per_rank) as usize],
@@ -360,7 +365,7 @@ impl CommandClock {
     /// at `g * t_refi + k * refresh_window` — the staggered schedule the
     /// bank layer's windowed disturbance accounting implements.
     pub fn drain_refreshes(&mut self, now: Nanos) -> u64 {
-        let due = now / self.timing.t_refi;
+        let due = self.refi.div(now);
         let drained = due.saturating_sub(self.refs);
         self.refs = self.refs.max(due);
         drained

@@ -29,6 +29,8 @@
 //! fires) or has all its rows tracked (the next trigger time is a closed
 //! form).
 
+use std::collections::VecDeque;
+
 /// Configuration of the [`TrrEngine`].
 ///
 /// # Examples
@@ -110,75 +112,59 @@ struct Entry {
     acts: u64,
 }
 
-/// Sampler tables up to this many entries are probed on the stack
-/// ([`TrrEngine::plan_burst`]).
-const INLINE_SAMPLER: usize = 16;
-
-/// Records one `ACT` of `row` in the FIFO sampler table `slots[..*len]`,
-/// which has room for `slots.len()` entries (the sampler size). Entries
-/// are kept in insertion order (oldest first), so eviction is positional
-/// and deterministic. Returns whether the tracker fired (the caller must
-/// refresh the row's neighbours).
-fn record(slots: &mut [Entry], len: &mut usize, row: u32, threshold_acts: u64) -> bool {
-    if slots.is_empty() {
-        return false;
-    }
-    if let Some(e) = slots[..*len].iter_mut().find(|e| e.row == row) {
-        e.acts += 1;
-        if e.acts >= threshold_acts {
-            e.acts = 0;
-            return true;
-        }
-        return false;
-    }
-    if *len == slots.len() {
-        // Evict the oldest entry (FIFO). Hardware samplers age their
-        // counters every refresh interval for the same reason: an
-        // eviction policy that *protects* high counts lets stale
-        // aggressors squat in the table forever, leaving the tracker
-        // permanently blind to fresh pairs.
-        slots.rotate_left(1);
-        *len -= 1;
-    }
-    let fired = 1 >= threshold_acts;
-    slots[*len] = Entry {
-        row,
-        acts: u64::from(!fired),
-    };
-    *len += 1;
-    fired
-}
-
-/// Per-bank sampler table: one slot per sampler entry, the first `len`
-/// holding the tracked rows oldest first and the rest left default.
+/// Per-bank sampler table: the tracked rows, oldest first, at most the
+/// sampler size of them. A ring buffer, so evicting the oldest entry moves
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct TrrBank {
-    slots: Vec<Entry>,
-    len: usize,
+    entries: VecDeque<Entry>,
 }
 
 impl TrrBank {
     fn new(sampler_size: u32) -> Self {
         TrrBank {
-            slots: vec![Entry::default(); sampler_size as usize],
-            len: 0,
+            entries: VecDeque::with_capacity(sampler_size as usize),
         }
     }
 
-    fn record_act(&mut self, row: u32, threshold_acts: u64) -> bool {
-        record(&mut self.slots, &mut self.len, row, threshold_acts)
-    }
-
-    fn entries(&self) -> &[Entry] {
-        &self.slots[..self.len]
+    /// Records one `ACT` of `row` in a table of `sampler_size` entries.
+    /// Entries are kept in insertion order (oldest first), so eviction is
+    /// positional and deterministic. Returns whether the tracker fired
+    /// (the caller must refresh the row's neighbours).
+    fn record_act(&mut self, row: u32, sampler_size: usize, threshold_acts: u64) -> bool {
+        if sampler_size == 0 {
+            return false;
+        }
+        if let Some(e) = self.tracked_mut(row) {
+            e.acts += 1;
+            if e.acts >= threshold_acts {
+                e.acts = 0;
+                return true;
+            }
+            return false;
+        }
+        if self.entries.len() == sampler_size {
+            // Evict the oldest entry (FIFO). Hardware samplers age their
+            // counters every refresh interval for the same reason: an
+            // eviction policy that *protects* high counts lets stale
+            // aggressors squat in the table forever, leaving the tracker
+            // permanently blind to fresh pairs.
+            self.entries.pop_front();
+        }
+        let fired = 1 >= threshold_acts;
+        self.entries.push_back(Entry {
+            row,
+            acts: u64::from(!fired),
+        });
+        fired
     }
 
     fn tracked(&self, row: u32) -> Option<&Entry> {
-        self.entries().iter().find(|e| e.row == row)
+        self.entries.iter().find(|e| e.row == row)
     }
 
     fn tracked_mut(&mut self, row: u32) -> Option<&mut Entry> {
-        self.slots[..self.len].iter_mut().find(|e| e.row == row)
+        self.entries.iter_mut().find(|e| e.row == row)
     }
 
     fn all_tracked(&self, rows: &[u32]) -> bool {
@@ -229,7 +215,8 @@ impl TrrEngine {
     /// Records one `ACT` of `row` in `bank`; returns `Some(row)` if the
     /// tracker fired and the row's neighbours must be refreshed.
     pub fn record_act(&mut self, bank: usize, row: u32) -> Option<u32> {
-        if !self.banks[bank].record_act(row, self.params.threshold_acts) {
+        let (size, threshold) = (self.params.sampler_size, self.params.threshold_acts);
+        if !self.banks[bank].record_act(row, size as usize, threshold) {
             return None;
         }
         self.triggers += 1;
@@ -242,34 +229,52 @@ impl TrrEngine {
     /// [`Self::record_act`] fires on the `n`-th, and `Never` means the
     /// table state is round-invariant and no replay can ever fire.
     pub fn plan_burst(&self, bank: usize, rows: &[u32]) -> Burst {
-        let table = &self.banks[bank];
-        // Replay one probe round on a stack copy of the table.
-        let (mut inline, mut spilled) = ([Entry::default(); INLINE_SAMPLER], Vec::new());
-        let probe = perf::scratch(&mut inline, &mut spilled, table.slots.len());
-        probe.copy_from_slice(&table.slots);
-        let mut len = table.len;
-        let mut fired = false;
-        for &row in rows {
-            fired |= record(probe, &mut len, row, self.params.threshold_acts);
-        }
-        if fired {
-            return Burst::After(1);
-        }
-        if probe[..len] == *table.entries() {
+        let entries = &self.banks[bank].entries;
+        let size = self.params.sampler_size as usize;
+        let threshold = self.params.threshold_acts;
+        if size == 0 || rows.is_empty() {
+            // Nothing is ever recorded, or nothing is activated.
             return Burst::Never;
         }
-        if table.all_tracked(rows) {
+        // Replay one probe round in place. The rows are distinct, so a row
+        // can only be found among the original entries not yet evicted,
+        // `entries[evicted..]`, and each is found with its original count;
+        // a row not found is appended, evicting the oldest entry (an
+        // original while any is left) once the table is full.
+        let (mut evicted, mut len, mut found) = (0, entries.len(), 0);
+        let mut next = u64::MAX;
+        for &row in rows {
+            match entries.range(evicted..).find(|e| e.row == row) {
+                Some(e) if e.acts + 1 >= threshold => return Burst::After(1),
+                Some(e) => {
+                    found += 1;
+                    next = next.min(threshold - e.acts);
+                }
+                None if 1 >= threshold => return Burst::After(1),
+                None if len == size => evicted = (evicted + 1).min(entries.len()),
+                None => len += 1,
+            }
+        }
+        if found == rows.len() {
             // All rows tracked and no trigger in the probe round: every
             // round increments each row's count by exactly one.
-            let next = rows
-                .iter()
-                .map(|&r| {
-                    let e = table.tracked(r).expect("all_tracked checked");
-                    self.params.threshold_acts - e.acts
-                })
-                .min()
-                .expect("burst has at least one row");
             return Burst::After(next);
+        }
+        // The round left the table as it was only if it appended every row
+        // and changed no count (a found row keeps a changed count, or is
+        // evicted and leaves the table without it), so the table must hold
+        // the last `size` rows with one ACT each. Conversely, the rows
+        // ahead of that tail (there are some: a table of exactly the rows
+        // is all tracked) evict each entry before its row comes round, so
+        // the round appends every row and reproduces the table.
+        let steady = entries.len() == size
+            && rows.len() >= size
+            && entries
+                .iter()
+                .zip(&rows[rows.len() - size..])
+                .all(|(e, &row)| e.row == row && e.acts == 1);
+        if steady {
+            return Burst::Never;
         }
         // Transient (insertions still settling): advance one real round and
         // re-plan.
@@ -566,8 +571,8 @@ mod tests {
     }
 
     /// The plan against one probe round replayed through `record_act` on a
-    /// clone of the engine, over random tables (samplers past the inline
-    /// probe size included), thresholds and row sets; and, where the plan
+    /// clone of the engine, over random tables (samplers of up to 20
+    /// entries), thresholds and row sets; and, where the plan
     /// is a closed form, against replaying the burst itself.
     #[test]
     fn plan_burst_matches_replaying_rounds_through_record_act() {
@@ -617,6 +622,36 @@ mod tests {
                 }
                 Burst::After(_) => {}
             }
+        }
+    }
+
+    /// A set wider than the sampler thrashes it from the first round on:
+    /// the plan asks for exactly one real round from a cold table, then
+    /// reports the steady state, and planning never changes the engine.
+    #[test]
+    fn thrash_plan_is_never_after_exactly_one_round() {
+        for (sampler, threshold, width) in
+            [(2, 10, 3), (2, 2, 4), (4, 4096, 5), (4, 7, 12), (16, 3, 17)]
+        {
+            let mut t = engine(sampler, threshold);
+            let rows: Vec<u32> = (0..width).map(|i| 2 * i + 1).collect();
+            let planned = t.clone();
+            assert_eq!(t.plan_burst(0, &rows), Burst::After(1), "sampler {sampler}");
+            assert_eq!(t, planned, "planning changed the engine");
+            assert!(round(&mut t, &rows).is_empty());
+            let planned = t.clone();
+            assert_eq!(t.plan_burst(0, &rows), Burst::Never, "sampler {sampler}");
+            assert_eq!(t, planned, "planning changed the engine");
+            // The table holds the last `sampler` rows, one ACT each, and
+            // another round reproduces it.
+            let tail = &rows[rows.len() - sampler as usize..];
+            assert!(t.banks[0]
+                .entries
+                .iter()
+                .map(|e| (e.row, e.acts))
+                .eq(tail.iter().map(|&r| (r, 1))));
+            assert!(round(&mut t, &rows).is_empty());
+            assert_eq!(t, planned);
         }
     }
 
