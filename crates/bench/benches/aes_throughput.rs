@@ -1,9 +1,11 @@
 //! Criterion: throughput of the three AES shapes, the word-table kernel
-//! their warm victim sessions run, and PRESENT.
+//! their warm victim sessions run, one block at a time and in the 64-block
+//! batches a collect runs, and PRESENT.
 
 use ciphers::{
-    expand_key, present_sbox_image, words_aes_encrypt, AesKeySize, AesWordTables, BlockCipher,
-    Present80, RamTableSource, ReferenceAes, SboxAes, TTableAes, TableImage,
+    expand_key, present_sbox_image, words_aes_encrypt, words_aes_encrypt_blocks, AesKeySize,
+    AesWordTables, BlockCipher, Present80, RamTableSource, ReferenceAes, SboxAes, TTableAes,
+    TableImage,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -41,6 +43,24 @@ fn bench_ciphers(c: &mut Criterion) {
         let mut block = [0u8; 16];
         b.iter(|| {
             words_aes_encrypt(&keys, &words, black_box(&mut block));
+        })
+    });
+
+    // A collect's batch: 64 blocks over the word tables of an S-box with
+    // one flipped bit, as a faulted victim's warm session runs them. Its
+    // time per iteration over 64 should stay below `aes128_words`: the
+    // kernel's gain rests on its shape, and a naive four-lane form once ran
+    // at about twice the single-block time.
+    let mut faulted = TableImage::sbox().to_vec();
+    faulted[0x3a] ^= 0x04;
+    let faulted = AesWordTables::from_sbox(&faulted);
+    group.bench_function("aes128_words_batch64", |b| {
+        let mut blocks = [[0u8; 16]; 64];
+        for (i, block) in blocks.iter_mut().enumerate() {
+            block[0] = i as u8;
+        }
+        b.iter(|| {
+            words_aes_encrypt_blocks(&keys, &faulted, black_box(&mut blocks));
         })
     });
 

@@ -105,11 +105,7 @@ pub fn encrypt(keys: &RoundKeys, tables: &AesWordTables, block: &mut [u8; 16]) {
     let rk = keys.words();
     let rounds = keys.size().rounds();
     let [t0, t1, t2, t3] = &tables.te;
-    let mut s = [0u32; 4];
-    for (c, col) in s.iter_mut().enumerate() {
-        let b = &block[4 * c..4 * c + 4];
-        *col = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) ^ rk[c];
-    }
+    let mut s = load(block, rk);
     for k in rk[4..4 * rounds].chunks_exact(4) {
         s = [0, 1, 2, 3].map(|c| {
             t0[usize::from((s[c] >> 24) as u8)]
@@ -119,6 +115,91 @@ pub fn encrypt(keys: &RoundKeys, tables: &AesWordTables, block: &mut [u8; 16]) {
                 ^ k[c]
         });
     }
+    store(tables, rk, rounds, &s, block);
+}
+
+/// Blocks [`encrypt_blocks`] runs in lockstep. Measured on 64-block
+/// batches over S-box word tables (AES-128, a 2-vCPU x86-64 host), per
+/// block against [`encrypt`] one block at a time: eight lanes ran at
+/// 0.69–0.96 of its time, sixteen the same, two at 0.84–1.12 and four at
+/// 0.85–1.21, so eight it is. The lane loop must stay a plain loop over an
+/// array of states: the same body at one lane ran at 2.5 times
+/// [`encrypt`]'s time, which is why a batch's remainder runs [`encrypt`].
+const LANES: usize = 8;
+
+/// Encrypts every block of `blocks` as [`encrypt`] would, one after the
+/// other, but runs eight blocks through each round in lockstep. Their
+/// table lookups are independent, so the processor overlaps them; a batch
+/// length that is not a multiple of eight ends with single blocks.
+///
+/// # Examples
+///
+/// ```
+/// use ciphers::{
+///     expand_key, words_aes_encrypt, words_aes_encrypt_blocks, AesKeySize, AesWordTables,
+///     TableImage,
+/// };
+/// let keys = expand_key(&[7u8; 16], AesKeySize::Aes128);
+/// let tables = AesWordTables::from_sbox(&TableImage::sbox());
+/// let mut batch = [[1u8; 16], [2u8; 16], [3u8; 16]];
+/// let mut one = [2u8; 16];
+/// words_aes_encrypt_blocks(&keys, &tables, &mut batch);
+/// words_aes_encrypt(&keys, &tables, &mut one);
+/// assert_eq!(batch[1], one);
+/// ```
+pub fn encrypt_blocks(keys: &RoundKeys, tables: &AesWordTables, blocks: &mut [[u8; 16]]) {
+    let mut chunks = blocks.chunks_exact_mut(LANES);
+    for chunk in &mut chunks {
+        encrypt_lanes(
+            keys,
+            tables,
+            chunk.try_into().expect("chunks of LANES blocks"),
+        );
+    }
+    for block in chunks.into_remainder() {
+        encrypt(keys, tables, block);
+    }
+}
+
+/// [`encrypt`] on [`LANES`] blocks, round by round.
+fn encrypt_lanes(keys: &RoundKeys, tables: &AesWordTables, blocks: &mut [[u8; 16]; LANES]) {
+    let rk = keys.words();
+    let rounds = keys.size().rounds();
+    let [t0, t1, t2, t3] = &tables.te;
+    let mut states = [[0u32; 4]; LANES];
+    for (s, block) in states.iter_mut().zip(blocks.iter()) {
+        *s = load(block, rk);
+    }
+    for k in rk[4..4 * rounds].chunks_exact(4) {
+        for s in states.iter_mut() {
+            let x = *s;
+            *s = [0, 1, 2, 3].map(|c| {
+                t0[usize::from((x[c] >> 24) as u8)]
+                    ^ t1[usize::from((x[(c + 1) % 4] >> 16) as u8)]
+                    ^ t2[usize::from((x[(c + 2) % 4] >> 8) as u8)]
+                    ^ t3[usize::from(x[(c + 3) % 4] as u8)]
+                    ^ k[c]
+            });
+        }
+    }
+    for (s, block) in states.iter().zip(blocks.iter_mut()) {
+        store(tables, rk, rounds, s, block);
+    }
+}
+
+/// The state of `block` after the first AddRoundKey.
+#[inline(always)]
+fn load(block: &[u8; 16], rk: &[u32]) -> [u32; 4] {
+    [0, 1, 2, 3].map(|c| {
+        let b = &block[4 * c..4 * c + 4];
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]]) ^ rk[c]
+    })
+}
+
+/// The final round of state `s` (SubBytes from the final-round rows,
+/// ShiftRows, AddRoundKey), written to `block`.
+#[inline(always)]
+fn store(tables: &AesWordTables, rk: &[u32], rounds: usize, s: &[u32; 4], block: &mut [u8; 16]) {
     let [l0, l1, l2, l3] = &tables.last;
     for c in 0..4 {
         let col = u32::from_be_bytes([

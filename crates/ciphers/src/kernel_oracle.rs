@@ -9,7 +9,9 @@
 //! flipped bits (the persistent faults the attack plants).
 //!
 //! The word-table kernel reads no table source; its oracle is the kernel
-//! over the image its tables came from, in ciphertext.
+//! over the image its tables came from, in ciphertext. The batch form of
+//! the word-table kernel, which runs eight blocks in lockstep, has the
+//! single-block word-table kernel as its oracle, block by block.
 
 use proptest::prelude::*;
 
@@ -285,5 +287,35 @@ proptest! {
             crate::aes::sbox_aes::encrypt(&keys, &mut &image[..], &mut b);
         }
         prop_assert_eq!(a, b);
+    }
+
+    /// Word tables as above: every prefix of a batch of 70 blocks, so
+    /// every length from 0 to 70 — multiples of the lane count and
+    /// remainders alike — encrypts each block as the single-block kernel
+    /// does.
+    #[test]
+    fn word_batch_kernel_matches_one_block_at_a_time(
+        pick in 0usize..3,
+        key in any::<[u8; 32]>(),
+        te in any::<bool>(),
+        flips in proptest::collection::vec(0usize..4096 * 8, 0..4),
+        plains in proptest::collection::vec(any::<[u8; 16]>(), 70),
+    ) {
+        let keys = aes_keys(pick, &key);
+        let tables = if te {
+            AesWordTables::from_te(&Recording::faulted(TableImage::te_tables(), &flips).bytes)
+        } else {
+            let image = Recording::faulted(TableImage::sbox().to_vec(), &flips).bytes;
+            AesWordTables::from_sbox(&image)
+        };
+        let mut one_at_a_time = plains.clone();
+        for block in &mut one_at_a_time {
+            crate::aes::words::encrypt(&keys, &tables, block);
+        }
+        for len in 0..=plains.len() {
+            let mut batch = plains[..len].to_vec();
+            crate::aes::words::encrypt_blocks(&keys, &tables, &mut batch);
+            prop_assert_eq!(&batch[..], &one_at_a_time[..len], "batch of {}", len);
+        }
     }
 }

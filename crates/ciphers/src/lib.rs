@@ -18,8 +18,9 @@
 //!   (exactly one 4 KiB page) serve rounds 1..9 *and*, via masked lanes, the
 //!   final round.
 //! * [`AesWordTables`] — either AES table image prepared once as word
-//!   tables, for [`words_aes_encrypt`]: the same ciphertexts as the kernel
-//!   over the image, without a [`TableSource`].
+//!   tables, for [`words_aes_encrypt`] and its batch form
+//!   [`words_aes_encrypt_blocks`]: the same ciphertexts as the kernel over
+//!   the image, without a [`TableSource`].
 //! * [`Present80`] — the PRESENT-80 lightweight cipher with its S-box layer
 //!   read through a `TableSource` (the second cipher evaluated in the PFA
 //!   paper).
@@ -58,7 +59,9 @@ pub use aes::ttable::{
     byte_reads as ttable_aes_byte_reads, encrypt as ttable_aes_encrypt,
     final_round_table_for_position, TTableAes, FINAL_ROUND_S_LANE, TE_TABLE_BYTES,
 };
-pub use aes::words::{encrypt as words_aes_encrypt, AesWordTables};
+pub use aes::words::{
+    encrypt as words_aes_encrypt, encrypt_blocks as words_aes_encrypt_blocks, AesWordTables,
+};
 pub use present::{
     encrypt as present80_encrypt, p_layer, p_layer_inverse, p_layer_target, present80_round_keys,
     present_sbox_image, Present80, BYTE_READS as PRESENT80_BYTE_READS, PRESENT_SBOX,

@@ -54,6 +54,10 @@ const ATTACK_RNG_SALT: u64 = 0xA77A_C4E2;
 /// prove the same round hopeless.
 const ECC_PROBE_CIPHERTEXTS: u64 = 8;
 
+/// An AES collect checks its stops once per this many ciphertexts, and
+/// encrypts the ciphertexts between two checks as one batch.
+const COLLECT_BATCH: u64 = 64;
+
 /// Every ciphertext byte position: an S-box fault reaches all sixteen.
 const ALL_POSITIONS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
@@ -739,7 +743,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             let (outcome, data) = match steered.victim.kind() {
                 VictimCipherKind::AesSbox => {
                     let mut collector = PfaCollector::new();
-                    let outcome = p.collect_aes(&steered, &mut collector, &ALL_POSITIONS)?;
+                    let outcome = p.collect_aes(&steered.victim, &mut collector, &ALL_POSITIONS)?;
                     (outcome, CollectorState::Aes(Box::new(collector)))
                 }
                 VictimCipherKind::AesTtable => {
@@ -750,7 +754,8 @@ impl<'m, 'o> Pipeline<'m, 'o> {
                     match fault.classify_te() {
                         TeFaultClass::SLane { positions, .. } => {
                             let mut collector = PfaCollector::new();
-                            let outcome = p.collect_aes(&steered, &mut collector, &positions)?;
+                            let outcome =
+                                p.collect_aes(&steered.victim, &mut collector, &positions)?;
                             (outcome, CollectorState::Aes(Box::new(collector)))
                         }
                         // Filtered by template selection; defensive.
@@ -758,6 +763,9 @@ impl<'m, 'o> Pipeline<'m, 'o> {
                     }
                 }
                 VictimCipherKind::Present => {
+                    // One block at a time, unlike AES: convergence is
+                    // checked after every block, so no block after the
+                    // first converged one may be drawn.
                     let mut collector = PresentPfa::new();
                     let mut session = steered.victim.session(p.machine);
                     let outcome = loop {
@@ -808,6 +816,9 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     /// produce faulty ciphertexts and is discarded for the cost of the
     /// probe. A rising *detected* count (or silence) hands over to normal
     /// collection.
+    ///
+    /// The probe stays one block at a time: it reads the telemetry after
+    /// every encryption and stops at the first block that moves it.
     fn ecc_probe(
         &mut self,
         steered: &SteeredVictim,
@@ -839,13 +850,61 @@ impl<'m, 'o> Pipeline<'m, 'o> {
 
     /// Collects AES ciphertexts until `needed` positions are determined, a
     /// needed position proves unfaulted, or the budget runs out.
+    ///
+    /// The three stops are checked only when the collector's total is a
+    /// multiple of [`COLLECT_BATCH`], so the blocks up to the next check
+    /// are one [`VictimSession::encrypt_blocks`] batch: the same plaintexts
+    /// from the same RNG stream (one `fill` of `16·n` bytes draws what `n`
+    /// 16-byte fills draw), the same ciphertexts and the same machine as
+    /// [`Self::collect_aes_reference`], block by block, a crash included.
+    ///
+    /// [`VictimSession::encrypt_blocks`]: crate::victim::VictimSession::encrypt_blocks
     fn collect_aes(
         &mut self,
-        steered: &SteeredVictim,
+        victim: &VictimCipherService,
         collector: &mut PfaCollector,
         needed: &[usize],
     ) -> Result<CollectOutcome, AttackError> {
-        let mut session = steered.victim.session(self.machine);
+        let mut session = victim.session(self.machine);
+        let mut blocks = [[0u8; 16]; COLLECT_BATCH as usize];
+        loop {
+            let n = COLLECT_BATCH - collector.total() % COLLECT_BATCH;
+            let batch = &mut blocks[..n as usize];
+            let rng = &mut self.rng;
+            let result = session.encrypt_blocks(batch, |plain| rng.fill(plain));
+            let done = result.as_ref().map_or_else(|&(i, _)| i, |()| batch.len());
+            for block in &batch[..done] {
+                collector.observe(block);
+            }
+            self.counters.ciphertexts_collected += done as u64;
+            match result {
+                Ok(()) => {}
+                Err((_, e)) if walk_casualty(&e) => return Ok(CollectOutcome::VictimCrashed),
+                Err((_, e)) => return Err(e.into()),
+            }
+            if needed.iter().all(|&p| collector.unseen_count(p) == 1) {
+                return Ok(CollectOutcome::Converged);
+            }
+            if needed.iter().any(|&p| collector.unseen_count(p) == 0) {
+                return Ok(CollectOutcome::NoFault);
+            }
+            if collector.total() >= self.config.max_ciphertexts {
+                return Ok(CollectOutcome::Exhausted);
+            }
+        }
+    }
+
+    /// The block-at-a-time collect [`Self::collect_aes`] replaced, its
+    /// oracle: draw, encrypt and observe one block, and check the stops at
+    /// every multiple of [`COLLECT_BATCH`].
+    #[cfg(test)]
+    fn collect_aes_reference(
+        &mut self,
+        victim: &VictimCipherService,
+        collector: &mut PfaCollector,
+        needed: &[usize],
+    ) -> Result<CollectOutcome, AttackError> {
+        let mut session = victim.session(self.machine);
         loop {
             let mut block = [0u8; 16];
             self.rng.fill(&mut block[..]);
@@ -856,7 +915,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             }
             collector.observe(&block);
             self.counters.ciphertexts_collected += 1;
-            if collector.total() % 64 == 0 {
+            if collector.total() % COLLECT_BATCH == 0 {
                 if needed.iter().all(|&p| collector.unseen_count(p) == 1) {
                     return Ok(CollectOutcome::Converged);
                 }
@@ -1171,6 +1230,8 @@ mod tests {
     use crate::events::TraceCollector;
     use crate::{run_spray_baseline, ExplFrame, RunOptions};
     use memsim::CpuId;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     fn config(seed: u64) -> ExplFrameConfig {
         ExplFrameConfig::small_demo(seed).with_template_pages(512)
@@ -1268,6 +1329,110 @@ mod tests {
         assert!(no_such_cpu(pipe.steer(&released).map(drop)));
         assert!(no_such_cpu(pipe.spawn_victim(victim.victim).map(drop)));
         assert_eq!(pipe.counters().fault_rounds, 0, "no round was started");
+    }
+
+    /// One collect on a fork of `snapshot`, batched or block by block:
+    /// its outcome, its collector (having first observed `pre`), the
+    /// ciphertexts it counted, the pipeline RNG's next word and the machine.
+    fn collect_on(
+        snapshot: &MachineSnapshot,
+        config: &ExplFrameConfig,
+        victim: &VictimCipherService,
+        pre: &[[u8; 16]],
+        needed: &[usize],
+        batched: bool,
+    ) -> (
+        Result<CollectOutcome, String>,
+        PfaCollector,
+        u64,
+        u64,
+        SimMachine,
+    ) {
+        let mut machine = snapshot.fork();
+        let mut pipe = Pipeline::new(&mut machine, config.clone());
+        let mut collector = PfaCollector::new();
+        for block in pre {
+            collector.observe(block);
+        }
+        let outcome = if batched {
+            pipe.collect_aes(victim, &mut collector, needed)
+        } else {
+            pipe.collect_aes_reference(victim, &mut collector, needed)
+        };
+        let collected = pipe.counters().ciphertexts_collected;
+        let next = pipe.rng.next_u64();
+        drop(pipe);
+        (
+            outcome.map_err(|e| format!("{e:?}")),
+            collector,
+            collected,
+            next,
+            machine,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The batched collect against the block-at-a-time one it
+        /// replaced, over seeds, both AES victims, tables with and without
+        /// a fault, needed positions, budgets that end in every stop, a
+        /// collector that already holds 0 to 63 ciphertexts (so the first
+        /// batch is short), and walk mode with the victim's leaf PTE
+        /// corrupted (a crash at the first block): the same outcome,
+        /// collector, count, machine and RNG stream, so the crash path
+        /// draws as many plaintexts as the reference.
+        #[test]
+        fn batched_collect_matches_the_block_at_a_time_reference(
+            seed in 0u64..1 << 20,
+            ttable in any::<bool>(),
+            walk in any::<bool>(),
+            faulted in any::<bool>(),
+            offset in 0u64..4096,
+            bit in 0u8..8,
+            needed in prop::collection::vec(0usize..16, 1..5),
+            budget in prop_oneof![Just(60_000u64), 1u64..3000],
+            pre in prop::collection::vec(any::<[u8; 16]>(), 0..64),
+        ) {
+            let kind = if ttable {
+                VictimCipherKind::AesTtable
+            } else {
+                VictimCipherKind::AesSbox
+            };
+            let mut config = ExplFrameConfig::small_demo(seed);
+            config.max_ciphertexts = budget;
+            config.machine = config.machine.with_dram_page_tables(walk);
+            let mut m = SimMachine::new(config.machine.clone());
+            let keys = VictimKeys::from_seed(seed);
+            let victim = VictimCipherService::start(&mut m, CpuId(0), kind, keys).unwrap();
+            if faulted {
+                let offset = offset % kind.image_len() as u64;
+                let pa = m.translate(victim.pid(), victim.table_base() + offset).unwrap();
+                let byte = m.dram_mut().read_byte(pa);
+                m.dram_mut().write_byte(pa, byte ^ (1 << bit));
+            }
+            if walk {
+                let slot = m.pte_phys(victim.pid(), victim.table_base()).unwrap();
+                let mut pte = [0u8; 8];
+                m.dram_mut().read(slot, &mut pte);
+                let wild = u64::from_le_bytes(pte) | (1 << 40);
+                m.dram_mut().write(slot, &wild.to_le_bytes());
+                m.flush_tlb();
+            }
+            let snapshot = m.snapshot();
+            let run = |batched| collect_on(&snapshot, &config, &victim, &pre, &needed, batched);
+            let (outcome, collector, collected, next, machine) = run(true);
+            let reference = run(false);
+            prop_assert_eq!(&outcome, &reference.0);
+            prop_assert!(collector == reference.1, "collectors differ");
+            prop_assert_eq!(collected, reference.2);
+            prop_assert_eq!(next, reference.3, "the RNG streams diverged");
+            prop_assert!(machine == reference.4, "machines differ");
+            if walk {
+                prop_assert_eq!(outcome, Ok(CollectOutcome::VictimCrashed));
+                prop_assert_eq!(collected, 0);
+            }
+        }
     }
 
     #[test]

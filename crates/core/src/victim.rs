@@ -3,8 +3,8 @@
 
 use ciphers::{
     expand_key, present80_encrypt, present80_round_keys, sbox_aes_byte_reads, sbox_aes_encrypt,
-    ttable_aes_byte_reads, ttable_aes_encrypt, words_aes_encrypt, AesKeySize, AesWordTables,
-    RoundKeys, TableSource, PRESENT80_BYTE_READS,
+    ttable_aes_byte_reads, ttable_aes_encrypt, words_aes_encrypt, words_aes_encrypt_blocks,
+    AesKeySize, AesWordTables, RoundKeys, TableSource, PRESENT80_BYTE_READS,
 };
 use machine::{MachineError, Pid, ReadRun, SimMachine, VirtAddr};
 use memsim::{CpuId, Pfn, PAGE_SIZE};
@@ -140,6 +140,7 @@ impl VictimCipherService {
             run: ReadRun::new(self.pid, self.base, self.kind.image_len()),
             words: None,
             warm_encryptions: 0,
+            plain: Vec::new(),
         }
     }
 
@@ -190,9 +191,7 @@ impl KeyedCipher {
     }
 
     /// The encryption [`Self::encrypt`] computes over the fixed table
-    /// `image`: for AES over word tables prepared from `image` into `words`
-    /// on the first call, which later calls must pass the same `image`.
-    /// With `verify`, debug builds check that they do.
+    /// `image`: for AES over the word tables of [`Self::words`].
     fn encrypt_fixed(
         &self,
         words: &mut Option<Box<AesWordTables>>,
@@ -200,17 +199,33 @@ impl KeyedCipher {
         block: &mut [u8],
         verify: bool,
     ) {
+        match self.words(words, image, verify) {
+            Some((keys, tables)) => words_aes_encrypt(keys, tables, aes_block(block)),
+            None => self.encrypt(&mut &*image, block),
+        }
+    }
+
+    /// For AES, the round keys and the word tables of the fixed table
+    /// `image`, prepared into `words` on the first call, which later calls
+    /// must pass the same `image`; with `verify`, debug builds check that
+    /// they do. `None` for PRESENT, which has no word tables.
+    fn words<'a>(
+        &'a self,
+        words: &'a mut Option<Box<AesWordTables>>,
+        image: &[u8],
+        verify: bool,
+    ) -> Option<(&'a RoundKeys, &'a AesWordTables)> {
         let (keys, prepare): (_, fn(&[u8]) -> AesWordTables) = match self {
             KeyedCipher::AesSbox(keys) => (keys, AesWordTables::from_sbox),
             KeyedCipher::AesTtable(keys) => (keys, AesWordTables::from_te),
-            KeyedCipher::Present(_) => return self.encrypt(&mut &*image, block),
+            KeyedCipher::Present(_) => return None,
         };
         let tables = words.get_or_insert_with(|| Box::new(prepare(image)));
         debug_assert!(
             !verify || **tables == prepare(image),
             "word tables of another image"
         );
-        words_aes_encrypt(keys, tables, aes_block(block));
+        Some((keys, tables))
     }
 
     /// The table bytes [`Self::encrypt`] reads per block, whatever the
@@ -226,8 +241,9 @@ impl KeyedCipher {
 
 /// One warm encryption in this many, the first of a session included,
 /// checks in debug builds that the session's word tables are those of the
-/// table copy it runs on. Re-deriving the tables for every block would
-/// double the debug run time of a collect.
+/// table copy it runs on; a warm batch checks once if it holds such an
+/// encryption. Re-deriving the tables for every block would double the
+/// debug run time of a collect.
 const WORDS_CHECK_PERIOD: u64 = 64;
 
 fn aes_block(block: &mut [u8]) -> &mut [u8; 16] {
@@ -262,6 +278,16 @@ fn aes_block(block: &mut [u8]) -> &mut [u8; 16] {
 /// session is warm it stays warm, over the same bytes, to its end. Debug
 /// builds check the tables against the copy on one warm encryption in 64,
 /// the first included.
+///
+/// [`Self::encrypt_blocks`] is the batch form for AES, and equals
+/// [`Self::encrypt`] block by block. While the session is cold it is that
+/// loop: each block is drawn, then encrypted per byte, so a fault stops it
+/// at the same block with the same error. Once the session is warm, the
+/// rest of the batch is drawn in one call, encrypted by
+/// [`words_aes_encrypt_blocks`] and charged in one [`SimMachine::read_warm`]
+/// step of `n ×` the per-block reads — the same counters and the same
+/// clock as `n` single charges. Debug builds check the tables once per warm
+/// batch that holds an encryption the one-in-64 rule would check.
 #[derive(Debug)]
 pub struct VictimSession<'m> {
     block_bytes: usize,
@@ -272,6 +298,10 @@ pub struct VictimSession<'m> {
     /// encryption on.
     words: Option<Box<AesWordTables>>,
     warm_encryptions: u64,
+    /// The plaintext bytes of a warm batch, drawn in one call and copied
+    /// into its blocks (the minimum supported Rust predates
+    /// `as_flattened_mut`, which would draw into the blocks in place).
+    plain: Vec<u8>,
 }
 
 impl VictimSession<'_> {
@@ -303,6 +333,62 @@ impl VictimSession<'_> {
             self.warm_encryptions += 1;
             return Ok(());
         }
+        self.encrypt_per_byte(block)
+    }
+
+    /// Encrypts the AES blocks of `blocks` in order, each plaintext written
+    /// by `draw` — what [`Self::encrypt`] on each block, drawn just before
+    /// it, would do, byte for byte and tick for tick. While the session is
+    /// cold, `draw` gets one block at a time, just before that block is
+    /// encrypted; once it is warm, `draw` gets the rest of the batch in one
+    /// call. So `draw` is never asked for a block after one that faulted.
+    ///
+    /// # Errors
+    ///
+    /// `(i, error)` when block `i` faulted, as [`Self::encrypt`] would on
+    /// it: blocks `..i` hold their ciphertexts, block `i` garbage, and the
+    /// blocks after it were neither drawn nor encrypted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service's cipher is not AES.
+    pub fn encrypt_blocks(
+        &mut self,
+        blocks: &mut [[u8; 16]],
+        mut draw: impl FnMut(&mut [u8]),
+    ) -> Result<(), (usize, MachineError)> {
+        assert_eq!(self.block_bytes, 16, "batches are of AES blocks");
+        for i in 0..blocks.len() {
+            let rest = &mut blocks[i..];
+            let (cipher, words) = (&self.cipher, &mut self.words);
+            let (first, n) = (self.warm_encryptions, rest.len() as u64);
+            // A multiple of the check period among this batch's warm
+            // encryption numbers `first..first + n`.
+            let verify =
+                (first + n).div_ceil(WORDS_CHECK_PERIOD) > first.div_ceil(WORDS_CHECK_PERIOD);
+            let plain = &mut self.plain;
+            let warm = self.machine.read_warm(&mut self.run, |table| {
+                plain.resize(16 * rest.len(), 0);
+                draw(plain);
+                for (block, bytes) in rest.iter_mut().zip(plain.chunks_exact(16)) {
+                    block.copy_from_slice(bytes);
+                }
+                let (keys, tables) = cipher.words(words, table, verify).expect("an AES session");
+                words_aes_encrypt_blocks(keys, tables, rest);
+                ((), n * cipher.byte_reads())
+            });
+            if warm.is_some() {
+                self.warm_encryptions += n;
+                return Ok(());
+            }
+            draw(&mut rest[0]);
+            self.encrypt_per_byte(&mut rest[0]).map_err(|e| (i, e))?;
+        }
+        Ok(())
+    }
+
+    /// One encryption with every table lookup read through the run's memo.
+    fn encrypt_per_byte(&mut self, block: &mut [u8]) -> Result<(), MachineError> {
         let mut src = MachineTableSource::new(self.machine, &mut self.run);
         self.cipher.encrypt(&mut src, block);
         src.take_fault().map_or(Ok(()), Err)

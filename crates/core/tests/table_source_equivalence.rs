@@ -12,6 +12,13 @@
 //! faulted before the session opened: the closed form runs AES on word
 //! tables prepared from the session's table copy, so it must carry the
 //! fault exactly as the byte reads do.
+//!
+//! `VictimSession::encrypt_blocks`, the batch form a collect runs, has one
+//! `VictimSession::encrypt` per block as its oracle: held sessions driven
+//! in batches of random lengths must match twins driven one block at a
+//! time after every batch — cold and warm blocks, batches straddling the
+//! cold→warm switch and tREFI boundaries, faulted tables and a walk-mode
+//! crash included.
 
 use ciphers::{
     expand_key, ttable_aes_encrypt, AesKeySize, BlockCipher, Present80, ReferenceAes, SboxAes,
@@ -24,6 +31,8 @@ use machine::{
     WARMUP_PAGES,
 };
 use memsim::CpuId;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// The scalar oracle: one plain `SimMachine::read` per table byte, with the
 /// same first-fault capture as `MachineTableSource`.
@@ -559,4 +568,216 @@ fn a_flip_inside_a_held_session_matches_scalar_reads() {
         fast_machine.snapshot() == oracle.snapshot(),
         "machine state diverged"
     );
+}
+
+/// What [`assert_batches_match_single_blocks`] saw.
+#[derive(Debug, Default)]
+struct BatchRun {
+    /// Blocks the batched session encrypted, a faulting one included.
+    blocks: usize,
+    /// Encryptions the closed form served.
+    warm: u64,
+    /// Refreshes the command clock retired during the run.
+    refs: u64,
+    /// Batches that began cold and ended warm: the cold→warm switch
+    /// landed inside them.
+    switched_mid_batch: usize,
+    /// The first fault: the block's index in the whole run, and its error.
+    fault: Option<(usize, MachineError)>,
+}
+
+/// Drives `svc` through one held session on a fork of `snapshot` in
+/// batches of random lengths from 0 to 70 (drawn from `seed`) until
+/// `blocks` blocks are done or one faults, and a twin session on another
+/// fork one `encrypt` at a time. Both draw their plaintexts from twin RNG
+/// streams, the batch through its `draw` callback. After every batch the
+/// ciphertexts, the result (the faulting block's index and error
+/// included), the RNG streams (so both drew the same number of blocks),
+/// the closed-form count, the machine, TLB and DRAM counters, the clock
+/// and the whole machine (whose equality covers every cache and its
+/// counters) must match.
+fn assert_batches_match_single_blocks(
+    snapshot: &MachineSnapshot,
+    svc: &VictimCipherService,
+    seed: u64,
+    blocks: usize,
+) -> BatchRun {
+    let (mut batched, mut single) = (snapshot.fork(), snapshot.fork());
+    let mut lengths = StdRng::seed_from_u64(seed);
+    let mut batch_plains = StdRng::seed_from_u64(!seed);
+    let mut single_plains = StdRng::seed_from_u64(!seed);
+    let kind = svc.kind();
+    let mut session = svc.session(&mut batched);
+    let mut twin = svc.session(&mut single);
+    let mut run = BatchRun::default();
+    let refs_before = session.machine().dram().stats().refs;
+    let mut k = 0;
+    while run.blocks < blocks {
+        let len = lengths.gen_range(0..=70usize).min(blocks - run.blocks);
+        let warm_before = session.warm_encryptions();
+        let mut batch = vec![[0u8; 16]; len];
+        let result = session.encrypt_blocks(&mut batch, |plain| batch_plains.fill(plain));
+        let mut expect = Ok(());
+        let mut singles = Vec::new();
+        for i in 0..len {
+            let mut block = [0u8; 16];
+            single_plains.fill(&mut block[..]);
+            let one = twin.encrypt(&mut block);
+            singles.push(block);
+            if let Err(e) = one {
+                expect = Err((i, e));
+                break;
+            }
+        }
+        assert_eq!(result, expect, "{kind:?} batch {k}");
+        assert_eq!(batch[..singles.len()], singles[..], "{kind:?} batch {k}");
+        assert_eq!(
+            batch_plains.clone().next_u64(),
+            single_plains.clone().next_u64(),
+            "{kind:?} batch {k}: the batch drew another number of blocks"
+        );
+        assert_eq!(
+            session.warm_encryptions(),
+            twin.warm_encryptions(),
+            "{kind:?} batch {k}"
+        );
+        let (a, b) = (session.machine(), twin.machine());
+        assert_eq!(a.now(), b.now(), "{kind:?} batch {k}");
+        assert_eq!(a.stats(), b.stats(), "{kind:?} batch {k}");
+        assert_eq!(a.tlb().stats(), b.tlb().stats(), "{kind:?} batch {k}");
+        assert_eq!(a.dram().stats(), b.dram().stats(), "{kind:?} batch {k}");
+        assert!(a == b, "{kind:?} batch {k}: machine state diverged");
+        let warm_after = session.warm_encryptions();
+        run.switched_mid_batch +=
+            usize::from(warm_before == 0 && warm_after > 0 && warm_after < len as u64);
+        if let Err((i, e)) = result {
+            run.blocks += i + 1;
+            run.fault = Some((run.blocks - 1, e));
+            break;
+        }
+        run.blocks += len;
+        k += 1;
+    }
+    run.warm = session.warm_encryptions();
+    run.refs = session.machine().dram().stats().refs - refs_before;
+    run
+}
+
+/// A victim of `kind` started on a warm machine of `config`, with bit
+/// `fault.1` of table byte `fault.0` flipped through `dram_mut` and the
+/// table lines listed in `flushed` flushed, all before the snapshot.
+fn batch_scene(
+    config: MachineConfig,
+    kind: VictimCipherKind,
+    fault: Option<(u64, u8)>,
+    flushed: &[u64],
+) -> (MachineSnapshot, VictimCipherService) {
+    let mut m = warm_boot(config, CpuId(0), WARMUP_PAGES);
+    let svc = VictimCipherService::start(&mut m, CpuId(0), kind, VictimKeys::from_seed(9))
+        .expect("victim start");
+    if let Some((offset, bit)) = fault {
+        let pa = m.translate(svc.pid(), svc.table_base() + offset);
+        let pa = pa.expect("table mapped");
+        let byte = m.dram_mut().read_byte(pa);
+        m.dram_mut().write_byte(pa, byte ^ (1 << bit));
+    }
+    for &line in flushed {
+        m.clflush(svc.pid(), svc.table_base() + line * 64)
+            .expect("clflush");
+    }
+    (m.snapshot(), svc)
+}
+
+const AES_KINDS: [VictimCipherKind; 2] = [VictimCipherKind::AesSbox, VictimCipherKind::AesTtable];
+
+#[test]
+fn batched_sessions_match_single_blocks_and_switch_to_closed_form_mid_batch() {
+    for (seed, config) in [
+        (21, MachineConfig::small(21)),
+        (22, MachineConfig::small(22).with_dram_page_tables(true)),
+    ] {
+        for kind in AES_KINDS {
+            // Flushed table lines keep the session cold for a few blocks.
+            for flushed in [&[][..], &[0, 2, 3][..]] {
+                let (snapshot, svc) = batch_scene(config.clone(), kind, None, flushed);
+                let run = assert_batches_match_single_blocks(&snapshot, &svc, seed, 400);
+                assert!(run.fault.is_none(), "{kind:?}: {:?}", run.fault);
+                assert!(run.warm > 0, "{kind:?}: the closed form never engaged");
+                assert_eq!(
+                    run.switched_mid_batch, 1,
+                    "{kind:?}, flushed {flushed:?}: the cold→warm switch fell between batches"
+                );
+            }
+        }
+    }
+}
+
+/// The command clock on: a warm batch charges `n` blocks' reads in one
+/// step, which must retire the same refreshes as `n` single charges,
+/// over runs spanning several tREFI at the standard and at shortened
+/// refresh intervals.
+#[test]
+fn batched_sessions_match_single_blocks_across_trefi() {
+    for (seed, scale) in [(23, 1.0), (24, 0.37), (25, 0.05)] {
+        let mut config = timed(seed);
+        config.dram.timing = config.dram.timing.with_refresh_scale(scale);
+        for kind in AES_KINDS {
+            let (snapshot, svc) = batch_scene(config.clone(), kind, None, &[]);
+            let run = assert_batches_match_single_blocks(&snapshot, &svc, seed, 600);
+            assert!(run.warm > 0, "{kind:?}: the closed form never engaged");
+            assert!(
+                run.refs >= 4,
+                "{kind:?} at scale {scale}: the run spanned only {} tREFI",
+                run.refs
+            );
+        }
+    }
+}
+
+/// Tables faulted through `dram_mut` before the session opens: the batch
+/// kernel runs on word tables prepared from the faulted copy.
+#[test]
+fn batched_sessions_over_faulted_tables_match_single_blocks() {
+    let s_lane = TableImage::te_entry_offset(2, 0x17) + FINAL_ROUND_S_LANE[2];
+    let other_lane = TableImage::te_entry_offset(0, 0xc4) + (FINAL_ROUND_S_LANE[0] + 2) % 4;
+    let cases = [
+        (VictimCipherKind::AesSbox, 0x3a, 2),
+        (VictimCipherKind::AesSbox, 0xff, 7),
+        (VictimCipherKind::AesTtable, s_lane, 5),
+        (VictimCipherKind::AesTtable, other_lane, 1),
+    ];
+    for (i, (kind, offset, bit)) in cases.into_iter().enumerate() {
+        let fault = Some((offset as u64, bit));
+        let (snapshot, svc) = batch_scene(MachineConfig::small(26), kind, fault, &[]);
+        let run = assert_batches_match_single_blocks(&snapshot, &svc, 30 + i as u64, 500);
+        assert!(run.warm > 0, "{kind:?}: the closed form never engaged");
+    }
+}
+
+/// Walk mode with the victim's leaf PTE corrupted and the TLB shot down:
+/// the batch faults at the block the single-block twin faults at, with
+/// the same error, and draws no block after it.
+#[test]
+fn batched_walk_mode_fault_is_captured_at_the_same_block() {
+    for kind in AES_KINDS {
+        let mut m = warm_boot(
+            MachineConfig::small(27).with_dram_page_tables(true),
+            CpuId(0),
+            WARMUP_PAGES,
+        );
+        let svc = VictimCipherService::start(&mut m, CpuId(0), kind, VictimKeys::from_seed(5))
+            .expect("victim start");
+        let slot = m.pte_phys(svc.pid(), svc.table_base()).expect("leaf PTE");
+        let mut pte = [0u8; 8];
+        m.dram_mut().read(slot, &mut pte);
+        let wild = u64::from_le_bytes(pte) | (1 << 40);
+        m.dram_mut().write(slot, &wild.to_le_bytes());
+        m.flush_tlb();
+        let run = assert_batches_match_single_blocks(&m.snapshot(), &svc, 28, 200);
+        assert!(
+            matches!(run.fault, Some((0, MachineError::Unmapped { .. }))),
+            "{kind:?}: the corrupted walk must fault the first block: {:?}",
+            run.fault
+        );
+    }
 }

@@ -12,7 +12,7 @@ use ciphers::{invert_last_round_key_128, ReferenceAes};
 /// Per-position ciphertext-byte histograms for the missing-value analysis.
 ///
 /// See the crate-level example for a full run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PfaCollector {
     unseen_counts: [u16; 16],
     /// Per position, how often each value appeared: a value is seen iff

@@ -16,7 +16,9 @@
 //! its L1 set and the span's bytes are raw, *every* read of the span would
 //! be such a memo hit, and a memo hit changes no LRU state. A whole batch
 //! of reads then has a closed form: [`SimMachine::read_warm`] hands the
-//! batch the raw span and charges its reads in one step.
+//! batch the raw span and charges its reads in one step. A batch may be
+//! any number of encryptions: a victim session charges a whole warm
+//! collect batch, `n` blocks of a fixed read count each, in one call.
 
 use std::ops::Range;
 
@@ -242,7 +244,11 @@ impl SimMachine {
     /// reads it made, `n`. Since a memo hit changes no LRU state, `n` of them
     /// in any order charge exactly what this charges in one step: `n` machine
     /// reads, TLB hits, L1 hits and DRAM reads, and `n` L1 latencies on the
-    /// clock (refresh draining is closed form in the clock).
+    /// clock (refresh draining is closed form in the clock). So one call
+    /// for a batch of encryptions charges what one call per encryption
+    /// would, across tREFI boundaries too; `explframe_core::VictimSession`
+    /// makes one call per warm batch of AES blocks, and reads block by
+    /// block through [`Self::read_byte_in`] while the run is cold.
     ///
     /// See [`ReadRun`] for the contract between reads of one run.
     ///
