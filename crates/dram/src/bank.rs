@@ -11,135 +11,25 @@
 //! of dividing.
 //!
 //! The row table holds one `(units, window)` slot per row, indexed by row,
-//! in copy-on-write blocks of [`BLOCK_ROWS`] rows, and each bank's run of
-//! blocks is copy-on-write too. A never-written block takes no storage and
+//! in a [`perf::cow::Table`]: copy-on-write blocks of rows in a
+//! copy-on-write run per bank. A never-written block takes no storage and
 //! a row in it reads as `(0, 0)`: no disturbance in window 0, which every
 //! update treats exactly like a row never touched. A clone shares each
-//! bank's run, so every block; `clone_from` re-points a run that differs
-//! from the source's; and the first write after a clone copies out the
-//! bank's run (a reference count per block) and the one block written.
-//! Reads, and clears of a row already at `(0, 0)`, never copy.
+//! bank's table, `clone_from` re-points one that differs from the
+//! source's, and the first write after a clone copies out the bank's run
+//! and the one block written. Reads, and clears of a row already at
+//! `(0, 0)`, never copy.
 
-use std::sync::Arc;
+use perf::cow::Table;
 
 use crate::divisor::Divisor;
 use crate::timing::{DramTiming, Nanos};
-
-/// Rows per copy-on-write block of a bank's row table.
-const BLOCK_ROWS: usize = 64;
 
 /// Disturbance accumulated by one victim row within its current window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Disturbance {
     units: u64,
     window: u64,
-}
-
-/// Copy-on-write storage for a run of `T`s: no storage yet (every element
-/// at its default), shared with the clones it came from or went to, or
-/// owned.
-///
-/// Storage stays shared until its holder first writes it, which copies it
-/// out. Later writes go straight to the owned copy: checking an `Arc`'s
-/// uniqueness on every write costs a locked instruction, as much as the
-/// write itself.
-#[derive(Debug, Default)]
-enum Cow<T> {
-    /// Every element at its default and no storage: cloned without
-    /// touching a reference count.
-    #[default]
-    Empty,
-    Shared(Arc<[T]>),
-    Owned(Box<[T]>),
-}
-
-/// A row-table block: the slots of rows `b * BLOCK_ROWS..`, row
-/// `b * BLOCK_ROWS + i` at index `i`.
-type Block = Cow<Disturbance>;
-
-impl<T: Clone + Default> Cow<T> {
-    /// The stored elements; `None` when empty.
-    #[inline]
-    fn get(&self) -> Option<&[T]> {
-        match self {
-            Cow::Empty => None,
-            Cow::Shared(items) => Some(items),
-            Cow::Owned(items) => Some(items),
-        }
-    }
-
-    /// The elements to write, `len` of them; see [`Self::unshare`].
-    #[inline]
-    fn get_mut(&mut self, len: usize) -> &mut [T] {
-        if !matches!(self, Cow::Owned(_)) {
-            self.unshare(len);
-        }
-        match self {
-            Cow::Owned(items) => items,
-            Cow::Empty | Cow::Shared(_) => unreachable!("unshared above"),
-        }
-    }
-
-    /// Makes the storage owned: copies shared storage out, or gives empty
-    /// storage `len` default elements. Once per run per fork, so kept out
-    /// of line of the per-update path.
-    #[cold]
-    #[inline(never)]
-    fn unshare(&mut self, len: usize) {
-        let items = match self {
-            Cow::Empty => vec![T::default(); len].into_boxed_slice(),
-            Cow::Shared(items) => Box::from(&items[..]),
-            Cow::Owned(_) => return,
-        };
-        *self = Cow::Owned(items);
-    }
-}
-
-impl<T> Cow<T> {
-    /// Whether `self` and `other` are both empty or one allocation.
-    fn same(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Cow::Empty, Cow::Empty) => true,
-            (Cow::Shared(a), Cow::Shared(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-/// Runs are equal when their elements are, however they are stored.
-impl<T: Clone + Default + PartialEq> PartialEq for Cow<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.same(other)
-            || match (self.get(), other.get()) {
-                (Some(a), Some(b)) => a == b,
-                (Some(items), None) | (None, Some(items)) => {
-                    items.iter().all(|x| *x == T::default())
-                }
-                (None, None) => true,
-            }
-    }
-}
-
-impl<T: Clone + Default + Eq> Eq for Cow<T> {}
-
-/// A clone is never owned: cloning shared storage bumps its count and
-/// cloning owned storage copies it into a new shared allocation.
-impl<T: Clone> Clone for Cow<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Cow::Empty => Cow::Empty,
-            Cow::Shared(items) => Cow::Shared(Arc::clone(items)),
-            Cow::Owned(items) => Cow::Shared(Arc::from(&items[..])),
-        }
-    }
-
-    /// Keeps storage already shared with `source`: restoring a snapshot
-    /// costs one comparison per run the trial left alone.
-    fn clone_from(&mut self, source: &Self) {
-        if !self.same(source) {
-            *self = source.clone();
-        }
-    }
 }
 
 /// The refresh schedule of a device's rows, with its divisions
@@ -201,41 +91,26 @@ impl Refresh {
     }
 }
 
-/// State of a single DRAM bank.
-///
-/// The row table is copy-on-write at two levels: the bank's run of
-/// blocks, and each block. A fork of a snapshot shares the run outright;
-/// its first write copies out the run (one reference count per block) and
-/// the block written.
+/// State of a single DRAM bank: the open row and the row table.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct BankState {
     open_row: Option<u32>,
-    /// Block `b` holds rows `b * BLOCK_ROWS..`; `len` blocks in all.
-    blocks: Cow<Block>,
-    len: usize,
+    rows: Table<Disturbance>,
 }
 
 impl Clone for BankState {
     fn clone(&self) -> Self {
         BankState {
             open_row: self.open_row,
-            blocks: self.blocks.clone(),
-            len: self.len,
+            rows: self.rows.clone(),
         }
     }
 
-    /// Keeps the run of blocks when it is already shared with `source`.
+    /// Keeps the row table's run when it is already shared with `source`.
     fn clone_from(&mut self, source: &Self) {
         self.open_row = source.open_row;
-        self.blocks.clone_from(&source.blocks);
-        self.len = source.len;
+        self.rows.clone_from(&source.rows);
     }
-}
-
-/// The block of `row` and its slot within the block.
-#[inline]
-fn split(row: u32) -> (usize, usize) {
-    (row as usize / BLOCK_ROWS, row as usize % BLOCK_ROWS)
 }
 
 impl BankState {
@@ -243,33 +118,21 @@ impl BankState {
     pub(crate) fn new(rows: u32) -> Self {
         BankState {
             open_row: None,
-            blocks: Cow::Empty,
-            len: (rows as usize).div_ceil(BLOCK_ROWS),
+            rows: Table::new(rows as usize),
         }
     }
 
     /// The slot of `row`.
     #[inline]
     fn slot(&self, row: u32) -> Disturbance {
-        let (b, i) = split(row);
-        match self.blocks.get().and_then(|blocks| blocks[b].get()) {
-            Some(slots) => slots[i],
-            None => Disturbance::default(),
-        }
-    }
-
-    /// The slot of `row`, its run and block made writable first.
-    #[inline]
-    fn slot_mut(&mut self, row: u32) -> &mut Disturbance {
-        let (b, i) = split(row);
-        &mut self.blocks.get_mut(self.len)[b].get_mut(BLOCK_ROWS)[i]
+        *self.rows.get(row as usize)
     }
 
     /// The slot of `row`, reset to zero units in `window` unless it already
     /// counts that window.
     #[inline]
     fn slot_in_window(&mut self, row: u32, window: u64) -> &mut Disturbance {
-        let slot = self.slot_mut(row);
+        let slot = self.rows.get_mut(row as usize);
         if slot.window != window {
             *slot = Disturbance { units: 0, window };
         }
@@ -319,7 +182,7 @@ impl BankState {
     /// clear is left alone, so its block stays shared.
     pub(crate) fn clear_disturbance(&mut self, row: u32) {
         if self.slot(row) != Disturbance::default() {
-            *self.slot_mut(row) = Disturbance::default();
+            *self.rows.get_mut(row as usize) = Disturbance::default();
         }
     }
 
@@ -553,6 +416,9 @@ mod tests {
         }
     }
 
+    /// Rows per block of the row table.
+    const BLOCK_ROWS: usize = perf::cow::BLOCK;
+
     /// Rows in the oracle tables: four blocks.
     const ROWS: u32 = 4 * BLOCK_ROWS as u32;
 
@@ -645,11 +511,7 @@ mod tests {
     /// Whether each of `a`'s blocks is the same allocation as `b`'s (an
     /// absent run counting as empty blocks).
     fn shared(a: &BankState, b: &BankState) -> Vec<bool> {
-        let block = |bank: &BankState, i: usize| match bank.blocks.get() {
-            Some(blocks) => blocks[i].clone(),
-            None => Block::Empty,
-        };
-        (0..a.len).map(|i| block(a, i).same(&block(b, i))).collect()
+        a.rows.shared_blocks(&b.rows)
     }
 
     #[test]
@@ -667,7 +529,7 @@ mod tests {
         let witness = live.clone();
         let mut fork = snapshot.clone();
         assert!(
-            fork.blocks.same(&snapshot.blocks),
+            fork.rows.shares_run(&snapshot.rows),
             "clone must share the run"
         );
         assert_eq!(shared(&fork, &snapshot), [true; 4], "clone must share");
@@ -679,18 +541,18 @@ mod tests {
         fork.clear_disturbance(3 * edge + 1);
         fork.refresh_around(3 * edge + 9, 2, ROWS);
         assert!(fork.activate(edge + 5));
-        assert!(fork.blocks.same(&snapshot.blocks));
+        assert!(fork.rows.shares_run(&snapshot.rows));
 
         // One write copies out the run and exactly its own block.
         fork.add_disturbance(2 * edge + 63, 1, 10, &r);
-        assert!(!fork.blocks.same(&snapshot.blocks));
+        assert!(!fork.rows.shares_run(&snapshot.rows));
         assert_eq!(shared(&fork, &snapshot), [true, true, false, true]);
         assert_eq!(snapshot, witness);
         assert_eq!(live, witness);
 
         // Restoring re-points the run, so every block.
         fork.clone_from(&snapshot);
-        assert!(fork.blocks.same(&snapshot.blocks));
+        assert!(fork.rows.shares_run(&snapshot.rows));
         assert_eq!(fork, witness);
     }
 

@@ -318,7 +318,8 @@ pub struct DramDevice {
 }
 
 /// `clone_from` (the restore path) hands every field its own `clone_from`,
-/// so the chunk map, bank and flip-log allocations are reused.
+/// so the chunk and bank row tables re-point only what differs and the
+/// bank and flip-log allocations are reused.
 impl Clone for DramDevice {
     fn clone(&self) -> Self {
         DramDevice {

@@ -8,14 +8,18 @@
 //! flips of a templating sweep), and materialised byte buffers for anything
 //! written with structure.
 //!
-//! Patched and materialised chunks sit behind an [`Arc`], so cloning the
-//! store — the snapshot/fork path — is a copy-on-write overlay: the clone
-//! shares every chunk with the original, and a chunk is only duplicated
-//! when one side writes into it ([`Arc::make_mut`]).
+//! Chunks are indexed by chunk number in a [`perf::cow::Table`], where an
+//! absent chunk reads as `Uniform(0)`. Cloning the store — the
+//! snapshot/fork path — shares the whole table; the first write after a
+//! clone copies out the table's run of blocks and the one block of 64
+//! chunk entries it lands in. Patched and materialised chunks sit behind
+//! an [`Arc`] as well, so even a copied-out block shares their contents,
+//! and a chunk's bytes are only duplicated when one side writes into them
+//! ([`Arc::make_mut`]).
 
 use std::sync::Arc;
 
-use perf::FastMap;
+use perf::cow::Table;
 
 use crate::geometry::PhysAddr;
 
@@ -34,7 +38,7 @@ type ChunkBytes = [u8; CHUNK];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkView<'a> {
     /// Every byte holds this value: a filled chunk, or an absent one
-    /// reading as the store's default byte.
+    /// reading as 0.
     Uniform(u8),
     /// Every byte holds `base` except the listed `(offset, value)` bytes,
     /// which are in offset order and each differ from `base`.
@@ -130,11 +134,36 @@ impl PartialEq for Patches {
     }
 }
 
+/// One chunk's contents. An absent chunk is the default, `Uniform(0)`.
 #[derive(Debug, Clone)]
 enum ChunkData {
     Uniform(u8),
     Patched(Arc<Patches>),
     Bytes(Arc<ChunkBytes>),
+}
+
+impl Default for ChunkData {
+    fn default() -> Self {
+        ChunkData::Uniform(0)
+    }
+}
+
+/// Equality is over contents: a `Uniform` chunk equals a materialised
+/// chunk holding the same byte everywhere, and likewise a patched one.
+impl PartialEq for ChunkData {
+    fn eq(&self, other: &ChunkData) -> bool {
+        match (self, other) {
+            (ChunkData::Uniform(a), ChunkData::Uniform(b)) => a == b,
+            (ChunkData::Patched(a), ChunkData::Patched(b)) => a == b,
+            (ChunkData::Bytes(a), ChunkData::Bytes(b)) => Arc::ptr_eq(a, b) || a == b,
+            // A patched chunk holds at least one byte off its base.
+            (ChunkData::Uniform(_), ChunkData::Patched(_))
+            | (ChunkData::Patched(_), ChunkData::Uniform(_)) => false,
+            (data, ChunkData::Bytes(bytes)) | (ChunkData::Bytes(bytes), data) => {
+                bytes.iter().enumerate().all(|(i, &b)| data.byte(i) == b)
+            }
+        }
+    }
 }
 
 impl ChunkData {
@@ -162,22 +191,6 @@ impl ChunkData {
         match self {
             ChunkData::Uniform(b) => Some(*b),
             _ => None,
-        }
-    }
-
-    /// Effective content comparison: a `Uniform` chunk equals a materialised
-    /// chunk holding the same byte everywhere, and likewise a patched one.
-    fn content_eq(&self, other: &ChunkData) -> bool {
-        match (self, other) {
-            (ChunkData::Uniform(a), ChunkData::Uniform(b)) => a == b,
-            (ChunkData::Patched(a), ChunkData::Patched(b)) => a == b,
-            (ChunkData::Bytes(a), ChunkData::Bytes(b)) => Arc::ptr_eq(a, b) || a == b,
-            // A patched chunk holds at least one byte off its base.
-            (ChunkData::Uniform(_), ChunkData::Patched(_))
-            | (ChunkData::Patched(_), ChunkData::Uniform(_)) => false,
-            (data, ChunkData::Bytes(bytes)) | (ChunkData::Bytes(bytes), data) => {
-                bytes.iter().enumerate().all(|(i, &b)| data.byte(i) == b)
-            }
         }
     }
 
@@ -232,56 +245,35 @@ impl ChunkData {
 /// assert_eq!(m.materialized_chunks(), 0); // one patched byte
 /// ```
 ///
-/// Cloning is the snapshot/fork path: the clone shares every patched and
-/// materialised chunk with the original until either side writes into it.
-/// `clone_from` (the restore path) also reuses the chunk map's allocation.
-#[derive(Debug)]
+/// Cloning is the snapshot/fork path: the clone shares the chunk table
+/// until either side writes into it, and `clone_from` (the restore path)
+/// re-points a table that differs.
+///
+/// Equality is over *effective contents*: an absent chunk, a `Uniform(0)`
+/// chunk, and a materialised chunk holding 0 everywhere all compare equal
+/// (and a patched chunk equals its materialised bytes). Snapshot
+/// round-trip tests rely on this — representation may differ between a
+/// restored store and a freshly replayed one without changing a single
+/// observable byte.
+#[derive(Debug, PartialEq)]
 pub struct SparseMemory {
     capacity: u64,
-    default_byte: u8,
-    chunks: FastMap<u64, ChunkData>,
+    /// Chunk `c` holds bytes `c * CHUNK..`.
+    chunks: Table<ChunkData>,
 }
 
 impl Clone for SparseMemory {
     fn clone(&self) -> Self {
         SparseMemory {
             capacity: self.capacity,
-            default_byte: self.default_byte,
             chunks: self.chunks.clone(),
         }
     }
 
+    /// Keeps the chunk table's run when it is already shared with `source`.
     fn clone_from(&mut self, source: &Self) {
         self.capacity = source.capacity;
-        self.default_byte = source.default_byte;
         self.chunks.clone_from(&source.chunks);
-    }
-}
-
-/// Equality is over *effective contents*: an absent chunk, a `Uniform`
-/// chunk of the default byte, and a materialised chunk holding that byte
-/// everywhere all compare equal (and a patched chunk equals its
-/// materialised bytes). Snapshot round-trip tests rely on this —
-/// representation may differ between a restored store and a freshly
-/// replayed one without changing a single observable byte.
-impl PartialEq for SparseMemory {
-    fn eq(&self, other: &Self) -> bool {
-        if self.capacity != other.capacity || self.default_byte != other.default_byte {
-            return false;
-        }
-        let covers = |map: &FastMap<u64, ChunkData>, key: u64, rhs: &Self| {
-            let a = map.get(&key);
-            let b = rhs.chunks.get(&key);
-            match (a, b) {
-                (Some(x), Some(y)) => x.content_eq(y),
-                (Some(x), None) | (None, Some(x)) => {
-                    x.content_eq(&ChunkData::Uniform(self.default_byte))
-                }
-                (None, None) => true,
-            }
-        };
-        self.chunks.keys().all(|&k| covers(&self.chunks, k, other))
-            && other.chunks.keys().all(|&k| covers(&other.chunks, k, self))
     }
 }
 
@@ -295,8 +287,7 @@ impl SparseMemory {
         assert!(capacity > 0, "capacity must be non-zero");
         SparseMemory {
             capacity,
-            default_byte: 0,
-            chunks: FastMap::default(),
+            chunks: Table::new(capacity.div_ceil(CHUNK as u64) as usize),
         }
     }
 
@@ -309,7 +300,7 @@ impl SparseMemory {
     /// (uniform and patched chunks are not).
     pub fn materialized_chunks(&self) -> usize {
         self.chunks
-            .values()
+            .stored()
             .filter(|c| matches!(c, ChunkData::Bytes(_)))
             .count()
     }
@@ -324,18 +315,17 @@ impl SparseMemory {
         );
     }
 
-    fn chunk_byte(&self, chunk: u64) -> Option<u8> {
-        self.chunks
-            .get(&chunk)
-            .map_or(Some(self.default_byte), ChunkData::uniform)
+    /// The chunk holding byte `pos`, and `pos`'s offset in it.
+    fn locate(pos: u64) -> (usize, usize) {
+        ((pos / CHUNK as u64) as usize, (pos % CHUNK as u64) as usize)
     }
 
-    fn materialize(&mut self, chunk: u64) -> &mut ChunkBytes {
-        let default = self.default_byte;
-        self.chunks
-            .entry(chunk)
-            .or_insert(ChunkData::Uniform(default))
-            .bytes_mut()
+    /// Sets `chunk` to `Uniform(value)`, leaving it shared when it is
+    /// already that.
+    fn set_uniform(&mut self, chunk: usize, value: u8) {
+        if self.chunks.get(chunk).uniform() != Some(value) {
+            *self.chunks.get_mut(chunk) = ChunkData::Uniform(value);
+        }
     }
 
     /// The chunk starting at `addr` as stored: uniform chunks answer in
@@ -354,9 +344,7 @@ impl SparseMemory {
             "chunk_view needs a 4 KiB-aligned address"
         );
         self.check(addr, CHUNK as u64);
-        self.chunks
-            .get(&(addr.as_u64() / CHUNK as u64))
-            .map_or(ChunkView::Uniform(self.default_byte), ChunkData::view)
+        self.chunks.get(Self::locate(addr.as_u64()).0).view()
     }
 
     /// Reads a single byte.
@@ -366,10 +354,8 @@ impl SparseMemory {
     /// Panics if `addr` is beyond capacity.
     pub fn read_byte(&self, addr: PhysAddr) -> u8 {
         self.check(addr, 1);
-        let chunk = addr.as_u64() / CHUNK as u64;
-        self.chunks.get(&chunk).map_or(self.default_byte, |data| {
-            data.byte((addr.as_u64() % CHUNK as u64) as usize)
-        })
+        let (chunk, off) = Self::locate(addr.as_u64());
+        self.chunks.get(chunk).byte(off)
     }
 
     /// Writes a single byte. On a uniform chunk the byte is kept as a
@@ -383,24 +369,15 @@ impl SparseMemory {
         self.update_byte(addr, |_| value);
     }
 
-    /// Replaces the byte at `addr` with `f` of its current value, in one
-    /// probe of the chunk map.
+    /// Replaces the byte at `addr` with `f` of its current value. A write
+    /// that changes nothing leaves the chunk table shared.
     fn update_byte(&mut self, addr: PhysAddr, f: impl FnOnce(u8) -> u8) {
         self.check(addr, 1);
-        let chunk = addr.as_u64() / CHUNK as u64;
-        let off = (addr.as_u64() % CHUNK as u64) as usize;
-        match self.chunks.get_mut(&chunk) {
-            Some(data) => {
-                let value = f(data.byte(off));
-                data.set_byte(off, value);
-            }
-            None => {
-                let mut data = ChunkData::Uniform(self.default_byte);
-                data.set_byte(off, f(self.default_byte));
-                if data.uniform().is_none() {
-                    self.chunks.insert(chunk, data);
-                }
-            }
+        let (chunk, off) = Self::locate(addr.as_u64());
+        let old = self.chunks.get(chunk).byte(off);
+        let value = f(old);
+        if value != old {
+            self.chunks.get_mut(chunk).set_byte(off, value);
         }
     }
 
@@ -414,15 +391,10 @@ impl SparseMemory {
         let mut pos = addr.as_u64();
         let mut off = 0usize;
         while off < buf.len() {
-            let chunk = pos / CHUNK as u64;
-            let in_chunk = (pos % CHUNK as u64) as usize;
+            let (chunk, in_chunk) = Self::locate(pos);
             let n = (CHUNK - in_chunk).min(buf.len() - off);
             let dst = &mut buf[off..off + n];
-            let view = self
-                .chunks
-                .get(&chunk)
-                .map_or(ChunkView::Uniform(self.default_byte), ChunkData::view);
-            match view {
+            match self.chunks.get(chunk).view() {
                 ChunkView::Uniform(b) => dst.fill(b),
                 ChunkView::Patched { base, patches } => {
                     dst.fill(base);
@@ -452,20 +424,19 @@ impl SparseMemory {
         let mut pos = addr.as_u64();
         let mut off = 0usize;
         while off < data.len() {
-            let chunk = pos / CHUNK as u64;
-            let in_chunk = (pos % CHUNK as u64) as usize;
+            let (chunk, in_chunk) = Self::locate(pos);
             let n = (CHUNK - in_chunk).min(data.len() - off);
             let src = &data[off..off + n];
             let uniform = src
                 .first()
                 .copied()
                 .filter(|&b| src.iter().all(|&x| x == b));
-            if n == CHUNK && uniform.is_some() {
-                self.chunks.insert(chunk, ChunkData::Uniform(src[0]));
-            } else if uniform.is_none() || self.chunk_byte(chunk) != uniform {
-                // Anything but a no-op write into a uniform chunk of the
-                // same value.
-                self.materialize(chunk)[in_chunk..in_chunk + n].copy_from_slice(src);
+            match uniform {
+                Some(value) if n == CHUNK => self.set_uniform(chunk, value),
+                // A no-op write into a uniform chunk of the same value.
+                Some(value) if self.chunks.get(chunk).uniform() == Some(value) => {}
+                _ => self.chunks.get_mut(chunk).bytes_mut()[in_chunk..in_chunk + n]
+                    .copy_from_slice(src),
             }
             pos += n as u64;
             off += n;
@@ -483,13 +454,12 @@ impl SparseMemory {
         let mut pos = addr.as_u64();
         let end = pos + len;
         while pos < end {
-            let chunk = pos / CHUNK as u64;
-            let in_chunk = (pos % CHUNK as u64) as usize;
+            let (chunk, in_chunk) = Self::locate(pos);
             let n = ((CHUNK - in_chunk) as u64).min(end - pos) as usize;
             if n == CHUNK {
-                self.chunks.insert(chunk, ChunkData::Uniform(value));
-            } else if self.chunk_byte(chunk) != Some(value) {
-                self.materialize(chunk)[in_chunk..in_chunk + n].fill(value);
+                self.set_uniform(chunk, value);
+            } else if self.chunks.get(chunk).uniform() != Some(value) {
+                self.chunks.get_mut(chunk).bytes_mut()[in_chunk..in_chunk + n].fill(value);
             }
             pos += n as u64;
         }
@@ -599,8 +569,7 @@ mod tests {
         m.write(PhysAddr::new(0), b"structured");
         let fork = m.clone();
         // The clone holds the *same* allocation, not a copy.
-        let (ChunkData::Bytes(a), ChunkData::Bytes(b)) =
-            (m.chunks.get(&0).unwrap(), fork.chunks.get(&0).unwrap())
+        let (ChunkData::Bytes(a), ChunkData::Bytes(b)) = (m.chunks.get(0), fork.chunks.get(0))
         else {
             panic!("chunk 0 should be materialised in both stores");
         };
@@ -610,12 +579,48 @@ mod tests {
         m.write_byte(PhysAddr::new(1), b'X');
         assert_eq!(m.read_byte(PhysAddr::new(1)), b'X');
         assert_eq!(fork.read_byte(PhysAddr::new(1)), b't');
-        let (ChunkData::Bytes(a), ChunkData::Bytes(b)) =
-            (m.chunks.get(&0).unwrap(), fork.chunks.get(&0).unwrap())
+        let (ChunkData::Bytes(a), ChunkData::Bytes(b)) = (m.chunks.get(0), fork.chunks.get(0))
         else {
             panic!("chunk 0 should stay materialised");
         };
         assert!(!Arc::ptr_eq(a, b), "write must unshare the chunk");
+    }
+
+    #[test]
+    fn clone_shares_the_chunk_table_until_a_write_changes_a_byte() {
+        let mut live = SparseMemory::new(3 * 64 * CHUNK as u64);
+        live.fill(PhysAddr::new(0), 4096, 0xAA);
+        live.write(PhysAddr::new(70 * CHUNK as u64), b"structured");
+        live.write_byte(PhysAddr::new(130 * CHUNK as u64 + 9), 0x11);
+        let snapshot = live.clone();
+        let mut fork = snapshot.clone();
+        assert!(
+            fork.chunks.shares_run(&snapshot.chunks),
+            "clone must share the table"
+        );
+
+        // Nothing that leaves every byte as it was may unshare the table.
+        let mut buf = [0u8; 3 * CHUNK];
+        fork.read(PhysAddr::new(69 * CHUNK as u64), &mut buf);
+        assert_eq!(&buf[CHUNK..CHUNK + 10], b"structured");
+        assert!(matches!(view(&fork, 130), ChunkView::Patched { .. }));
+        fork.write_byte(PhysAddr::new(70 * CHUNK as u64), b's');
+        fork.write_bit(PhysAddr::new(130 * CHUNK as u64 + 9), 0, true);
+        fork.write(PhysAddr::new(5), &[0xAA; 7]);
+        fork.fill(PhysAddr::new(0), 4096, 0xAA);
+        fork.fill(PhysAddr::new(100 * CHUNK as u64 + 1), 5, 0);
+        assert!(fork.chunks.shares_run(&snapshot.chunks));
+
+        // A write that changes a byte copies out the run and its block.
+        fork.write_byte(PhysAddr::new(70 * CHUNK as u64), b'S');
+        assert!(!fork.chunks.shares_run(&snapshot.chunks));
+        assert_eq!(
+            fork.chunks.shared_blocks(&snapshot.chunks),
+            [true, false, true]
+        );
+        assert_eq!(snapshot, live);
+        fork.clone_from(&snapshot);
+        assert!(fork.chunks.shares_run(&snapshot.chunks));
     }
 
     /// The stored form of chunk `chunk`, as [`SparseMemory::chunk_view`]
@@ -707,7 +712,7 @@ mod tests {
         m.fill(PhysAddr::new(0), 4096, 0xFF);
         m.write_byte(PhysAddr::new(3), 0x7F);
         let fork = m.clone();
-        let shared = |a: &SparseMemory, b: &SparseMemory| match (&a.chunks[&0], &b.chunks[&0]) {
+        let shared = |a: &SparseMemory, b: &SparseMemory| match (a.chunks.get(0), b.chunks.get(0)) {
             (ChunkData::Patched(x), ChunkData::Patched(y)) => Arc::ptr_eq(x, y),
             _ => panic!("chunk 0 should be patched in both stores"),
         };
@@ -766,7 +771,11 @@ mod tests {
     fn chunk_view_of_an_absent_chunk_is_the_default_byte() {
         let m = SparseMemory::new(1 << 16);
         assert_eq!(m.chunk_view(PhysAddr::new(0x3000)), ChunkView::Uniform(0));
-        assert!(m.chunks.is_empty(), "a query must not insert the chunk");
+        assert_eq!(
+            m.chunks.stored().count(),
+            0,
+            "a query must not store the chunk"
+        );
     }
 
     #[test]
@@ -788,7 +797,7 @@ mod tests {
         let ChunkView::Bytes(bytes) = m.chunk_view(PhysAddr::new(0x2000)) else {
             panic!("a written chunk is materialised");
         };
-        let ChunkData::Bytes(stored) = m.chunks.get(&2).unwrap() else {
+        let ChunkData::Bytes(stored) = m.chunks.get(2) else {
             panic!("chunk 2 should be materialised");
         };
         assert!(std::ptr::eq(bytes, &**stored), "the view must not copy");
@@ -809,7 +818,7 @@ mod tests {
             panic!("chunk 0 should be materialised in both stores");
         };
         assert!(std::ptr::eq(a, b), "both views borrow the shared chunk");
-        let ChunkData::Bytes(shared) = m.chunks.get(&0).unwrap() else {
+        let ChunkData::Bytes(shared) = m.chunks.get(0) else {
             panic!("chunk 0 should stay materialised");
         };
         assert_eq!(Arc::strong_count(shared), 2, "a query must not unshare");

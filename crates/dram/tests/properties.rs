@@ -327,6 +327,81 @@ proptest! {
         prop_assert!(sparse != materialised);
     }
 
+    /// The chunk table across its blocks of 64 chunks: a store of three
+    /// blocks and a ragged fourth (197 chunks) takes byte and bit writes,
+    /// fills and multi-byte writes next to chunks 63/64 and 127/128, on a
+    /// pool of two stores interleaved with `clone`, `clone_from` and `==`,
+    /// and behaves like a pair of plain byte arrays.
+    #[test]
+    fn sparse_memory_matches_dense_model_across_table_blocks(
+        ops in prop::collection::vec(
+            (0u8..12, (0u64..4, 0u64..96), 0usize..3, 1u64..9000, (0usize..2, 0usize..2)), 1..100
+        )
+    ) {
+        const ALPHABET: [u8; 3] = [0x00, 0xFF, 0x5A];
+        const CHUNK: u64 = 4096;
+        let cap = (3 * 64 + 5) * CHUNK;
+        let mut stores = vec![SparseMemory::new(cap); 2];
+        let mut models = vec![vec![0u8; cap as usize]; 2];
+        for (kind, (edge, off), val, len, (a, b)) in ops {
+            // Within 48 bytes either side of the start of chunk 64, 128,
+            // or 192, or of the ragged last chunk 196.
+            let at = [64, 128, 192, 196][edge as usize] * CHUNK - 48 + off;
+            let chunk_start = (at / CHUNK + off % 2) * CHUNK - CHUNK;
+            let value = ALPHABET[val];
+            let len = len.min(cap - at);
+            let (store, model) = (&mut stores[a], &mut models[a]);
+            match kind {
+                0..=2 => {
+                    store.write_byte(PhysAddr::new(at), value);
+                    model[at as usize] = value;
+                }
+                3 => {
+                    let bit = (off % 8) as u8;
+                    store.write_bit(PhysAddr::new(at), bit, val != 0);
+                    let byte = &mut model[at as usize];
+                    *byte = if val != 0 { *byte | 1 << bit } else { *byte & !(1 << bit) };
+                }
+                4 => {
+                    store.fill(PhysAddr::new(at), len, value);
+                    model[at as usize..(at + len) as usize].fill(value);
+                }
+                5 => {
+                    store.fill(PhysAddr::new(chunk_start), CHUNK, value);
+                    model[chunk_start as usize..(chunk_start + CHUNK) as usize].fill(value);
+                }
+                6 => {
+                    let data: Vec<u8> = (0..len).map(|i| ALPHABET[(val + i as usize / 64) % 3]).collect();
+                    store.write(PhysAddr::new(at), &data);
+                    model[at as usize..(at + len) as usize].copy_from_slice(&data);
+                }
+                7 => {
+                    let mut buf = vec![0u8; len as usize];
+                    store.read(PhysAddr::new(at), &mut buf);
+                    prop_assert!(buf == model[at as usize..(at + len) as usize]);
+                }
+                8 => {
+                    stores[b] = stores[a].clone();
+                    models[b] = models[a].clone();
+                }
+                9 => {
+                    let source = stores[a].clone();
+                    stores[b].clone_from(&source);
+                    models[b] = models[a].clone();
+                }
+                _ => prop_assert_eq!(stores[a] == stores[b], models[a] == models[b]),
+            }
+            for (store, model) in stores.iter().zip(&models) {
+                prop_assert_eq!(store.read_byte(PhysAddr::new(at)), model[at as usize]);
+            }
+        }
+        for (store, model) in stores.iter().zip(&models) {
+            let mut out = vec![0u8; cap as usize];
+            store.read(PhysAddr::new(0), &mut out);
+            prop_assert!(&out == model, "store diverged from its model");
+        }
+    }
+
     /// Hammering never corrupts data outside the aggressors' blast radius
     /// (±2 rows), and every reported flip is inside it.
     #[test]

@@ -1,6 +1,8 @@
 //! Hot-path building blocks for the simulator: a deterministic,
 //! allocation-free hasher ([`hash`]) for the substrate's integer-keyed
-//! maps, and [`scratch`] lists that stay off the heap when short.
+//! maps, [`scratch`] lists that stay off the heap when short, and the
+//! copy-on-write storage ([`cow`]) that bank rows and DRAM contents are
+//! forked and restored through.
 //!
 //! Phase cost is not measured here: each pipeline phase reports its
 //! `PhaseCost` to the pipeline's observer, and `explframe-core`'s
@@ -9,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cow;
 pub mod hash;
 
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
